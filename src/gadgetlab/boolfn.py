@@ -13,6 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+from .gf2 import _fwht
+
 PRODUCT_SIZE_CAP = 10**6
 EFRON_STEIN_CAP = 10**5
 
@@ -345,21 +347,6 @@ def gamma_bounds(rho: float, mu: float, nu: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Reverse hypercontractivity on the cube
 
-def _cube_spectrum(indicator: np.ndarray) -> np.ndarray:
-    out = indicator.astype(np.float64, copy=True)
-    n = out.size
-    h = 1
-    while h < n:
-        out = out.reshape(-1, 2 * h)
-        left = out[:, :h].copy()
-        right = out[:, h:].copy()
-        out[:, :h] = left + right
-        out[:, h:] = left - right
-        out = out.reshape(n)
-        h *= 2
-    return out / n
-
-
 def reverse_hyper_check(a_set, b_set, n: int, rho: float) -> tuple[float, float, bool]:
     """Exact Pr[y in A, y' in B] for rho-correlated uniform cube points,
     against the Gaussian-density bound exp[-(a^2 + b^2 + 2 rho a b) / (2(1-rho^2))].
@@ -374,8 +361,8 @@ def reverse_hyper_check(a_set, b_set, n: int, rho: float) -> tuple[float, float,
     b_ind[list(b_set)] = 1.0
     if a_ind.sum() == 0 or b_ind.sum() == 0:
         raise ValueError("empty set")
-    fa = _cube_spectrum(a_ind)
-    fb = _cube_spectrum(b_ind)
+    fa = _fwht(a_ind) / a_ind.size
+    fb = _fwht(b_ind) / b_ind.size
     pops = np.array([bin(s).count("1") for s in range(1 << n)])
     lhs = float(np.sum(fa * fb * rho**pops))
     dens_a = a_ind.mean()

@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
 
 from .boolfn import FiniteJointDist, maximal_correlation
 from .games import LayeredPcp, PcpConstraint, check_weak_density
+from .gf2 import _fwht
 from .seeding import derive_rng
 from .verify import GenericHypergraph
 
@@ -170,18 +171,8 @@ def correlation_suite(delta: float, r: int) -> dict:
 # Cube spectra (masks; bit j set means coordinate j is -1)
 
 def cube_spectrum(values: np.ndarray) -> np.ndarray:
-    out = np.asarray(values, dtype=np.float64).copy()
-    n = out.size
-    h = 1
-    while h < n:
-        out = out.reshape(-1, 2 * h)
-        left = out[:, :h].copy()
-        right = out[:, h:].copy()
-        out[:, :h] = left + right
-        out[:, h:] = left - right
-        out = out.reshape(n)
-        h *= 2
-    return out / n
+    out = _fwht(values)
+    return out / out.size
 
 
 def cube_from_spectrum(coeffs: np.ndarray) -> np.ndarray:
@@ -274,45 +265,42 @@ def block_influence(coeffs: np.ndarray, block_mask: int) -> float:
 
 
 def yz_character_matrix(dist: DDeltaR) -> np.ndarray:
-    """M[a, b] = E[chi_a(Y) chi_b(Z)] under the base distribution."""
-    size = 1 << dist.r
-    yz = dist.joint.marginal((1, 2))
-    M = np.zeros((size, size))
-    signs = np.array([[(-1) ** bin(a & m).count("1") for m in range(size)]
-                      for a in range(size)], dtype=np.float64)
-    # signs[a, m] = chi_a(point m)
-    for a in range(size):
-        for b in range(size):
-            M[a, b] = float((np.outer(signs[a], signs[b]) * yz).sum())
-    return M
+    """M[a, b] = E[chi_a(Y) chi_b(Z)] under the base distribution: S P S^T
+    with S[a, m] = chi_a(point m) and P the (Y, Z) marginal."""
+    points = np.arange(1 << dist.r)
+    signs = 1.0 - 2.0 * (popcounts(dist.r)[points[:, None] & points] & 1)
+    return signs @ dist.joint.marginal((1, 2)) @ signs.T
 
 
 def cross_expectation(f_coeffs: np.ndarray, g_coeffs: np.ndarray,
                       blocks: list[int], M: np.ndarray) -> float:
     """E[f(y) g(z)] when (y, z) restricted to each block is an independent
-    draw of the base (Y, Z) pair."""
-    n = f_coeffs.size
-    fa = np.nonzero(np.abs(f_coeffs) > 1e-15)[0]
-    gb = np.nonzero(np.abs(g_coeffs) > 1e-15)[0]
-    block_pos = [sorted(j for j in range(int(round(math.log2(n)))) if (b >> j) & 1)
-                 for b in blocks]
+    draw of the base (Y, Z) pair: f^T (tensor over blocks of M) g, applied
+    to g as one mode product per block, O(2^n 2^r #blocks).
 
-    def local(mask: int, positions) -> int:
-        out = 0
-        for t, j in enumerate(positions):
-            out |= ((mask >> j) & 1) << t
-        return out
-
-    total = 0.0
-    for a in fa:
-        for b in gb:
-            prod = float(f_coeffs[a]) * float(g_coeffs[b])
-            for bi, positions in enumerate(block_pos):
-                prod *= M[local(int(a), positions), local(int(b), positions)]
-                if prod == 0.0:
-                    break
-            total += prod
-    return total
+    The blocks must partition the n label bits into blocks of r bits each,
+    where M is 2^r x 2^r; bit t of a block's local index is its t-th
+    lowest label bit."""
+    n_bits = int(round(math.log2(g_coeffs.size)))
+    r = int(round(math.log2(M.shape[0])))
+    covered = 0
+    for b in blocks:
+        if bin(b).count("1") != r:
+            raise ValueError(f"block {b:#b} has {bin(b).count('1')} bits, not r={r}")
+        if b & covered:
+            raise ValueError(f"block {b:#b} overlaps an earlier block")
+        covered |= b
+    if covered != (1 << n_bits) - 1:
+        raise ValueError(f"blocks cover {covered:#b}, not all {n_bits} label bits")
+    # Axis k of the (2,)*n view holds label bit n-1-k, so a block's axes,
+    # moved to the front in increasing order, flatten to its local index.
+    g = np.asarray(g_coeffs, dtype=np.float64).reshape((2,) * n_bits)
+    for b in blocks:
+        axes = [k for k in range(n_bits) if (b >> (n_bits - 1 - k)) & 1]
+        front = np.moveaxis(g, axes, range(r))
+        moved = M @ front.reshape(1 << r, -1)
+        g = np.moveaxis(moved.reshape(front.shape), range(r), axes)
+    return float(np.dot(f_coeffs, g.reshape(-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +316,12 @@ class Dto1Gadget:
     constraint_edges: list[list[tuple[int, int, int]] | None]
     constraint_pairs: list[list[tuple[int, int]] | None]
     constraint_r: list[int]
+    # edge_exists lookups, filled on first use: tables by r, block bit
+    # positions by constraint index
+    _dists: dict[int, DDeltaR] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _block_pos: dict[int, list[list[int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dropped_degenerate(self) -> int:
@@ -341,11 +335,16 @@ class Dto1Gadget:
                         * self.pcp.layers * self.pcp.var_counts[layer])
 
     def edge_exists(self, ci: int, x: int, y: int, z: int) -> bool:
-        c = self.pcp.constraints[ci]
-        dist = dist_table(self.delta, self.constraint_r[ci])
-        blocks = blocks_of(c.projection, self.pcp.label_sizes[c.to_layer])
-        for i, bmask in enumerate(blocks):
-            positions = [j for j in range(self.pcp.label_sizes[c.from_layer]) if (bmask >> j) & 1]
+        r = self.constraint_r[ci]
+        if r not in self._dists:
+            self._dists[r] = dist_table(self.delta, r)
+        if ci not in self._block_pos:
+            c = self.pcp.constraints[ci]
+            self._block_pos[ci] = [
+                [j for j in range(self.pcp.label_sizes[c.from_layer]) if (b >> j) & 1]
+                for b in blocks_of(c.projection, self.pcp.label_sizes[c.to_layer])]
+        dist = self._dists[r]
+        for i, positions in enumerate(self._block_pos[ci]):
             ym = sum(((y >> j) & 1) << t for t, j in enumerate(positions))
             zm = sum(((z >> j) & 1) << t for t, j in enumerate(positions))
             if dist.prob((x >> i) & 1, ym, zm) <= 0:

@@ -250,17 +250,16 @@ class FourierSpectrum:
 
 
 def _fwht(vec: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard butterfly, O(m 2^m)."""
-    out = vec.astype(np.float64, copy=True)
-    n = out.size
+    """Unnormalized Walsh-Hadamard butterfly, O(m 2^m), on one working copy
+    (also the +-1-cube transform when bit j set means coordinate j is -1)."""
+    out = np.array(vec, dtype=np.float64)
     h = 1
-    while h < n:
-        out = out.reshape(-1, 2 * h)
-        left = out[:, :h].copy()
-        right = out[:, h:].copy()
-        out[:, :h] = left + right
-        out[:, h:] = left - right
-        out = out.reshape(n)
+    while h < out.size:
+        halves = out.reshape(-1, 2, h)
+        left, right = halves[:, 0], halves[:, 1]
+        diff = left - right
+        left += right
+        right[...] = diff
         h *= 2
     return out
 

@@ -112,6 +112,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "line" in err
 
+    def test_dto1_decode_uneven_blocks_is_one(self, tmp_path, capsys):
+        # d = 2 asks for 2 label bits per target label; (0, 0, 0, 1) gives 3 and 1
+        pcp = games.LayeredPcp(2, (1, 1), (4, 2),
+                               (games.PcpConstraint(0, 1, 0, 0, (0, 0, 0, 1)),),
+                               params={"d": 2, "T": 1})
+        bundle = tmp_path / "pcp.json"
+        bundle.write_text(json.dumps({"pcp": pcp.to_json_dict()}))
+        ind = tmp_path / "ind.json"
+        ind.write_text(json.dumps({"indicators": {
+            "0,0": [float(m & 1 == 0) for m in range(16)],
+            "1,0": [float(m & 1 == 0) for m in range(4)]}}))
+        assert run("decode", "--kind", "dto1", "--gadget", bundle, "--indicator", ind,
+                   "--delta", "0.25") == 1
+        assert "bits, not r=2" in capsys.readouterr().err
+
     def test_certificate_failure_is_two(self, tmp_path):
         cycle = verify.GenericHypergraph(
             2, tuple(range(5)), tuple((i, (i + 1) % 5) for i in range(5)))

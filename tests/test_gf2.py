@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from gadgetlab import gf2
+from gadgetlab import dto1, gf2
 from gadgetlab.gf2 import Gf2Vector, Gf2Subspace
 
 
@@ -16,6 +16,22 @@ def naive_spectrum(table: gf2.RealTable) -> np.ndarray:
         out[alpha] = np.mean([
             table.values[x] * gf2.chi(alpha, x) for x in range(n)
         ])
+    return out
+
+
+def copying_fwht(vec: np.ndarray) -> np.ndarray:
+    """Reference butterfly that copies both halves at every level."""
+    out = vec.astype(np.float64, copy=True)
+    n = out.size
+    h = 1
+    while h < n:
+        out = out.reshape(-1, 2 * h)
+        left = out[:, :h].copy()
+        right = out[:, h:].copy()
+        out[:, :h] = left + right
+        out[:, h:] = left - right
+        out = out.reshape(n)
+        h *= 2
     return out
 
 
@@ -91,6 +107,20 @@ class TestFourier:
             values = np.array([rng.gauss(0, 1) for _ in range(1 << m)])
             spec = gf2.fourier_transform(gf2.RealTable(m, values))
             assert np.sum(spec.coeffs**2) == pytest.approx(np.mean(values**2), abs=1e-12)
+
+    def test_butterfly_bit_identical_to_copying_reference(self):
+        # the in-place butterfly keeps the left + right / left - right
+        # arithmetic, so the transform and the cube spectrum built on it
+        # reproduce the copying butterfly bit for bit
+        rng = np.random.default_rng(41)
+        for m in range(11):
+            for values in (rng.normal(size=1 << m), rng.uniform(0, 1, size=1 << m),
+                           rng.integers(-3, 4, size=1 << m)):
+                before = values.copy()
+                assert np.array_equal(gf2._fwht(values), copying_fwht(values))
+                assert np.array_equal(dto1.cube_spectrum(values),
+                                      copying_fwht(values) / values.size)
+                assert np.array_equal(values, before)
 
     def test_width_cap(self):
         with pytest.raises(ValueError, match="width"):
