@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -316,12 +316,6 @@ class Dto1Gadget:
     constraint_edges: list[list[tuple[int, int, int]] | None]
     constraint_pairs: list[list[tuple[int, int]] | None]
     constraint_r: list[int]
-    # edge_exists lookups, filled on first use: tables by r, block bit
-    # positions by constraint index
-    _dists: dict[int, DDeltaR] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _block_pos: dict[int, list[list[int]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def dropped_degenerate(self) -> int:
@@ -335,16 +329,11 @@ class Dto1Gadget:
                         * self.pcp.layers * self.pcp.var_counts[layer])
 
     def edge_exists(self, ci: int, x: int, y: int, z: int) -> bool:
-        r = self.constraint_r[ci]
-        if r not in self._dists:
-            self._dists[r] = dist_table(self.delta, r)
-        if ci not in self._block_pos:
-            c = self.pcp.constraints[ci]
-            self._block_pos[ci] = [
-                [j for j in range(self.pcp.label_sizes[c.from_layer]) if (b >> j) & 1]
-                for b in blocks_of(c.projection, self.pcp.label_sizes[c.to_layer])]
-        dist = self._dists[r]
-        for i, positions in enumerate(self._block_pos[ci]):
+        c = self.pcp.constraints[ci]
+        dist = dist_table(self.delta, self.constraint_r[ci])
+        blocks = blocks_of(c.projection, self.pcp.label_sizes[c.to_layer])
+        for i, bmask in enumerate(blocks):
+            positions = [j for j in range(self.pcp.label_sizes[c.from_layer]) if (bmask >> j) & 1]
             ym = sum(((y >> j) & 1) << t for t, j in enumerate(positions))
             zm = sum(((z >> j) & 1) << t for t, j in enumerate(positions))
             if dist.prob((x >> i) & 1, ym, zm) <= 0:
