@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .gf2 import _fwht
+from .gf2 import _fwht, popcounts
 
 PRODUCT_SIZE_CAP = 10**6
 EFRON_STEIN_CAP = 10**5
@@ -102,15 +102,6 @@ def maximal_correlation(joint: FiniteJointDist, bipartition) -> float:
     if svals.size < 2:
         return 0.0
     return float(min(1.0, svals[1]))
-
-
-def joint_correlation(joint: FiniteJointDist) -> float:
-    """Correlation of k spaces: max over i of rho(rest, factor i)."""
-    rho = 0.0
-    for i in range(joint.arity):
-        rest = tuple(j for j in range(joint.arity) if j != i)
-        rho = max(rho, maximal_correlation(joint, (rest, (i,))))
-    return rho
 
 
 @dataclass(frozen=True)
@@ -363,8 +354,7 @@ def reverse_hyper_check(a_set, b_set, n: int, rho: float) -> tuple[float, float,
         raise ValueError("empty set")
     fa = _fwht(a_ind) / a_ind.size
     fb = _fwht(b_ind) / b_ind.size
-    pops = np.array([bin(s).count("1") for s in range(1 << n)])
-    lhs = float(np.sum(fa * fb * rho**pops))
+    lhs = float(np.sum(fa * fb * rho**popcounts(n)))
     dens_a = a_ind.mean()
     dens_b = b_ind.mean()
     aa = math.sqrt(-2.0 * math.log(dens_a)) if dens_a < 1.0 else 0.0

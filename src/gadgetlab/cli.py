@@ -117,17 +117,17 @@ def cmd_build_hadamard(args) -> int:
     gadget = hadamard.build(inst, args.r, mode=args.mode, triples=args.triples,
                             seed=derive_seed(args.seed, "build-hadamard"),
                             distinct_blocks=args.distinct_blocks)
+    h = gadget.to_hypergraph()
     payload = {
         "config": _config_dict(args),
         "instance": inst.to_json_dict(),
-        "hypergraph": gadget.to_hypergraph().to_json_dict(),
+        "hypergraph": h.to_json_dict(),
     }
     if "planted_assignment" in bundle:
         payload["planted_assignment"] = bundle["planted_assignment"]
     write_artifact(args.out, payload)
     if args.edge_list:
-        Path(args.edge_list).write_text(gadget.to_hypergraph().to_edge_list())
-    h = gadget.to_hypergraph()
+        Path(args.edge_list).write_text(h.to_edge_list())
     print(f"wrote {args.out}: {len(h.vertices)} vertices, {len(h.edges)} edges, "
           f"{gadget.dropped_degenerate} degenerate raw edges dropped")
     return EXIT_OK
@@ -138,28 +138,24 @@ def _load_pcp(path: str) -> games.LayeredPcp:
     return games.LayeredPcp.from_json_dict(payload.get("pcp", payload))
 
 
-def cmd_build_longcode(args) -> int:
-    pcp = _load_pcp(args.pcp)
-    gadget = longcode.build(pcp, Fraction(args.epsilon))
+def _write_gadget(args, pcp: games.LayeredPcp, gadget: games.PcpGadget, **extra) -> int:
     payload = {"config": _config_dict(args), "pcp": pcp.to_json_dict(),
-               "mode": gadget.mode}
+               "mode": gadget.mode, **extra}
     if gadget.mode == "enumerate":
         payload["hypergraph"] = gadget.to_hypergraph().to_json_dict()
     write_artifact(args.out, payload)
     print(f"wrote {args.out}: mode={gadget.mode}, {gadget.vertex_count} vertices")
     return EXIT_OK
+
+
+def cmd_build_longcode(args) -> int:
+    pcp = _load_pcp(args.pcp)
+    return _write_gadget(args, pcp, longcode.build(pcp, Fraction(args.epsilon)))
 
 
 def cmd_build_dto1(args) -> int:
     pcp = _load_pcp(args.pcp)
-    gadget = dto1.build(pcp, args.delta)
-    payload = {"config": _config_dict(args), "pcp": pcp.to_json_dict(),
-               "mode": gadget.mode, "delta": args.delta}
-    if gadget.mode == "enumerate":
-        payload["hypergraph"] = gadget.to_hypergraph().to_json_dict()
-    write_artifact(args.out, payload)
-    print(f"wrote {args.out}: mode={gadget.mode}, {gadget.vertex_count} vertices")
-    return EXIT_OK
+    return _write_gadget(args, pcp, dto1.build(pcp, args.delta), delta=args.delta)
 
 
 def cmd_verify(args) -> int:
@@ -254,9 +250,6 @@ def cmd_decode(args) -> int:
         outcome = longcode.decode(gadget, vertex_ids, args.delta,
                                   seed=derive_seed(args.seed, "decode"))
         report = {
-            "layer_pair": list(outcome.layer_pair),
-            "satisfied_fraction": str(outcome.satisfied_fraction),
-            "satisfied_fraction_all": str(outcome.satisfied_fraction_all),
             "labels_v": {f"{k[0]},{k[1]}": v for k, v in outcome.rho.items()},
             "labels_u": {f"{k[0]},{k[1]}": v for k, v in outcome.lam.items()},
         }
@@ -268,12 +261,10 @@ def cmd_decode(args) -> int:
             for key, vals in indicator_data["indicators"].items()
         }
         outcome = dto1.decode(indicators, pcp, params, seed=derive_seed(args.seed, "decode"))
-        report = {
-            "outcome": outcome.outcome,
-            "layer_pair": list(outcome.layer_pair) if outcome.layer_pair else None,
-            "satisfied_fraction": str(outcome.satisfied_fraction),
-            "satisfied_fraction_all": str(outcome.satisfied_fraction_all),
-        }
+        report = {"outcome": outcome.outcome}
+    report.update(layer_pair=list(outcome.layer_pair),
+                  satisfied_fraction=str(outcome.satisfied_fraction),
+                  satisfied_fraction_all=str(outcome.satisfied_fraction_all))
     if args.out:
         write_artifact(args.out, {"config": _config_dict(args), "decode": report})
     print(json.dumps(report, indent=2, sort_keys=True))
@@ -422,7 +413,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, games.NoLayerPairError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

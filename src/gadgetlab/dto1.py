@@ -15,17 +15,14 @@ from fractions import Fraction
 import numpy as np
 
 from .boolfn import FiniteJointDist, maximal_correlation
-from .games import LayeredPcp, PcpConstraint, check_weak_density
-from .gf2 import _fwht
-from .seeding import derive_rng
+from .games import (LayeredPcp, PcpConstraint, PcpGadget, check_labeling, code_layout,
+                    heavy_layer_pair, satisfied_fractions, split_degenerate)
+from .gf2 import _fwht, popcounts
+from .seeding import as_rng, derive_rng
 from .verify import GenericHypergraph
 
 MAX_TABLE_R = 10
 EDGE_ENUM_BITS = 20
-
-
-class NoHeavyError(RuntimeError):
-    """Decoding ran out of heavy variables or qualifying layer pairs."""
 
 
 def _pm(mask: int, j: int) -> int:
@@ -116,7 +113,7 @@ def dist_table(delta: float, r: int) -> DDeltaR:
 
 def sample(delta: float, r: int, rng: random.Random | int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """One generative draw of (X, Y, Z) as +-1 values."""
-    rng = rng if isinstance(rng, random.Random) else random.Random(rng)
+    rng = as_rng(rng)
     x = rng.choice((1, -1))
     y = [rng.choice((1, -1)) for _ in range(r)]
     z = [-v for v in y]
@@ -180,10 +177,6 @@ def cube_from_spectrum(coeffs: np.ndarray) -> np.ndarray:
     return out * coeffs.size
 
 
-def popcounts(n_bits: int) -> np.ndarray:
-    return np.array([bin(m).count("1") for m in range(1 << n_bits)])
-
-
 def blocks_of(projection: tuple[int, ...], target_size: int) -> list[int]:
     """Preimage bitmask per target label."""
     masks = [0] * target_size
@@ -192,14 +185,23 @@ def blocks_of(projection: tuple[int, ...], target_size: int) -> list[int]:
     return masks
 
 
-def shattered_mask(blocks: list[int], n_bits: int) -> np.ndarray:
-    """Boolean per character mask: True when no block holds two of its bits."""
-    pops = popcounts(n_bits)
+def block_positions(blocks: list[int], n_bits: int) -> list[list[int]]:
+    """Label bits of each block, lowest first."""
+    return [[j for j in range(n_bits) if (b >> j) & 1] for b in blocks]
+
+
+def block_hits(blocks: list[int], n_bits: int) -> np.ndarray:
+    """Per character mask, the number of blocks it touches."""
     masks = np.arange(1 << n_bits)
     hits = np.zeros(1 << n_bits, dtype=np.int64)
     for b in blocks:
         hits += (masks & b) != 0
-    return hits == pops
+    return hits
+
+
+def shattered_mask(blocks: list[int], n_bits: int) -> np.ndarray:
+    """Boolean per character mask: True when no block holds two of its bits."""
+    return block_hits(blocks, n_bits) == popcounts(n_bits)
 
 
 @dataclass(frozen=True)
@@ -222,8 +224,7 @@ def shattered_decomposition(coeffs: np.ndarray, projection: tuple[int, ...],
                             target_size: int, s: float) -> ShatterDecomp:
     n_bits = int(round(math.log2(coeffs.size)))
     pops = popcounts(n_bits)
-    blocks = blocks_of(projection, target_size)
-    shat = shattered_mask(blocks, n_bits)
+    shat = block_hits(blocks_of(projection, target_size), n_bits) == pops
     high = pops >= s
     f1 = np.where(high, coeffs, 0.0)
     f2 = np.where(~high & ~shat, coeffs, 0.0)
@@ -231,16 +232,20 @@ def shattered_decomposition(coeffs: np.ndarray, projection: tuple[int, ...],
     return ShatterDecomp(f1, f2, f3, s)
 
 
-def noisy_influences(coeffs: np.ndarray, gamma: float) -> np.ndarray:
-    """Inf_i of T_{1-gamma} f per coordinate, by spectrum reweighting."""
-    n_bits = int(round(math.log2(coeffs.size)))
-    pops = popcounts(n_bits)
-    damped = coeffs**2 * (1.0 - gamma) ** (2 * pops)
+def _coordinate_mass(damped: np.ndarray) -> np.ndarray:
+    """Per coordinate i, the total of damped over the characters holding i."""
+    n_bits = int(round(math.log2(damped.size)))
+    masks = np.arange(damped.size)
     out = np.zeros(n_bits)
-    masks = np.arange(coeffs.size)
     for i in range(n_bits):
         out[i] = float(damped[(masks >> i) & 1 == 1].sum())
     return out
+
+
+def noisy_influences(coeffs: np.ndarray, gamma: float) -> np.ndarray:
+    """Inf_i of T_{1-gamma} f per coordinate, by spectrum reweighting."""
+    n_bits = int(round(math.log2(coeffs.size)))
+    return _coordinate_mass(coeffs**2 * (1.0 - gamma) ** (2 * popcounts(n_bits)))
 
 
 def block_noisy_influences(coeffs: np.ndarray, gamma: float,
@@ -248,15 +253,7 @@ def block_noisy_influences(coeffs: np.ndarray, gamma: float,
     """Inf_i over the cube of the blockwise noise operator, which damps a
     character by (1-gamma) per touched block rather than per coordinate."""
     n_bits = int(round(math.log2(coeffs.size)))
-    masks = np.arange(coeffs.size)
-    hits = np.zeros(coeffs.size, dtype=np.int64)
-    for b in blocks:
-        hits += (masks & b) != 0
-    damped = coeffs**2 * (1.0 - gamma) ** (2 * hits)
-    out = np.zeros(n_bits)
-    for i in range(n_bits):
-        out[i] = float(damped[(masks >> i) & 1 == 1].sum())
-    return out
+    return _coordinate_mass(coeffs**2 * (1.0 - gamma) ** (2 * block_hits(blocks, n_bits)))
 
 
 def block_influence(coeffs: np.ndarray, block_mask: int) -> float:
@@ -307,22 +304,11 @@ def cross_expectation(f_coeffs: np.ndarray, g_coeffs: np.ndarray,
 # Gadget construction
 
 @dataclass
-class Dto1Gadget:
-    pcp: LayeredPcp
+class Dto1Gadget(PcpGadget):
+    base = 2
+
     delta: float
-    mode: str
-    offsets: dict[tuple[int, int], int]
-    vertex_count: int
-    constraint_edges: list[list[tuple[int, int, int]] | None]
-    constraint_pairs: list[list[tuple[int, int]] | None]
     constraint_r: list[int]
-
-    @property
-    def dropped_degenerate(self) -> int:
-        return sum(len(p) for p in self.constraint_pairs if p is not None)
-
-    def vertex_id(self, layer: int, var: int, point: int) -> int:
-        return self.offsets[(layer, var)] + point
 
     def vertex_weight(self, layer: int, var: int) -> Fraction:
         return Fraction(1, (1 << self.pcp.label_sizes[layer])
@@ -332,8 +318,7 @@ class Dto1Gadget:
         c = self.pcp.constraints[ci]
         dist = dist_table(self.delta, self.constraint_r[ci])
         blocks = blocks_of(c.projection, self.pcp.label_sizes[c.to_layer])
-        for i, bmask in enumerate(blocks):
-            positions = [j for j in range(self.pcp.label_sizes[c.from_layer]) if (bmask >> j) & 1]
+        for i, positions in enumerate(block_positions(blocks, self.pcp.label_sizes[c.from_layer])):
             ym = sum(((y >> j) & 1) << t for t, j in enumerate(positions))
             zm = sum(((z >> j) & 1) << t for t, j in enumerate(positions))
             if dist.prob((x >> i) & 1, ym, zm) <= 0:
@@ -341,26 +326,8 @@ class Dto1Gadget:
         return True
 
     def to_hypergraph(self) -> GenericHypergraph:
-        if self.mode != "enumerate":
-            raise ValueError("export requires enumerate mode")
-        vertices = []
-        weights = {}
-        for (l, v), off in sorted(self.offsets.items(), key=lambda kv: kv[1]):
-            w = self.vertex_weight(l, v)
-            for pt in range(1 << self.pcp.label_sizes[l]):
-                vertices.append(off + pt)
-                weights[off + pt] = w
-        edges = set()
-        for ci, c in enumerate(self.pcp.constraints):
-            for x, y, z in self.constraint_edges[ci]:
-                edges.add(tuple(sorted((
-                    self.vertex_id(c.to_layer, c.u, x),
-                    self.vertex_id(c.from_layer, c.v, y),
-                    self.vertex_id(c.from_layer, c.v, z),
-                ))))
-        meta = {"kind": "dto1", "delta": self.delta,
-                "dropped_degenerate": self.dropped_degenerate}
-        return GenericHypergraph(3, tuple(vertices), tuple(sorted(edges)), weights, meta)
+        return self._export(lambda l, v, pt: self.vertex_weight(l, v),
+                            {"kind": "dto1", "delta": self.delta})
 
 
 def build(pcp: LayeredPcp, delta: float) -> Dto1Gadget:
@@ -369,12 +336,7 @@ def build(pcp: LayeredPcp, delta: float) -> Dto1Gadget:
     if pcp.params is None or "d" not in pcp.params:
         raise ValueError("the correlated-test gadget needs a smooth layered PCP")
     d = pcp.params["d"]
-    offsets = {}
-    acc = 0
-    for l in range(pcp.layers):
-        for v in range(pcp.var_counts[l]):
-            offsets[(l, v)] = acc
-            acc += 1 << pcp.label_sizes[l]
+    offsets, total = code_layout(pcp, Dto1Gadget.base)
     constraint_edges: list[list[tuple[int, int, int]] | None] = []
     constraint_pairs: list[list[tuple[int, int]] | None] = []
     constraint_r: list[int] = []
@@ -388,11 +350,8 @@ def build(pcp: LayeredPcp, delta: float) -> Dto1Gadget:
             continue
         dist = dist_cache.setdefault(r, dist_table(delta, r))
         support = dist.support()
-        blocks = blocks_of(c.projection, pcp.label_sizes[c.to_layer])
-        block_pos = [
-            [j for j in range(pcp.label_sizes[c.from_layer]) if (b >> j) & 1]
-            for b in blocks
-        ]
+        block_pos = block_positions(blocks_of(c.projection, pcp.label_sizes[c.to_layer]),
+                                    pcp.label_sizes[c.from_layer])
         partial: list[tuple[int, int, int]] = [(0, 0, 0)]
         for i, positions in enumerate(block_pos):
             scattered = []
@@ -405,13 +364,7 @@ def build(pcp: LayeredPcp, delta: float) -> Dto1Gadget:
                 for (x, y, z) in partial
                 for (xb, yb, zb) in scattered
             ]
-        edges = []
-        pairs = []
-        for x, y, z in partial:
-            if y == z:
-                pairs.append((x, y))
-            else:
-                edges.append((x, y, z))
+        edges, pairs = split_degenerate(partial)
         constraint_edges.append(edges)
         constraint_pairs.append(pairs)
     if all(e is not None for e in constraint_edges):
@@ -420,8 +373,8 @@ def build(pcp: LayeredPcp, delta: float) -> Dto1Gadget:
         mode = "rule"
     else:
         mode = "mixed"
-    return Dto1Gadget(pcp, delta, mode, offsets, acc, constraint_edges,
-                      constraint_pairs, constraint_r)
+    return Dto1Gadget(pcp, mode, offsets, total, constraint_edges, constraint_pairs,
+                      delta, constraint_r)
 
 
 @dataclass
@@ -439,10 +392,7 @@ def yes_check(g: Dto1Gadget, sigma, samples: int = 2000, seed: int = 0) -> YesCh
     """The dictated coloring (the bit named by the labeling) must make
     every edge non-monochromatic."""
     pcp = g.pcp
-    sigma = [list(layer) for layer in sigma]
-    for c in pcp.constraints:
-        if c.projection[sigma[c.from_layer][c.v]] != sigma[c.to_layer][c.u]:
-            raise ValueError("labeling does not satisfy the PCP")
+    sigma = check_labeling(pcp, sigma)
     violations = []
     checked = 0
 
@@ -457,21 +407,19 @@ def yes_check(g: Dto1Gadget, sigma, samples: int = 2000, seed: int = 0) -> YesCh
 
     sampled = 0
     for ci, c in enumerate(pcp.constraints):
-        if g.constraint_edges[ci] is not None:
-            for x, y, z in g.constraint_edges[ci]:
+        triples = g.constraint_triples(ci)
+        if triples is not None:
+            for x, y, z in triples:
                 check(ci, c, x, y, z)
-            for x, y in g.constraint_pairs[ci]:
-                check(ci, c, x, y, y)
             continue
         sampled += 1
         rng = derive_rng(seed, "yes-check", ci)
         r = g.constraint_r[ci]
-        blocks = blocks_of(c.projection, pcp.label_sizes[c.to_layer])
+        block_pos = block_positions(blocks_of(c.projection, pcp.label_sizes[c.to_layer]),
+                                    pcp.label_sizes[c.from_layer])
         for _ in range(samples):
             x = y = z = 0
-            for i, bmask in enumerate(blocks):
-                positions = [j for j in range(pcp.label_sizes[c.from_layer])
-                             if (bmask >> j) & 1]
+            for i, positions in enumerate(block_pos):
                 xv, yv, zv = sample(g.delta, r, rng)
                 x |= (1 if xv == -1 else 0) << i
                 for t, j in enumerate(positions):
@@ -518,7 +466,7 @@ def suggest_params(delta: float, eps: float, nu: float, r: int, T: int,
 @dataclass
 class Dto1DecodeResult:
     outcome: str
-    layer_pair: tuple[int, int] | None
+    layer_pair: tuple[int, int]
     r: int | None
     labels_v: dict[tuple[int, int], int]
     labels_u: dict[tuple[int, int], int]
@@ -541,32 +489,16 @@ def decode(indicators: dict[tuple[int, int], np.ndarray], pcp: LayeredPcp,
         if f.min() < -1e-12 or f.max() > 1.0 + 1e-12:
             raise ValueError(f"indicator {key} is not [0, 1]-valued")
 
-    half = params.eps / 2.0
-    heavy: dict[int, list[int]] = {l: [] for l in range(pcp.layers)}
-    for (l, v), f in indicators.items():
-        if float(np.mean(f)) >= half:
-            heavy[l].append(v)
-    if not any(heavy.values()):
-        raise NoHeavyError("no heavy variables at threshold eps/2")
-    quarter = params.eps / 4.0
-    qualified = {l: set(vs) for l, vs in heavy.items()
-                 if len(vs) >= quarter * pcp.var_counts[l]}
-    if len(qualified) < 2:
-        raise NoHeavyError("fewer than two layers reach an eps/4 fraction of heavy variables")
-    density = check_weak_density(pcp, qualified, quarter)
-    if density["best_pair"] is None:
-        raise NoHeavyError("no constraints between qualifying layers")
+    _, qualified, density = heavy_layer_pair(
+        pcp, {key: float(np.mean(f)) for key, f in indicators.items()}, params.eps)
     l, l2 = density["best_pair"]
     r = d ** (l2 - l)
     eta = params.eta(r)
     dist = dist_table(params.delta, r)
     M = yz_character_matrix(dist)
 
-    spectra: dict[tuple[int, int], np.ndarray] = {}
-    for v in qualified[l]:
-        spectra[(l, v)] = cube_spectrum(np.asarray(indicators[(l, v)], dtype=np.float64))
-    for u in qualified[l2]:
-        spectra[(l2, u)] = cube_spectrum(np.asarray(indicators[(l2, u)], dtype=np.float64))
+    spectra = {(layer, var): cube_spectrum(np.asarray(indicators[(layer, var)], dtype=np.float64))
+               for layer in (l, l2) for var in qualified[layer]}
 
     good: dict[tuple[int, int], bool] = {}
     pair_floor = (params.eps / 2.0) ** (4.0 / eta)
@@ -576,6 +508,7 @@ def decode(indicators: dict[tuple[int, int], np.ndarray], pcp: LayeredPcp,
             if c.v in qualified[l] and c.u in qualified[l2]]
     for c in cons:
         blocks = blocks_of(c.projection, pcp.label_sizes[l2])
+        block_pos = block_positions(blocks, pcp.label_sizes[l])
         dec = shattered_decomposition(spectra[(l, c.v)], c.projection,
                                       pcp.label_sizes[l2], params.s)
         f2_norm = dec.norms[1]
@@ -587,9 +520,8 @@ def decode(indicators: dict[tuple[int, int], np.ndarray], pcp: LayeredPcp,
         gap = float(np.max(np.abs(inf_bar - inf_plain))) if inf_bar.size else 0.0
         inf_u = noisy_influences(spectra[(l2, c.u)], params.gamma)
         matched = False
-        for i in range(pcp.label_sizes[l2]):
-            block_sum = float(inf_bar[[j for j in range(pcp.label_sizes[l])
-                                       if (blocks[i] >> j) & 1]].sum())
+        for i, positions in enumerate(block_pos):
+            block_sum = float(inf_bar[positions].sum())
             if min(inf_u[i], 4.0 * r * block_sum) >= params.tau:
                 matched = True
                 break
@@ -626,19 +558,9 @@ def decode(indicators: dict[tuple[int, int], np.ndarray], pcp: LayeredPcp,
                                 Fraction(0), Fraction(0), good,
                                 {"pairs": diag_pairs, "eta": eta})
 
-    sat = labeled = 0
-    for c in cons:
-        rv = labels_v.get((l, c.v))
-        lu = labels_u.get((l2, c.u))
-        if rv is None or lu is None:
-            continue
-        labeled += 1
-        sat += c.projection[rv] == lu
-    total_cons = len(pcp.constraints_between(l, l2))
     return Dto1DecodeResult(
         "ok", (l, l2), r, labels_v, labels_u,
-        Fraction(sat, labeled) if labeled else Fraction(0),
-        Fraction(sat, total_cons) if total_cons else Fraction(0),
+        *satisfied_fractions(pcp, (l, l2), labels_v, labels_u),
         good,
         {"pairs": diag_pairs, "eta": eta,
          "density": {str(k): str(f) for k, f in density["per_pair"].items()}},

@@ -12,10 +12,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
 from .gf2 import Gf2Subspace, Gf2Vector
+from .seeding import as_rng
+from .verify import GenericHypergraph
 
 LABEL_TUPLE_CAP = 10**6
 
@@ -28,8 +31,8 @@ class SizeCapError(ValueError):
     """A construction would exceed its desk-scale size cap."""
 
 
-def _as_rng(rng: random.Random | int) -> random.Random:
-    return rng if isinstance(rng, random.Random) else random.Random(rng)
+class NoLayerPairError(RuntimeError):
+    """No layer pair qualifies for decoding at the given thresholds."""
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +82,7 @@ class Lin3Instance:
 def gen_3lin(n: int, eqs: int, rng: random.Random | int, planted: bool = True) -> tuple[Lin3Instance, tuple[int, ...] | None]:
     """Random toy instance; in planted mode the right-hand sides are read
     off a hidden assignment, which is returned as the witness."""
-    rng = _as_rng(rng)
+    rng = as_rng(rng)
     if n < 3:
         raise ValueError("need at least 3 variables")
     assignment = tuple(rng.randrange(2) for _ in range(n)) if planted else None
@@ -155,7 +158,7 @@ def sample_round(inst: Lin3Instance, r: int, rng: random.Random | int,
     W is r equations sampled uniformly with replacement, resampled while
     the 3r variables repeat; U picks one variable per equation of W.
     """
-    rng = _as_rng(rng)
+    rng = as_rng(rng)
     if r < 1:
         raise ValueError("r must be >= 1")
     if not inst.equations:
@@ -368,6 +371,8 @@ def check_weak_density(pcp: LayeredPcp, layer_sets: dict[int, set[int]],
     hypothesis_met records whether the supplied sets satisfy the weak
     density definition's hypothesis (enough layers, each set large enough).
     """
+    if not delta > 0:
+        raise ValueError(f"weak-density threshold must be positive, got {delta}")
     for l, s in layer_sets.items():
         if not s:
             raise ValueError(f"empty set supplied for layer {l}")
@@ -436,7 +441,7 @@ def gen_toy_mlpcp(layers: int, vars_per_layer, label_sizes, rng: random.Random |
                   density: float = 1.0, planted: bool = True) -> LayeredPcp:
     """Toy plain multi-layered PCP with arbitrary projections; in planted
     mode every projection is consistent with a hidden labeling."""
-    rng = _as_rng(rng)
+    rng = as_rng(rng)
     var_counts = tuple(int(v) for v in (vars_per_layer if not isinstance(vars_per_layer, int)
                                         else [vars_per_layer] * layers))
     sizes = tuple(int(s) for s in (label_sizes if not isinstance(label_sizes, int)
@@ -458,6 +463,130 @@ def gen_toy_mlpcp(layers: int, vars_per_layer, label_sizes, rng: random.Random |
                     constraints.append(PcpConstraint(l, l2, v, u, tuple(proj)))
     return LayeredPcp(layers, var_counts, sizes, tuple(constraints),
                       params=None, planted_labeling=labeling)
+
+
+# ---------------------------------------------------------------------------
+# The label-cover gadget skeleton
+
+
+def code_layout(pcp: LayeredPcp, base: int) -> tuple[dict[tuple[int, int], int], int]:
+    """First vertex id of each variable's code of base ** label_size points,
+    in (layer, var) order, and the total vertex count."""
+    offsets = {}
+    acc = 0
+    for l in range(pcp.layers):
+        for v in range(pcp.var_counts[l]):
+            offsets[(l, v)] = acc
+            acc += base ** pcp.label_sizes[l]
+    return offsets, acc
+
+
+def split_degenerate(triples: list[tuple[int, int, int]]
+                     ) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
+    """One constraint's (x, y, z) rule hits as 3-uniform edges and (x, y)
+    pairs: y == z leaves two distinct vertices, which the rule still forbids
+    together, so those stay out of the 3-uniform edge set."""
+    return ([t for t in triples if t[1] != t[2]],
+            [(x, y) for x, y, z in triples if y == z])
+
+
+def check_labeling(pcp: LayeredPcp, sigma) -> list[list[int]]:
+    """The labeling as one list per layer; ValueError unless it satisfies
+    every constraint, since the YES certificates are read off it."""
+    sigma = [list(layer) for layer in sigma]
+    for c in pcp.constraints:
+        if c.projection[sigma[c.from_layer][c.v]] != sigma[c.to_layer][c.u]:
+            raise ValueError("labeling does not satisfy the PCP")
+    return sigma
+
+
+def heavy_layer_pair(pcp: LayeredPcp, measures: dict[tuple[int, int], float],
+                     threshold: float) -> tuple[dict[int, list[int]], dict[int, set[int]], dict]:
+    """Heavy variables (measure >= threshold/2) per layer, the layers where
+    a threshold/4 share of them is heavy, and check_weak_density's report at
+    threshold/4 over those layers, whose best pair the decoders take."""
+    half = threshold / 2.0
+    heavy: dict[int, list[int]] = {l: [] for l in range(pcp.layers)}
+    for (l, v), m in measures.items():
+        if m >= half:
+            heavy[l].append(v)
+    if not any(heavy.values()):
+        raise NoLayerPairError(f"no heavy variables at threshold {half}")
+    quarter = threshold / 4.0
+    qualified = {l: set(vs) for l, vs in heavy.items()
+                 if len(vs) >= quarter * pcp.var_counts[l]}
+    if len(qualified) < 2:
+        raise NoLayerPairError(
+            f"only {len(qualified)} layers reach a {quarter} fraction of heavy variables")
+    density = check_weak_density(pcp, qualified, quarter)
+    if density["best_pair"] is None:
+        raise NoLayerPairError("no constraints between any pair of qualifying layers")
+    return heavy, qualified, density
+
+
+def satisfied_fractions(pcp: LayeredPcp, pair: tuple[int, int],
+                        from_labels: dict[tuple[int, int], int],
+                        to_labels: dict[tuple[int, int], int]) -> tuple[Fraction, Fraction]:
+    """Satisfied share of the pair's constraints among those with both ends
+    labelled, and among all of them; 0 for an empty count."""
+    l, l2 = pair
+    cons = pcp.constraints_between(l, l2)
+    hits = [c.projection[from_labels[(l, c.v)]] == to_labels[(l2, c.u)]
+            for c in cons if (l, c.v) in from_labels and (l2, c.u) in to_labels]
+    sat = sum(hits)
+    return (Fraction(sat, len(hits)) if hits else Fraction(0),
+            Fraction(sat, len(cons)) if cons else Fraction(0))
+
+
+@dataclass
+class PcpGadget:
+    """A code of base ** label_size points on every PCP variable, joined per
+    constraint by the gadget's local rule on (x, y, z): x a point of u, y and
+    z points of v. A constraint's rule hits are materialised as edges and
+    pairs, or None when only the rule is kept ("rule" or "mixed" mode)."""
+
+    base: ClassVar[int]
+
+    pcp: LayeredPcp
+    mode: str
+    offsets: dict[tuple[int, int], int]
+    vertex_count: int
+    constraint_edges: list[list[tuple[int, int, int]] | None]
+    constraint_pairs: list[list[tuple[int, int]] | None]
+
+    @property
+    def dropped_degenerate(self) -> int:
+        return sum(len(p) for p in self.constraint_pairs if p is not None)
+
+    def vertex_id(self, layer: int, var: int, point: int) -> int:
+        return self.offsets[(layer, var)] + point
+
+    def constraint_triples(self, ci: int) -> list[tuple[int, int, int]] | None:
+        """Every rule hit of constraint ci, its edges then its pairs as
+        (x, y, y); None when the constraint is not materialised."""
+        edges = self.constraint_edges[ci]
+        if edges is None:
+            return None
+        return edges + [(x, y, y) for x, y in self.constraint_pairs[ci]]
+
+    def _export(self, weight, meta: dict) -> GenericHypergraph:
+        """The 3-uniform hypergraph of the materialised edges, with
+        weight(layer, var, point) per vertex; meta gains dropped_degenerate."""
+        if self.mode != "enumerate":
+            raise ValueError("export requires enumerate mode")
+        weights = {}
+        for (l, v), off in self.offsets.items():
+            for pt in range(self.base ** self.pcp.label_sizes[l]):
+                weights[off + pt] = weight(l, v, pt)
+        edges = set()
+        for ci, c in enumerate(self.pcp.constraints):
+            ou = self.offsets[(c.to_layer, c.u)]
+            ov = self.offsets[(c.from_layer, c.v)]
+            for x, y, z in self.constraint_edges[ci]:
+                edges.add(tuple(sorted((ou + x, ov + y, ov + z))))
+        meta["dropped_degenerate"] = self.dropped_degenerate
+        return GenericHypergraph(3, tuple(range(self.vertex_count)), tuple(sorted(edges)),
+                                 weights, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +674,7 @@ def gen_toy_dto1_game(n_u: int, n_v: int, k: int, d: int, rng: random.Random | i
                       planted: bool = True, degree: int | None = None) -> Dto1Game:
     """Toy bi-regular d-to-1 game; complete bipartite unless a V-side
     degree is given (round-robin, which must divide out evenly)."""
-    rng = _as_rng(rng)
+    rng = as_rng(rng)
     m = k * d
     u_labels = tuple(rng.randrange(k) for _ in range(n_u)) if planted else None
     v_labels = tuple(rng.randrange(m) for _ in range(n_v)) if planted else None

@@ -264,6 +264,15 @@ def _fwht(vec: np.ndarray) -> np.ndarray:
     return out
 
 
+def popcounts(n_bits: int) -> np.ndarray:
+    """Set-bit count of every mask below 2^n_bits, as int64: the table for
+    n bits is the one for n-1 bits followed by itself plus one."""
+    out = np.zeros(1, dtype=np.int64)
+    for _ in range(n_bits):
+        out = np.concatenate((out, out + 1))
+    return out
+
+
 def fourier_transform(table: RealTable) -> FourierSpectrum:
     coeffs = _fwht(table.values) / table.values.size
     spectrum = FourierSpectrum(table.width, coeffs)

@@ -82,12 +82,6 @@ class HadamardGadget:
                     seen.add(edge)
                     yield edge
 
-    def block_of_vertex(self, vid: int) -> GadgetBlock:
-        for b in self.blocks:
-            if b.vertex_base <= vid < b.vertex_base + len(b.reps):
-                return b
-        raise KeyError(vid)
-
     def to_hypergraph(self) -> GenericHypergraph:
         vertices = tuple(range(self.vertex_count))
         meta = {

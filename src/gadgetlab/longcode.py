@@ -14,7 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import ternary
-from .games import LayeredPcp, PcpConstraint, check_weak_density
+from .games import (LayeredPcp, PcpConstraint, PcpGadget, check_labeling, code_layout,
+                    heavy_layer_pair, satisfied_fractions, split_degenerate)
 from .seeding import derive_rng
 from .ternary import TernaryFamily, WitnessPair, two_element_witness
 from .verify import GenericHypergraph
@@ -27,10 +28,6 @@ class IndependenceError(ValueError):
     """The (closed) indicator contains a hyperedge."""
 
 
-class NoLayerPairError(RuntimeError):
-    """No layer pair qualifies for decoding at the given thresholds."""
-
-
 def _allowed_pairs(x_digit: int) -> list[tuple[int, int]]:
     pairs = [(a, b) for a in range(3) for b in range(3)]
     if x_digit in (ternary.ONE, ternary.TWO):
@@ -38,30 +35,20 @@ def _allowed_pairs(x_digit: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _enumerate_constraint_edges(proj: tuple[int, ...], r_big: int, r_small: int):
-    """All (x, y, z) index triples passing the coordinate rule.
-
-    Triples with y == z have only two distinct vertices; they are returned
-    separately as pair constraints (the rule still forbids co-membership)
-    and stay out of the 3-uniform edge set.
-    """
-    edges = []
-    pairs = []
+def _constraint_triples(proj: tuple[int, ...], r_big: int, r_small: int):
+    """All (x, y, z) index triples passing the coordinate rule."""
+    triples = []
     small_digits = ternary.digits_matrix(r_small)
     for x in range(3**r_small):
         xd = small_digits[x]
-        partial: list[tuple[int, int]] = [(0, 0)]
+        partial: list[tuple[int, int, int]] = [(x, 0, 0)]
         for j in range(r_big):
             step = 3**j
             allowed = _allowed_pairs(int(xd[proj[j]]))
-            partial = [(y + a * step, z + b * step)
-                       for (y, z) in partial for (a, b) in allowed]
-        for y, z in partial:
-            if y == z:
-                pairs.append((x, y))
-            else:
-                edges.append((x, y, z))
-    return edges, pairs
+            partial = [(x, y + a * step, z + b * step)
+                       for (_, y, z) in partial for (a, b) in allowed]
+        triples += partial
+    return triples
 
 
 def _edge_allowed(proj: tuple[int, ...], x_digits, y_digits, z_digits) -> bool:
@@ -73,25 +60,14 @@ def _edge_allowed(proj: tuple[int, ...], x_digits, y_digits, z_digits) -> bool:
 
 
 @dataclass
-class LongCodeGadget:
-    pcp: LayeredPcp
-    epsilon: Fraction
-    mode: str
-    offsets: dict[tuple[int, int], int]
-    vertex_count: int
-    constraint_edges: list[list[tuple[int, int, int]]]
-    constraint_pairs: list[list[tuple[int, int]]]
+class LongCodeGadget(PcpGadget):
+    base = 3
 
-    @property
-    def dropped_degenerate(self) -> int:
-        return sum(len(p) for p in self.constraint_pairs)
+    epsilon: Fraction
 
     @property
     def p(self) -> Fraction:
         return 1 - self.epsilon
-
-    def vertex_id(self, layer: int, var: int, point: int) -> int:
-        return self.offsets[(layer, var)] + point
 
     def vertex_info(self, vid: int) -> tuple[int, int, int]:
         best = None
@@ -109,14 +85,6 @@ class LongCodeGadget:
             w *= self.epsilon if d == ternary.STAR else p / 2
         return w / (self.pcp.layers * self.pcp.var_counts[layer])
 
-    def layer_weight(self, layer: int) -> Fraction:
-        return Fraction(1, self.pcp.layers)
-
-    def edges_of_constraint(self, ci: int):
-        if self.mode != "enumerate":
-            raise ValueError("edges are only materialized in enumerate mode")
-        return self.constraint_edges[ci]
-
     def edge_exists(self, ci: int, x: int, y: int, z: int) -> bool:
         """Rule test for distinct-point triples; y == z rule hits are pair
         constraints, not 3-uniform edges."""
@@ -133,27 +101,8 @@ class LongCodeGadget:
         return _edge_allowed(c.projection, xd, yd, yd)
 
     def to_hypergraph(self) -> GenericHypergraph:
-        if self.mode != "enumerate":
-            raise ValueError("export requires enumerate mode")
-        vertices = []
-        weights = {}
-        for l in range(self.pcp.layers):
-            for v in range(self.pcp.var_counts[l]):
-                for pt in range(3 ** self.pcp.label_sizes[l]):
-                    vid = self.vertex_id(l, v, pt)
-                    vertices.append(vid)
-                    weights[vid] = self.vertex_weight(l, v, pt)
-        edges = set()
-        for ci, c in enumerate(self.pcp.constraints):
-            for x, y, z in self.constraint_edges[ci]:
-                edges.add(tuple(sorted((
-                    self.vertex_id(c.to_layer, c.u, x),
-                    self.vertex_id(c.from_layer, c.v, y),
-                    self.vertex_id(c.from_layer, c.v, z),
-                ))))
-        meta = {"kind": "longcode", "epsilon": [self.epsilon.numerator, self.epsilon.denominator],
-                "dropped_degenerate": self.dropped_degenerate}
-        return GenericHypergraph(3, tuple(sorted(vertices)), tuple(sorted(edges)), weights, meta)
+        return self._export(self.vertex_weight, {
+            "kind": "longcode", "epsilon": [self.epsilon.numerator, self.epsilon.denominator]})
 
 
 def build(pcp: LayeredPcp, epsilon) -> LongCodeGadget:
@@ -162,25 +111,20 @@ def build(pcp: LayeredPcp, epsilon) -> LongCodeGadget:
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    total = sum(pcp.var_counts[l] * 3 ** pcp.label_sizes[l] for l in range(pcp.layers))
+    offsets, total = code_layout(pcp, LongCodeGadget.base)
     if total > SIZE_CAP:
         raise ValueError(f"gadget would have {total} vertices, cap is {SIZE_CAP}")
-    offsets = {}
-    acc = 0
-    for l in range(pcp.layers):
-        for v in range(pcp.var_counts[l]):
-            offsets[(l, v)] = acc
-            acc += 3 ** pcp.label_sizes[l]
     mode = "enumerate" if max(pcp.label_sizes) <= ENUMERATE_LABEL_CAP else "rule"
-    constraint_edges: list[list[tuple[int, int, int]]] = []
-    constraint_pairs: list[list[tuple[int, int]]] = []
-    if mode == "enumerate":
-        for c in pcp.constraints:
-            edges, pairs = _enumerate_constraint_edges(
-                c.projection, pcp.label_sizes[c.from_layer], pcp.label_sizes[c.to_layer])
-            constraint_edges.append(edges)
-            constraint_pairs.append(pairs)
-    return LongCodeGadget(pcp, eps, mode, offsets, acc, constraint_edges, constraint_pairs)
+    constraint_edges: list[list[tuple[int, int, int]] | None] = []
+    constraint_pairs: list[list[tuple[int, int]] | None] = []
+    for c in pcp.constraints:
+        edges = pairs = None
+        if mode == "enumerate":
+            edges, pairs = split_degenerate(_constraint_triples(
+                c.projection, pcp.label_sizes[c.from_layer], pcp.label_sizes[c.to_layer]))
+        constraint_edges.append(edges)
+        constraint_pairs.append(pairs)
+    return LongCodeGadget(pcp, mode, offsets, total, constraint_edges, constraint_pairs, eps)
 
 
 @dataclass
@@ -205,10 +149,7 @@ def yes_partition(g: LongCodeGadget, sigma, samples: int = 2000,
     surviving edge lies inside class 1 or class 2.
     """
     pcp = g.pcp
-    sigma = [list(layer) for layer in sigma]
-    for c in pcp.constraints:
-        if c.projection[sigma[c.from_layer][c.v]] != sigma[c.to_layer][c.u]:
-            raise ValueError("labeling does not satisfy the PCP; YES partition undefined")
+    sigma = check_labeling(pcp, sigma)
     class_of: dict[int, int] = {}
     w1 = w2 = wstar = Fraction(0)
     for l in range(pcp.layers):
@@ -240,10 +181,8 @@ def yes_partition(g: LongCodeGadget, sigma, samples: int = 2000,
 
     if g.mode == "enumerate":
         for ci, c in enumerate(pcp.constraints):
-            for x, y, z in g.constraint_edges[ci]:
+            for x, y, z in g.constraint_triples(ci):
                 check_edge(ci, c, x, y, z)
-            for x, y in g.constraint_pairs[ci]:
-                check_edge(ci, c, x, y, y)
         coverage = "exhaustive"
     else:
         rng = random.Random(seed)
@@ -299,12 +238,9 @@ def check_independent(g: LongCodeGadget, families: dict[tuple[int, int], Ternary
         for ci, c in enumerate(pcp.constraints):
             fu = families[(c.to_layer, c.u)]
             fv = families[(c.from_layer, c.v)]
-            for x, y, z in g.constraint_edges[ci]:
+            for x, y, z in g.constraint_triples(ci):
                 if fu.membership[x] and fv.membership[y] and fv.membership[z]:
                     return (ci, x, y, z)
-            for x, y in g.constraint_pairs[ci]:
-                if fu.membership[x] and fv.membership[y]:
-                    return (ci, x, y, y)
         return None
     rng = random.Random(seed)
     for ci, c in enumerate(pcp.constraints):
@@ -342,24 +278,10 @@ def decode(g: LongCodeGadget, indicator, delta: float, seed: int = 0) -> DecodeO
     if witness_edge is not None:
         raise IndependenceError(f"indicator contains edge {witness_edge} after closure")
 
-    half = delta / 2.0
-    heavy: dict[int, list[int]] = {l: [] for l in range(pcp.layers)}
-    for (l, v), fam in families.items():
-        if ternary.measure(fam) >= half:
-            heavy[l].append(v)
-    if not any(heavy.values()):
-        raise NoLayerPairError("no heavy variables at threshold delta/2")
-
-    quarter = delta / 4.0
-    qualified = {l: set(vs) for l, vs in heavy.items()
-                 if len(vs) >= quarter * pcp.var_counts[l]}
-    if len(qualified) < 2:
-        raise NoLayerPairError(
-            f"only {len(qualified)} layers reach a delta/4 fraction of heavy variables")
-    density = check_weak_density(pcp, qualified, quarter)
-    if density["best_pair"] is None:
-        raise NoLayerPairError("no constraints between any pair of qualifying layers")
+    heavy, qualified, density = heavy_layer_pair(
+        pcp, {key: ternary.measure(fam) for key, fam in families.items()}, delta)
     l, l2 = density["best_pair"]
+    half = delta / 2.0
 
     rng = derive_rng(seed, "labels")
     witnesses: dict[tuple[int, int], WitnessPair] = {}
@@ -386,19 +308,9 @@ def decode(g: LongCodeGadget, indicator, delta: float, seed: int = 0) -> DecodeO
             best = max(counts.values())
             lam[(l2, u)] = min(a for a, n in counts.items() if n == best)
 
-    sat = tot_labeled = tot = 0
-    for c in pcp.constraints_between(l, l2):
-        tot += 1
-        rv = rho.get((l, c.v))
-        lu = lam.get((l2, c.u))
-        if rv is None or lu is None:
-            continue
-        tot_labeled += 1
-        sat += c.projection[rv] == lu
     return DecodeOutcome(
         heavy, (l, l2), witnesses, rho, lam,
-        Fraction(sat, tot_labeled) if tot_labeled else Fraction(0),
-        Fraction(sat, tot) if tot else Fraction(0),
+        *satisfied_fractions(pcp, (l, l2), rho, lam),
         contradictions,
         {"density": {str(k): str(f) for k, f in density["per_pair"].items()},
          "hypothesis_met": density["hypothesis_met"]},

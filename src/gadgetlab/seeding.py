@@ -18,3 +18,8 @@ def derive_seed(master: int, *stage) -> int:
 
 def derive_rng(master: int, *stage) -> random.Random:
     return random.Random(derive_seed(master, *stage))
+
+
+def as_rng(rng: random.Random | int) -> random.Random:
+    """The given stream itself, or a fresh one seeded with the given int."""
+    return rng if isinstance(rng, random.Random) else random.Random(rng)

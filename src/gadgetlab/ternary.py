@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .seeding import as_rng
+
 MAX_M = 10
 STAR, ONE, TWO = 0, 1, 2
 
@@ -239,7 +241,7 @@ def sample_dp(p: float, m: int, rng: random.Random | int) -> tuple[tuple[int, ..
     """One draw from the pair distribution: per coordinate (1,2) or (2,1)
     with equal odds, then each side goes to * independently with
     probability 1-p. Marginals are mu_p; (1,1) and (2,2) never occur."""
-    rng = rng if isinstance(rng, random.Random) else random.Random(rng)
+    rng = as_rng(rng)
     f = []
     g = []
     for _ in range(m):
@@ -285,7 +287,7 @@ def two_element_witness(fam: TernaryFamily, delta: float,
     both land in the family.
     """
     p = fam.p if p is None else p
-    rng = rng if isinstance(rng, random.Random) else random.Random(rng)
+    rng = as_rng(rng)
     if measure(fam, p) < delta:
         raise ValueError(f"family measure {measure(fam, p)!r} is below delta={delta}")
     grid = np.linspace(p, (1.0 + p) / 2.0, grid_points)
@@ -314,6 +316,6 @@ def two_element_witness(fam: TernaryFamily, delta: float,
 def random_monotone_family(m: int, p: float, rng: random.Random | int,
                            density: float = 0.25) -> TernaryFamily:
     """Monotone closure of a random point set; used by tests and demos."""
-    rng = rng if isinstance(rng, random.Random) else random.Random(rng)
+    rng = as_rng(rng)
     mem = np.array([rng.random() < density for _ in range(3**m)])
     return monotone_closure(TernaryFamily(m, mem, p))

@@ -1,7 +1,10 @@
 """Command-line pipelines: determinism, exit codes, file round trips."""
+import hashlib
 import itertools
 import json
 from fractions import Fraction
+
+import pytest
 
 from gadgetlab import cli, games, longcode, ternary, verify
 
@@ -94,6 +97,57 @@ class TestPipelines:
         assert report["satisfied_fraction"] == "1"
 
 
+class TestReadmeArtifacts:
+    """The README pipelines, run with its relative paths, write these bytes."""
+
+    @pytest.fixture(autouse=True)
+    def readme_dir(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("GADGETLAB_OUT", raising=False)
+
+    def test_build_longcode_artifact(self, tmp_path):
+        assert run("build-mlpcp", "--layers", 2, "--vars-per-layer", 2, "--label-sizes", "3,3",
+                   "--seed", 3, "--out", "plain.json") == 0
+        assert run("build-longcode", "--pcp", "plain.json", "--epsilon", "1/10",
+                   "--out", "lc.json") == 0
+        assert hashlib.sha256((tmp_path / "lc.json").read_bytes()).hexdigest() == (
+            "a24837b28b8d0053bdf73a9ebfda85726765f3e02f17877599fa907344d22d52")
+
+    def test_build_dto1_artifact(self, tmp_path):
+        assert run("gen-game", "--u", 2, "--v", 3, "--k", 1, "--d", 2, "--seed", 5,
+                   "--out", "game.json") == 0
+        assert run("build-mlpcp", "--game", "game.json", "--layers", 2, "--smooth-t", 1,
+                   "--out", "pcp.json") == 0
+        assert run("build-dto1", "--pcp", "pcp.json", "--delta", "0.25", "--out", "dto1.json") == 0
+        assert hashlib.sha256((tmp_path / "dto1.json").read_bytes()).hexdigest() == (
+            "e45f2e509b961209d1bc5c365b3f0ca496e6078cf1b151046888d5ac69e99690")
+
+
+def longcode_bundle(tmp_path):
+    """The README's plain PCP and long-code gadget, and an indicator file
+    holding every point of variable (0, 0) and nothing else."""
+    pcp = tmp_path / "plain.json"
+    lc = tmp_path / "lc.json"
+    ind = tmp_path / "ind.json"
+    run("build-mlpcp", "--layers", 2, "--vars-per-layer", 2, "--label-sizes", "3,3",
+        "--seed", 3, "--out", pcp)
+    run("build-longcode", "--pcp", pcp, "--epsilon", "1/10", "--out", lc)
+    ind.write_text(json.dumps({"vertices": list(range(27))}))
+    return lc, ind
+
+
+def dto1_bundle(tmp_path, value: float):
+    """A one-constraint smooth PCP and constant indicators of the given value."""
+    pcp = games.LayeredPcp(2, (1, 1), (4, 2),
+                           (games.PcpConstraint(0, 1, 0, 0, (0, 0, 1, 1)),),
+                           params={"d": 2, "T": 1})
+    bundle = tmp_path / "pcp.json"
+    bundle.write_text(json.dumps({"pcp": pcp.to_json_dict()}))
+    ind = tmp_path / "ind.json"
+    ind.write_text(json.dumps({"indicators": {"0,0": [value] * 16, "1,0": [value] * 4}}))
+    return bundle, ind
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self):
         assert run("gen-3lin", "--n", 9) == 1
@@ -126,6 +180,35 @@ class TestExitCodes:
         assert run("decode", "--kind", "dto1", "--gadget", bundle, "--indicator", ind,
                    "--delta", "0.25") == 1
         assert "bits, not r=2" in capsys.readouterr().err
+
+    def test_longcode_decode_without_layer_pair_is_one(self, tmp_path, capsys):
+        lc, ind = longcode_bundle(tmp_path)
+        capsys.readouterr()
+        assert run("decode", "--kind", "longcode", "--gadget", lc, "--indicator", ind,
+                   "--delta", "0.2") == 1
+        assert capsys.readouterr().err == (
+            "error: only 1 layers reach a 0.05 fraction of heavy variables\n")
+
+    def test_dto1_decode_without_layer_pair_is_one(self, tmp_path, capsys):
+        bundle, ind = dto1_bundle(tmp_path, 0.01)
+        assert run("decode", "--kind", "dto1", "--gadget", bundle, "--indicator", ind,
+                   "--delta", "0.25") == 1
+        assert capsys.readouterr().err == "error: no heavy variables at threshold 0.25\n"
+
+    def test_longcode_decode_zero_delta_is_one(self, tmp_path, capsys):
+        lc, ind = longcode_bundle(tmp_path)
+        capsys.readouterr()
+        assert run("decode", "--kind", "longcode", "--gadget", lc, "--indicator", ind,
+                   "--delta", "0") == 1
+        assert capsys.readouterr().err == (
+            "error: weak-density threshold must be positive, got 0.0\n")
+
+    def test_dto1_decode_zero_eps_is_one(self, tmp_path, capsys):
+        bundle, ind = dto1_bundle(tmp_path, 0.5)
+        assert run("decode", "--kind", "dto1", "--gadget", bundle, "--indicator", ind,
+                   "--delta", "0.25", "--eps", "0") == 1
+        assert capsys.readouterr().err == (
+            "error: weak-density threshold must be positive, got 0.0\n")
 
     def test_certificate_failure_is_two(self, tmp_path):
         cycle = verify.GenericHypergraph(

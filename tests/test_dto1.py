@@ -309,6 +309,21 @@ class TestShatteredDecomposition:
         assert float(np.mean(norms)) <= s / math.sqrt(T) + 1e-12
 
 
+class TestPopcounts:
+    @pytest.mark.parametrize("n_bits", range(0, 11))
+    def test_matches_bin_count(self, n_bits):
+        oracle = np.array([bin(m).count("1") for m in range(1 << n_bits)])
+        got = dto1.popcounts(n_bits)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, oracle)
+
+    def test_block_hits_counts_touched_blocks(self):
+        blocks = [0b0011, 0b1100]
+        hits = dto1.block_hits(blocks, 4)
+        oracle = [sum(1 for b in blocks if m & b) for m in range(16)]
+        assert np.array_equal(hits, oracle)
+
+
 class TestCrossExpectation:
     def test_matches_enumeration_oracle(self):
         rng = np.random.default_rng(11)
@@ -527,7 +542,7 @@ class TestDecode:
             (l, v): np.full(1 << pcp.label_sizes[l], 0.01)
             for l in range(pcp.layers) for v in range(pcp.var_counts[l])
         }
-        with pytest.raises(dto1.NoHeavyError):
+        with pytest.raises(games.NoLayerPairError):
             dto1.decode(tiny, pcp, params, seed=0)
 
     def test_pair_expectation_diagnostics(self, toy_smooth):

@@ -228,6 +228,13 @@ class TestWeakDensity:
         with pytest.raises(ValueError, match="empty set"):
             games.check_weak_density(pcp, {0: set(), 1: {0}}, 0.5)
 
+    @pytest.mark.parametrize("delta", [0, 0.0, -0.5])
+    def test_non_positive_threshold_rejected(self, delta):
+        # ceil(2 / delta) would divide by zero or count negative layers
+        pcp = games.gen_toy_mlpcp(2, 2, 2, 3)
+        with pytest.raises(ValueError, match="must be positive"):
+            games.check_weak_density(pcp, {0: {0}, 1: {0}}, delta)
+
 
 class TestEvaluateLabeling:
     def test_planted_satisfies(self):
@@ -320,3 +327,11 @@ class TestJsonRoundTrips:
     def test_plain_pcp(self):
         pcp = games.gen_toy_mlpcp(3, 3, 2, 19, density=0.8)
         assert LayeredPcp.from_json_dict(pcp.to_json_dict()) == pcp
+
+
+class TestAsRng:
+    def test_int_seeds_a_fresh_stream_and_random_passes_through(self):
+        from gadgetlab.seeding import as_rng
+        assert [as_rng(9).random() for _ in range(3)] == [random.Random(9).random()] * 3
+        rng = random.Random(4)
+        assert as_rng(rng) is rng

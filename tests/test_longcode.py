@@ -173,6 +173,14 @@ class TestDecode:
         with pytest.raises(ValueError, match="below delta"):
             longcode.decode(g, small, delta=0.4, seed=0)
 
+    def test_one_heavy_layer_has_no_layer_pair(self, toy):
+        # every point of variable (0, 0) and nothing else: independent and
+        # heavy enough, but layer 1 holds no heavy variable
+        pcp, g = toy
+        v0_all = {g.vertex_id(0, 0, pt) for pt in range(3 ** pcp.label_sizes[0])}
+        with pytest.raises(games.NoLayerPairError, match="only 1 layers"):
+            longcode.decode(g, v0_all, delta=0.2, seed=0)
+
     def test_dependent_indicator_rejected(self, toy):
         pcp, g = toy
         with pytest.raises(longcode.IndependenceError):
