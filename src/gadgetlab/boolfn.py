@@ -207,9 +207,6 @@ class EfronSteinParts:
     spaces: tuple[CoordSpace, ...]
     parts: dict[frozenset[int], np.ndarray]
 
-    def component(self, subset) -> ProductFn:
-        return ProductFn(self.spaces, self.parts[frozenset(subset)])
-
     def reconstruct(self) -> np.ndarray:
         total = np.zeros(tuple(len(s.atoms) for s in self.spaces))
         for arr in self.parts.values():
@@ -221,10 +218,6 @@ class EfronSteinParts:
         for s, arr in self.parts.items():
             out[s] = ProductFn(self.spaces, arr**2).expectation()
         return out
-
-    def min_weight_degree(self, tol: float = 1e-12) -> int:
-        degrees = [len(s) for s, w in self.weights().items() if w > tol]
-        return min(degrees) if degrees else 0
 
 
 def efron_stein(f: ProductFn) -> EfronSteinParts:
@@ -270,9 +263,6 @@ _ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00
 
 def norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-def norm_sf(x: float) -> float:
-    return 0.5 * math.erfc(x / math.sqrt(2.0))
 
 def norm_pdf(x: float) -> float:
     return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)

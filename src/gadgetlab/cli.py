@@ -413,7 +413,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, KeyError, OSError, games.NoLayerPairError) as exc:
+    except (ValueError, KeyError, OSError, games.NoLayerPairError,
+            games.RejectionBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -172,11 +172,6 @@ def cube_spectrum(values: np.ndarray) -> np.ndarray:
     return out / out.size
 
 
-def cube_from_spectrum(coeffs: np.ndarray) -> np.ndarray:
-    out = cube_spectrum(coeffs)
-    return out * coeffs.size
-
-
 def blocks_of(projection: tuple[int, ...], target_size: int) -> list[int]:
     """Preimage bitmask per target label."""
     masks = [0] * target_size

@@ -151,6 +151,12 @@ class VariableBlock:
             raise ValueError("variable block repeats a variable")
 
 
+def repeat_free(inst: Lin3Instance, eq_ids) -> bool:
+    """True when no variable occurs in two of the equations eq_ids."""
+    variables = [x for e in eq_ids for x in inst.equations[e][:3]]
+    return len(set(variables)) == len(variables)
+
+
 def sample_round(inst: Lin3Instance, r: int, rng: random.Random | int,
                  budget: int = 10**6) -> tuple[EquationBlock, VariableBlock]:
     """One verifier round: an equation block W and a variable block U.
@@ -165,15 +171,7 @@ def sample_round(inst: Lin3Instance, r: int, rng: random.Random | int,
         raise ValueError("instance has no equations")
     for _ in range(budget):
         eq_ids = tuple(rng.randrange(len(inst.equations)) for _ in range(r))
-        seen: set[int] = set()
-        ok = True
-        for e in eq_ids:
-            i, j, k, _ = inst.equations[e]
-            if i in seen or j in seen or k in seen:
-                ok = False
-                break
-            seen.update((i, j, k))
-        if ok:
+        if repeat_free(inst, eq_ids):
             block = EquationBlock.from_instance(inst, eq_ids)
             picks = tuple(block.var_order[3 * t + rng.randrange(3)] for t in range(r))
             return block, VariableBlock(r, picks)
@@ -215,9 +213,6 @@ class BlockGeometry:
 
     def project(self, x: Gf2Vector) -> Gf2Vector:
         return Gf2Vector(self.r, self.project_bits(x.bits))
-
-    def lift(self, z: Gf2Vector) -> Gf2Vector:
-        return Gf2Vector(self.width, self.lift_bits(z.bits))
 
 
 def block_geometry(block: EquationBlock, picks: VariableBlock, inst: Lin3Instance) -> BlockGeometry:

@@ -78,10 +78,6 @@ class Gf2Vector:
         """Big-endian rendering of the packed integer, zero-padded to width."""
         return format(self.bits, f"0{self.width}b")
 
-    @classmethod
-    def from_bitstring(cls, s: str) -> "Gf2Vector":
-        return cls(len(s), int(s, 2))
-
     def __str__(self) -> str:
         return self.to_bitstring()
 
@@ -152,10 +148,6 @@ class Gf2Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @property
-    def coset_count(self) -> int:
-        return 1 << (self.ambient_width - self.dim)
 
     def reduce_bits(self, x: int) -> int:
         """Canonical (lexicographic-minimum) representative of x's coset."""

@@ -14,8 +14,8 @@ from fractions import Fraction
 
 
 from . import gf2
-from .games import (BlockGeometry, EquationBlock, Lin3Instance, VariableBlock,
-                    block_geometry, sample_round)
+from .games import (BlockGeometry, EquationBlock, Lin3Instance, RejectionBudgetError,
+                    VariableBlock, block_geometry, repeat_free, sample_round)
 from .verify import GenericHypergraph
 
 MAX_ENUMERATE_R = 2
@@ -77,12 +77,14 @@ class HadamardGadget:
             yield from self.edges_per_triple[triple_index]
         else:
             seen: set[tuple[int, int, int, int]] = set()
-            for edge, _ in _raw_edges(self, self.triples[triple_index]):
+            for edge in _raw_edges(self, self.triples[triple_index]):
                 if edge is not None and edge not in seen:
                     seen.add(edge)
                     yield edge
 
     def to_hypergraph(self) -> GenericHypergraph:
+        if self.mode != "enumerate":
+            raise ValueError("export requires enumerate mode")
         vertices = tuple(range(self.vertex_count))
         meta = {
             "kind": "hadamard",
@@ -99,7 +101,7 @@ class HadamardGadget:
 
 
 def _raw_edges(g: "HadamardGadget", triple: Triple):
-    """Yield (sorted folded 4-tuple or None-if-degenerate, raw choice)."""
+    """Yield each raw choice's sorted folded 4-tuple, or None if degenerate."""
     bw = g.blocks[triple.w_index]
     bwp = g.blocks[triple.wp_index]
     m = 3 * g.r + 1
@@ -116,10 +118,7 @@ def _raw_edges(g: "HadamardGadget", triple: Triple):
                 v3 = bwp.vertex_id(y)
                 v4 = bwp.vertex_id(y ^ shift_wp)
                 ids = (v1, v2, v3, v4)
-                if len(set(ids)) < 4:
-                    yield None, (x, y, z)
-                else:
-                    yield tuple(sorted(ids)), (x, y, z)
+                yield tuple(sorted(ids)) if len(set(ids)) == 4 else None
 
 
 def build(inst: Lin3Instance, r: int, mode: str = "enumerate",
@@ -163,17 +162,7 @@ def build(inst: Lin3Instance, r: int, mode: str = "enumerate",
         for _attempt in range(budget):
             w_block, picks = sample_round(inst, r, rng, budget=budget)
             wp_ids = tuple(rng.choice(eq_with_var[v]) for v in picks.var_ids)
-            seen: set[int] = set()
-            ok = True
-            for e in wp_ids:
-                i, j, k, _ = inst.equations[e]
-                if i in seen or j in seen or k in seen:
-                    ok = False
-                    break
-                seen.update((i, j, k))
-            if not ok:
-                continue
-            if distinct_blocks and wp_ids == w_block.eq_ids:
+            if not repeat_free(inst, wp_ids) or (distinct_blocks and wp_ids == w_block.eq_ids):
                 continue
             wp_block = EquationBlock.from_instance(inst, wp_ids)
             wp_picks = VariableBlock(r, picks.var_ids)
@@ -186,14 +175,14 @@ def build(inst: Lin3Instance, r: int, mode: str = "enumerate",
             ))
             break
         else:
-            raise RuntimeError("could not sample a consistent W' within budget")
+            raise RejectionBudgetError(f"could not sample a consistent W' in {budget} attempts")
 
     gadget = HadamardGadget(inst, r, mode, blocks, triple_list, [], 0, seed)
     dropped = 0
     if mode == "enumerate":
         for triple in triple_list:
             seen_edges: set[tuple[int, int, int, int]] = set()
-            for edge, _raw in _raw_edges(gadget, triple):
+            for edge in _raw_edges(gadget, triple):
                 if edge is None:
                     dropped += 1
                 else:

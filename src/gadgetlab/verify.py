@@ -77,6 +77,17 @@ class IndependentSetResult:
     nodes_expanded: int
 
 
+def _incidence(h: GenericHypergraph) -> tuple[list[int], dict[int, list[int]]]:
+    """The vertices by falling degree, then id, and the edge ids of each
+    vertex; one pass over the edges, O(E·k)."""
+    edges_of: dict[int, list[int]] = {v: [] for v in h.vertices}
+    for ei, e in enumerate(h.edges):
+        for v in e:
+            edges_of[v].append(ei)
+    order = sorted(h.vertices, key=lambda v: (-len(edges_of[v]), v))
+    return order, edges_of
+
+
 def max_independent_set(h: GenericHypergraph, budget: int = DEFAULT_NODE_BUDGET) -> IndependentSetResult:
     """Branch and bound for the maximum-weight independent set.
 
@@ -85,21 +96,18 @@ def max_independent_set(h: GenericHypergraph, budget: int = DEFAULT_NODE_BUDGET)
     from a packing of vertex-disjoint live edges. Exceeding the
     node-expansion budget degrades the result to best-found.
     """
-    order = sorted(h.vertices,
-                   key=lambda v: (-sum(1 for e in h.edges if v in e), v))
-    pos = {v: i for i, v in enumerate(order)}
-    edges = [tuple(sorted(e, key=lambda v: pos[v])) for e in h.edges]
+    order, edges_of = _incidence(h)
+    edges = h.edges
+
+    def completes_edge(v: int, chosen: set[int]) -> bool:
+        return any(all(u == v or u in chosen for u in edges[ei]) for ei in edges_of[v])
 
     greedy: set[int] = set()
     for v in order:
-        greedy.add(v)
-        if any(all(u in greedy for u in e) for e in edges if v in e):
-            greedy.remove(v)
+        if not completes_edge(v, greedy):
+            greedy.add(v)
     best_set = frozenset(greedy)
     best_weight = h.weight_of(greedy)
-
-    nodes = 0
-    exhausted = False
 
     def bound(idx: int, excluded: set[int], current: Fraction) -> Fraction:
         undecided = [v for v in order[idx:] if v not in excluded]
@@ -119,34 +127,36 @@ def max_independent_set(h: GenericHypergraph, budget: int = DEFAULT_NODE_BUDGET)
             penalty += min(h.weights[v] for v in live)
         return optimistic - penalty
 
-    def dfs(idx: int, included: set[int], excluded: set[int], current: Fraction) -> None:
-        nonlocal best_set, best_weight, nodes, exhausted
-        if exhausted:
-            return
+    # Depth-first over (position, weight so far, whether order[position - 1]
+    # was taken); the include branch is pushed last so it is searched first.
+    # Popping a node first undoes the decisions of the subtree left behind.
+    included: set[int] = set()
+    excluded: set[int] = set()
+    stack: list[tuple[int, Fraction, bool]] = [(0, Fraction(0), False)]
+    nodes = 0
+    exhausted = False
+    while stack:
+        idx, current, take = stack.pop()
+        for u in order[max(idx - 1, 0):len(included) + len(excluded)]:
+            included.discard(u)
+            excluded.discard(u)
+        if idx:
+            (included if take else excluded).add(order[idx - 1])
         nodes += 1
         if nodes > budget:
             exhausted = True
-            return
-        while idx < len(order) and order[idx] in excluded:
-            idx += 1
+            break
         if idx == len(order):
             if current > best_weight:
                 best_weight = current
                 best_set = frozenset(included)
-            return
+            continue
         if bound(idx, excluded, current) <= best_weight:
-            return
+            continue
         v = order[idx]
-        included.add(v)
-        conflict = [e for e in edges if v in e and all(u in included for u in e)]
-        if not conflict:
-            dfs(idx + 1, included, excluded, current + h.weights[v])
-        included.remove(v)
-        excluded.add(v)
-        dfs(idx + 1, included, excluded, current)
-        excluded.remove(v)
-
-    dfs(0, set(), set(), Fraction(0))
+        stack.append((idx + 1, current, False))
+        if not completes_edge(v, included):
+            stack.append((idx + 1, current + h.weights[v], True))
     return IndependentSetResult(best_set, best_weight, not exhausted, nodes)
 
 
@@ -161,16 +171,9 @@ class ColoringResult:
 def two_colorable(h: GenericHypergraph) -> ColoringResult:
     """Backtracking 2-coloring with unit propagation on nearly
     monochromatic edges; UNSAT means the whole tree was exhausted."""
-    order = sorted(h.vertices,
-                   key=lambda v: (-sum(1 for e in h.edges if v in e), v))
-    edges = list(h.edges)
-    edges_of: dict[int, list[int]] = {v: [] for v in h.vertices}
-    for ei, e in enumerate(edges):
-        for v in e:
-            edges_of[v].append(ei)
+    order, edges_of = _incidence(h)
+    edges = h.edges
     color: dict[int, int] = {}
-    nodes = 0
-    max_depth = 0
 
     def propagate(trail: list[int]) -> bool:
         queue = list(trail)
@@ -191,25 +194,38 @@ def two_colorable(h: GenericHypergraph) -> ColoringResult:
                     queue.append(u)
         return True
 
-    def dfs(idx: int) -> bool:
-        nonlocal nodes, max_depth
+    # Decision trail: (position, colour, vertices it coloured). A failed
+    # colour 1 pops decisions until one still has colour 1 left to try.
+    decisions: list[tuple[int, int, list[int]]] = []
+    nodes = 0
+    max_depth = 0
+    idx = 0
+    ok = True
+    while ok:
         while idx < len(order) and order[idx] in color:
             idx += 1
         max_depth = max(max_depth, len(color))
         if idx == len(order):
-            return True
-        v = order[idx]
-        for c in (0, 1):
+            break
+        c = 0
+        while True:
             nodes += 1
-            color[v] = c
-            trail = [v]
-            if propagate(trail) and dfs(idx + 1):
-                return True
+            color[order[idx]] = c
+            trail = [order[idx]]
+            if propagate(trail):
+                decisions.append((idx, c, trail))
+                idx += 1
+                break
             for u in trail:
                 del color[u]
-        return False
-
-    ok = dfs(0)
+            while c == 1 and decisions:
+                idx, c, trail = decisions.pop()
+                for u in trail:
+                    del color[u]
+            if c == 1:
+                ok = False
+                break
+            c = 1
     return ColoringResult(ok, dict(color) if ok else None, nodes, max_depth)
 
 

@@ -1,4 +1,5 @@
 """Command-line pipelines: determinism, exit codes, file round trips."""
+import functools
 import hashlib
 import itertools
 import json
@@ -6,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from gadgetlab import cli, games, longcode, ternary, verify
+from gadgetlab import cli, games, hadamard, longcode, ternary, verify
 
 
 def run(*argv) -> int:
@@ -218,6 +219,42 @@ class TestExitCodes:
         assert run("verify", "--input", bundle, "--mode", "two-color") == 2
         assert run("verify", "--input", bundle, "--mode", "almost",
                    "--epsilon", "1/5") == 0
+
+    def test_hadamard_stream_export_is_one(self, tmp_path, capsys):
+        lin = tmp_path / "lin.json"
+        assert run("gen-3lin", "--n", 9, "--eqs", 9, "--seed", 7, "--out", lin) == 0
+        capsys.readouterr()
+        out = tmp_path / "had.json"
+        assert run("build-hadamard", "--instance", lin, "--mode", "stream", "--out", out) == 1
+        assert capsys.readouterr().err == "error: export requires enumerate mode\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("equations, argv, message", [
+        (((0, 1, 2, 1),), ["--r", "2"],
+         "no repeat-free block of 2 equations found in 1000 attempts; instance too small"),
+        (((0, 1, 2, 1), (3, 4, 5, 0)), ["--r", "2", "--distinct-blocks"],
+         "could not sample a consistent W' in 1000 attempts"),
+    ])
+    def test_hadamard_rejection_budget_is_one(self, tmp_path, capsys, monkeypatch,
+                                              equations, argv, message):
+        # the default budget of 10**6 draws takes seconds to run out
+        monkeypatch.setattr(hadamard, "build", functools.partial(hadamard.build, budget=1000))
+        lin = tmp_path / "lin.json"
+        inst = games.Lin3Instance(6, equations)
+        lin.write_text(json.dumps({"instance": inst.to_json_dict()}))
+        assert run("build-hadamard", "--instance", lin, *argv, "--out", tmp_path / "x.json") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_two_color_deeper_than_recursion_limit(self, tmp_path, capsys):
+        n = 1500
+        path = verify.GenericHypergraph(3, tuple(range(n)),
+                                        tuple((i, i + 1, i + 2) for i in range(n - 2)))
+        bundle = tmp_path / "path.json"
+        bundle.write_text(json.dumps({"hypergraph": path.to_json_dict()}))
+        assert run("verify", "--input", bundle, "--mode", "two-color") == 0
+        captured = capsys.readouterr()
+        assert captured.out == "two-colorable: True\n"
+        assert captured.err == ""
 
 
 class TestRoundTrips:

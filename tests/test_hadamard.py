@@ -53,6 +53,18 @@ class TestBuild:
         stream = hadamard.build(inst, r=1, triples=1, seed=5, mode="stream")
         assert sorted(stream.iter_triple_edges(0)) == enum.edges_per_triple[0]
 
+    def test_stream_mode_cannot_export(self, planted):
+        inst, _ = planted
+        stream = hadamard.build(inst, r=1, triples=1, seed=5, mode="stream")
+        with pytest.raises(ValueError, match="export requires enumerate mode"):
+            stream.to_hypergraph()
+
+    def test_w_prime_rejection_budget(self):
+        # W' must differ from W, but each variable lies in one equation only
+        inst = games.Lin3Instance(6, ((0, 1, 2, 1), (3, 4, 5, 0)))
+        with pytest.raises(games.RejectionBudgetError, match="consistent W' in 50 attempts"):
+            hadamard.build(inst, r=2, triples=1, distinct_blocks=True, budget=50)
+
     def test_deterministic_under_seed(self, planted):
         inst, _ = planted
         a = hadamard.build(inst, r=1, triples=2, seed=7)

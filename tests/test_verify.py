@@ -1,9 +1,12 @@
 """Exact hypergraph oracles."""
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gadgetlab import verify
 from gadgetlab.verify import GenericHypergraph
@@ -29,6 +32,174 @@ def brute_force_max_is(h: GenericHypergraph) -> Fraction:
             continue
         best = max(best, h.weight_of(chosen))
     return best
+
+
+def max_independent_set_recursive(h: GenericHypergraph, budget: int = verify.DEFAULT_NODE_BUDGET
+                                  ) -> verify.IndependentSetResult:
+    """Reference oracle: the recursive branch and bound this module's
+    explicit-stack search replaced, kept as it was.
+
+    Branches on the highest-degree undecided vertex, seeds the incumbent
+    with a greedy solution, and prunes with a fractional bound obtained
+    from a packing of vertex-disjoint live edges. Exceeding the
+    node-expansion budget degrades the result to best-found.
+    """
+    order = sorted(h.vertices,
+                   key=lambda v: (-sum(1 for e in h.edges if v in e), v))
+    pos = {v: i for i, v in enumerate(order)}
+    edges = [tuple(sorted(e, key=lambda v: pos[v])) for e in h.edges]
+
+    greedy: set[int] = set()
+    for v in order:
+        greedy.add(v)
+        if any(all(u in greedy for u in e) for e in edges if v in e):
+            greedy.remove(v)
+    best_set = frozenset(greedy)
+    best_weight = h.weight_of(greedy)
+
+    nodes = 0
+    exhausted = False
+
+    def bound(idx: int, excluded: set[int], current: Fraction) -> Fraction:
+        undecided = [v for v in order[idx:] if v not in excluded]
+        optimistic = current + h.weight_of(undecided)
+        undecided_set = set(undecided)
+        used: set[int] = set()
+        penalty = Fraction(0)
+        for e in edges:
+            if any(v in excluded for v in e):
+                continue
+            live = [v for v in e if v in undecided_set]
+            if not live:
+                continue
+            if any(v in used for v in e):
+                continue
+            used.update(e)
+            penalty += min(h.weights[v] for v in live)
+        return optimistic - penalty
+
+    def dfs(idx: int, included: set[int], excluded: set[int], current: Fraction) -> None:
+        nonlocal best_set, best_weight, nodes, exhausted
+        if exhausted:
+            return
+        nodes += 1
+        if nodes > budget:
+            exhausted = True
+            return
+        while idx < len(order) and order[idx] in excluded:
+            idx += 1
+        if idx == len(order):
+            if current > best_weight:
+                best_weight = current
+                best_set = frozenset(included)
+            return
+        if bound(idx, excluded, current) <= best_weight:
+            return
+        v = order[idx]
+        included.add(v)
+        conflict = [e for e in edges if v in e and all(u in included for u in e)]
+        if not conflict:
+            dfs(idx + 1, included, excluded, current + h.weights[v])
+        included.remove(v)
+        excluded.add(v)
+        dfs(idx + 1, included, excluded, current)
+        excluded.remove(v)
+
+    dfs(0, set(), set(), Fraction(0))
+    return verify.IndependentSetResult(best_set, best_weight, not exhausted, nodes)
+
+
+def two_colorable_recursive(h: GenericHypergraph) -> verify.ColoringResult:
+    """Reference oracle: the recursive 2-colouring search with unit
+    propagation that the decision-trail search replaced, kept as it was."""
+    order = sorted(h.vertices,
+                   key=lambda v: (-sum(1 for e in h.edges if v in e), v))
+    edges = list(h.edges)
+    edges_of: dict[int, list[int]] = {v: [] for v in h.vertices}
+    for ei, e in enumerate(edges):
+        for v in e:
+            edges_of[v].append(ei)
+    color: dict[int, int] = {}
+    nodes = 0
+    max_depth = 0
+
+    def propagate(trail: list[int]) -> bool:
+        queue = list(trail)
+        while queue:
+            v = queue.pop()
+            for ei in edges_of[v]:
+                e = edges[ei]
+                assigned = [color[u] for u in e if u in color]
+                unassigned = [u for u in e if u not in color]
+                if not unassigned:
+                    if len(set(assigned)) == 1:
+                        return False
+                    continue
+                if len(unassigned) == 1 and len(set(assigned)) == 1:
+                    u = unassigned[0]
+                    color[u] = 1 - assigned[0]
+                    trail.append(u)
+                    queue.append(u)
+        return True
+
+    def dfs(idx: int) -> bool:
+        nonlocal nodes, max_depth
+        while idx < len(order) and order[idx] in color:
+            idx += 1
+        max_depth = max(max_depth, len(color))
+        if idx == len(order):
+            return True
+        v = order[idx]
+        for c in (0, 1):
+            nodes += 1
+            color[v] = c
+            trail = [v]
+            if propagate(trail) and dfs(idx + 1):
+                return True
+            for u in trail:
+                del color[u]
+        return False
+
+    ok = dfs(0)
+    return verify.ColoringResult(ok, dict(color) if ok else None, nodes, max_depth)
+
+
+def frame_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+@st.composite
+def small_hypergraphs(draw) -> GenericHypergraph:
+    k = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 12))
+    combos = list(itertools.combinations(range(n), k))
+    edges = draw(st.lists(st.sampled_from(combos), unique=True, max_size=24)) if combos else []
+    weights = {v: Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 4))) for v in range(n)}
+    return GenericHypergraph(k, tuple(range(n)), tuple(edges), weights)
+
+
+@settings(max_examples=120)
+@given(h=small_hypergraphs(),
+       budget=st.one_of(st.integers(1, 60), st.just(verify.DEFAULT_NODE_BUDGET)))
+# unsatisfiable only below the first decision: a star, then a triangle
+@example(h=GenericHypergraph(2, tuple(range(8)), ((0, 1), (0, 2), (0, 3), (0, 4),
+                                                 (5, 6), (6, 7), (5, 7))),
+         budget=verify.DEFAULT_NODE_BUDGET)
+@example(h=GenericHypergraph(3, tuple(range(6)), tuple(itertools.combinations(range(6), 3))),
+         budget=5)
+def test_explicit_stacks_match_recursive_oracles(h, budget):
+    res = verify.max_independent_set(h, budget)
+    assert res == max_independent_set_recursive(h, budget)
+    if res.optimal:
+        assert res.weight == brute_force_max_is(h)
+    col = verify.two_colorable(h)
+    assert col == two_colorable_recursive(h)
+    exhaustive = any(all(len({(mask >> v) & 1 for v in e}) > 1 for e in h.edges)
+                     for mask in range(1 << len(h.vertices)))
+    assert col.colorable == exhaustive
 
 
 class TestHypergraphType:
@@ -85,6 +256,19 @@ class TestMaxIndependentSet:
         assert not res.optimal
         assert not any(set(e) <= res.vertices for e in h.edges)
 
+    def test_search_deeper_than_recursion_limit(self):
+        h = random_hypergraph(random.Random(0), 300, 3, 300, rational_weights=False)
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(frame_depth() + 150)
+        try:
+            res = verify.max_independent_set(h, budget=400)
+            with pytest.raises(RecursionError):
+                max_independent_set_recursive(h, budget=400)
+        finally:
+            sys.setrecursionlimit(old)
+        assert not res.optimal and res.nodes_expanded == 401
+        assert not any(set(e) <= res.vertices for e in h.edges)
+
 
 class TestTwoColorable:
     def test_single_hyperedge(self):
@@ -129,6 +313,15 @@ class TestTwoColorable:
             best = max(h.weight_of(vs) for vs in classes.values())
             assert best >= h.total_weight / 2
             assert verify.max_independent_set(h).weight >= best
+
+    def test_path_deeper_than_recursion_limit(self):
+        h = GenericHypergraph(3, tuple(range(1500)), tuple((i, i + 1, i + 2) for i in range(1498)))
+        assert len(h.vertices) > sys.getrecursionlimit()
+        res = verify.two_colorable(h)
+        assert res.colorable and res.max_depth == 1500
+        assert all(len({res.coloring[v] for v in e}) == 2 for e in h.edges)
+        with pytest.raises(RecursionError):
+            two_colorable_recursive(h)
 
 
 class TestAlmostTwoColorable:
