@@ -1,8 +1,9 @@
 """Command-line pipelines over the generators, gadget builders, and oracles.
 
 All artifacts are JSON written atomically (temp file + rename). Exit codes:
-0 success, 2 certificate failure, 1 usage or config error. Every stochastic
-stage derives its stream from --seed and a stage name via seeding.derive_seed.
+0 success, 2 certificate failure (a no, or a search whose node budget
+ran out first), 1 usage or config error. Every stochastic stage derives
+its stream from --seed and a stage name via seeding.derive_seed.
 """
 from __future__ import annotations
 
@@ -190,20 +191,18 @@ def cmd_verify(args) -> int:
               f"optimal={res.optimal}")
         return EXIT_OK
     if args.mode == "two-color":
-        res = verify.two_colorable(h)
-        if args.out:
-            write_artifact(args.out, {"config": _config_dict(args),
-                                      "two_colorable": res.colorable})
-        print(f"two-colorable: {res.colorable}")
-        return EXIT_OK if res.colorable else EXIT_CERT
-    if args.mode == "almost":
-        res = verify.almost_two_colorable(h, Fraction(args.epsilon))
-        if args.out:
-            write_artifact(args.out, {"config": _config_dict(args), "success": res.success,
-                                      "removed": sorted(res.removal) if res.removal else None})
-        print(f"almost-two-colorable at eps={args.epsilon}: {res.success}")
-        return EXIT_OK if res.success else EXIT_CERT
-    raise UsageError(f"unknown verify mode {args.mode}")
+        res = verify.two_colorable(h, budget=args.budget)
+        label, report = "two-colorable", {"two_colorable": res.colorable}
+    else:
+        res = verify.almost_two_colorable(h, Fraction(args.epsilon), budget=args.budget)
+        label = f"almost-two-colorable at eps={args.epsilon}"
+        report = {"success": res.colorable,
+                  "removed": None if res.removal is None else sorted(res.removal)}
+    if args.out:
+        write_artifact(args.out, {"config": _config_dict(args), **report})
+    verdict = f"inconclusive after {res.nodes} nodes" if res.colorable is None else res.colorable
+    print(f"{label}: {verdict}")
+    return EXIT_OK if res.colorable else EXIT_CERT
 
 
 def cmd_analyze(args) -> int:
@@ -414,7 +413,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, KeyError, OSError, games.NoLayerPairError,
-            games.RejectionBudgetError) as exc:
+            games.RejectionBudgetError, ternary.WitnessRetryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

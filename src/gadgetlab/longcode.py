@@ -326,22 +326,22 @@ class DisjointnessError(ValueError):
 
 
 def _max_disjoint(sets: list[frozenset]) -> list[int]:
-    best: list[int] = []
-
-    def dfs(idx: int, used: frozenset, chosen: list[int]) -> None:
-        nonlocal best
+    """The first largest pairwise disjoint subfamily, by index, that a
+    depth-first search taking each set before skipping it meets."""
+    best: tuple[int, ...] = ()
+    # (next index, union of the chosen sets, chosen indices); the take
+    # branch is pushed last so it is searched first.
+    stack = [(0, frozenset(), ())]
+    while stack:
+        idx, used, chosen = stack.pop()
         if len(chosen) > len(best):
-            best = list(chosen)
+            best = chosen
         if idx == len(sets) or len(chosen) + (len(sets) - idx) <= len(best):
-            return
+            continue
+        stack.append((idx + 1, used, chosen))
         if not (sets[idx] & used):
-            chosen.append(idx)
-            dfs(idx + 1, used | sets[idx], chosen)
-            chosen.pop()
-        dfs(idx + 1, used, chosen)
-
-    dfs(0, frozenset(), [])
-    return best
+            stack.append((idx + 1, used | sets[idx], chosen + (idx,)))
+    return list(best)
 
 
 def common_element(collection, T: int, D: int):

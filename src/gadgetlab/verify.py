@@ -1,13 +1,12 @@
 """Exact desk-scale hypergraph oracles: max independent set, 2-coloring,
-and almost-2-coloring, over vertex weights kept as exact rationals."""
+and almost-2-coloring, over vertex weights kept as exact rationals. Each
+search takes a node budget and says when it ran out."""
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 DEFAULT_NODE_BUDGET = 10**7
-ALMOST_ENUM_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ def max_independent_set(h: GenericHypergraph, budget: int = DEFAULT_NODE_BUDGET)
     best_weight = h.weight_of(greedy)
 
     def bound(idx: int, excluded: set[int], current: Fraction) -> Fraction:
-        undecided = [v for v in order[idx:] if v not in excluded]
+        undecided = order[idx:]
         optimistic = current + h.weight_of(undecided)
         undecided_set = set(undecided)
         used: set[int] = set()
@@ -162,125 +161,117 @@ def max_independent_set(h: GenericHypergraph, budget: int = DEFAULT_NODE_BUDGET)
 
 @dataclass
 class ColoringResult:
-    colorable: bool
+    """A colouring search's verdict: True, False, or None when the node
+    budget ran out first. A yes carries the removed vertices and a
+    colouring of the others that leaves no surviving edge monochromatic."""
+
+    colorable: bool | None
     coloring: dict[int, int] | None
     nodes: int
     max_depth: int
+    # On a yes it is exactly the vertices the colouring leaves out, so
+    # comparing colourings compares it.
+    removal: frozenset[int] | None = field(default=None, compare=False)
+
+    @property
+    def success(self) -> bool:
+        """True only for a conclusive yes."""
+        return self.colorable is True
 
 
-def two_colorable(h: GenericHypergraph) -> ColoringResult:
+_REMOVED = 2  # the state after colours 0 and 1; states are tried in that order
+
+
+def two_colorable(h: GenericHypergraph, budget: int = DEFAULT_NODE_BUDGET) -> ColoringResult:
     """Backtracking 2-coloring with unit propagation on nearly
-    monochromatic edges; UNSAT means the whole tree was exhausted."""
+    monochromatic edges: the almost-2-colouring search with nothing
+    removable. A no means the whole tree was exhausted."""
+    return almost_two_colorable(h, 0, budget=budget)
+
+
+def almost_two_colorable(h: GenericHypergraph, epsilon, candidate_removal=None,
+                         budget: int = DEFAULT_NODE_BUDGET) -> ColoringResult:
+    """Search for a removal set of weight <= epsilon * total whose induced
+    sub-hypergraph (edges fully inside the survivors) is 2-colorable.
+
+    Each vertex, in falling degree order, tries colour 0, colour 1, then
+    removed, the last only while the removed weight stays within the
+    allowance; a removed vertex satisfies all its edges. Unit propagation
+    forces the last open vertex of a monochromatic edge only once that
+    vertex can no longer be removed. With a candidate removal supplied,
+    the search starts with it removed and allows no further removals.
+    """
+    allowance = Fraction(epsilon) * h.total_weight
+    removal = set(candidate_removal or ())
+    removed_weight = h.weight_of(removal)
+    if removed_weight > allowance:
+        return ColoringResult(False, None, 0, 0)
+    if candidate_removal is not None:
+        allowance = removed_weight
     order, edges_of = _incidence(h)
     edges = h.edges
-    color: dict[int, int] = {}
+    weights = h.weights
+    state: dict[int, int] = dict.fromkeys(removal, _REMOVED)
 
+    # Only coloured vertices are propagated, so `assigned` holds the
+    # propagated vertex's colour; a removed vertex adds _REMOVED beside it,
+    # and an edge holding one is never monochromatic and forces nothing.
     def propagate(trail: list[int]) -> bool:
         queue = list(trail)
         while queue:
             v = queue.pop()
             for ei in edges_of[v]:
                 e = edges[ei]
-                assigned = [color[u] for u in e if u in color]
-                unassigned = [u for u in e if u not in color]
+                assigned = [state[u] for u in e if u in state]
+                unassigned = [u for u in e if u not in state]
                 if not unassigned:
                     if len(set(assigned)) == 1:
                         return False
                     continue
                 if len(unassigned) == 1 and len(set(assigned)) == 1:
                     u = unassigned[0]
-                    color[u] = 1 - assigned[0]
+                    if removed_weight + weights[u] <= allowance:
+                        continue
+                    state[u] = 1 - assigned[0]
                     trail.append(u)
                     queue.append(u)
         return True
 
-    # Decision trail: (position, colour, vertices it coloured). A failed
-    # colour 1 pops decisions until one still has colour 1 left to try.
+    # Decision trail: (position, state, vertices it decided). A failed
+    # state pops decisions until one still has a state left to try.
     decisions: list[tuple[int, int, list[int]]] = []
-    nodes = 0
-    max_depth = 0
-    idx = 0
-    ok = True
-    while ok:
-        while idx < len(order) and order[idx] in color:
+    nodes = max_depth = idx = s = 0
+    while True:
+        while idx < len(order) and order[idx] in state:
             idx += 1
-        max_depth = max(max_depth, len(color))
+        max_depth = max(max_depth, len(state))
         if idx == len(order):
-            break
-        c = 0
-        while True:
-            nodes += 1
-            color[order[idx]] = c
-            trail = [order[idx]]
-            if propagate(trail):
-                decisions.append((idx, c, trail))
-                idx += 1
-                break
+            coloring = {v: c for v, c in state.items() if c != _REMOVED}
+            return ColoringResult(True, coloring, nodes, max_depth,
+                                  frozenset(state.keys() - coloring.keys()))
+        nodes += 1
+        if nodes > budget:
+            return ColoringResult(None, None, nodes, max_depth)
+        v = order[idx]
+        state[v] = s
+        trail = [v]
+        if s == _REMOVED:
+            removed_weight += weights[v]
+        if s == _REMOVED or propagate(trail):
+            decisions.append((idx, s, trail))
+            idx, s = idx + 1, 0
+            continue
+        for u in trail:
+            del state[u]
+        while s == _REMOVED or s == 1 and removed_weight + weights[order[idx]] > allowance:
+            if not decisions:
+                return ColoringResult(False, None, nodes, max_depth)
+            idx, s, trail = decisions.pop()
             for u in trail:
-                del color[u]
-            while c == 1 and decisions:
-                idx, c, trail = decisions.pop()
-                for u in trail:
-                    del color[u]
-            if c == 1:
-                ok = False
-                break
-            c = 1
-    return ColoringResult(ok, dict(color) if ok else None, nodes, max_depth)
-
-
-@dataclass
-class AlmostColoringResult:
-    success: bool
-    removal: frozenset[int] | None
-    coloring: dict[int, int] | None
-    attempts: int
-    best_residual_depth: int
-
-
-def _induced(h: GenericHypergraph, survivors: set[int]) -> GenericHypergraph:
-    return GenericHypergraph(
-        h.k, tuple(sorted(survivors)),
-        tuple(e for e in h.edges if all(v in survivors for v in e)),
-        {v: h.weights[v] for v in survivors},
-    )
-
-
-def almost_two_colorable(h: GenericHypergraph, epsilon,
-                         candidate_removal=None,
-                         enum_cap: int = ALMOST_ENUM_CAP) -> AlmostColoringResult:
-    """Search for a removal set of weight <= epsilon * total whose induced
-    sub-hypergraph (edges fully inside the survivors) is 2-colorable.
-
-    With a candidate removal supplied, only that candidate is verified.
-    """
-    epsilon = Fraction(epsilon)
-    allowance = epsilon * h.total_weight
-    if candidate_removal is not None:
-        removal = set(candidate_removal)
-        if h.weight_of(removal) > allowance:
-            return AlmostColoringResult(False, None, None, 1, 0)
-        res = two_colorable(_induced(h, set(h.vertices) - removal))
-        return AlmostColoringResult(res.colorable, frozenset(removal) if res.colorable else None,
-                                    res.coloring, 1, res.max_depth)
-
-    removable = sorted((v for v in h.vertices if h.weights[v] <= allowance),
-                       key=lambda v: (-h.weights[v], v))
-    attempts = 0
-    best_depth = -1
-    for size in range(0, len(removable) + 1):
-        for combo in itertools.combinations(removable, size):
-            if h.weight_of(combo) > allowance:
-                continue
-            attempts += 1
-            if attempts > enum_cap:
-                return AlmostColoringResult(False, None, None, attempts - 1, best_depth)
-            res = two_colorable(_induced(h, set(h.vertices) - set(combo)))
-            best_depth = max(best_depth, res.max_depth)
-            if res.colorable:
-                return AlmostColoringResult(True, frozenset(combo), res.coloring,
-                                            attempts, res.max_depth)
-    return AlmostColoringResult(False, None, None, attempts, best_depth)
+                del state[u]
+            if s == _REMOVED:
+                removed_weight -= weights[order[idx]]
+        s += 1
 
 
 def min_vertex_cover_exhaustive(h: GenericHypergraph) -> tuple[frozenset[int], Fraction]:

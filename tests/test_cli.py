@@ -74,24 +74,8 @@ class TestPipelines:
         assert csv.read_text().startswith("atom,probability")
 
     def test_longcode_build_and_decode(self, tmp_path):
-        pcp_path = tmp_path / "pcp.json"
-        lc = tmp_path / "lc.json"
-        ind = tmp_path / "ind.json"
+        lc, ind = planted_longcode_bundle(tmp_path)
         dec = tmp_path / "dec.json"
-        assert run("build-mlpcp", "--layers", 2, "--vars-per-layer", 2,
-                   "--label-sizes", "3,3", "--seed", 3, "--out", pcp_path) == 0
-        assert run("build-longcode", "--pcp", pcp_path, "--epsilon", "1/10",
-                   "--out", lc) == 0
-        pcp = games.LayeredPcp.from_json_dict(json.loads(pcp_path.read_text())["pcp"])
-        gadget = longcode.build(pcp, Fraction(1, 10))
-        sigma = pcp.planted_labeling
-        vertices = []
-        for l in range(pcp.layers):
-            for v in range(pcp.var_counts[l]):
-                for pt in range(3 ** pcp.label_sizes[l]):
-                    if ternary.point_digits(pt, pcp.label_sizes[l])[sigma[l][v]] == 1:
-                        vertices.append(gadget.vertex_id(l, v, pt))
-        ind.write_text(json.dumps({"vertices": vertices}))
         assert run("decode", "--kind", "longcode", "--gadget", lc, "--indicator", ind,
                    "--delta", "0.4", "--seed", 0, "--out", dec) == 0
         report = json.loads(dec.read_text())["decode"]
@@ -134,6 +118,29 @@ def longcode_bundle(tmp_path):
         "--seed", 3, "--out", pcp)
     run("build-longcode", "--pcp", pcp, "--epsilon", "1/10", "--out", lc)
     ind.write_text(json.dumps({"vertices": list(range(27))}))
+    return lc, ind
+
+
+def planted_longcode_bundle(tmp_path):
+    """The README's plain PCP and long-code gadget, and an indicator file
+    holding the vertices whose planted label's coordinate is 1."""
+    pcp_path = tmp_path / "pcp.json"
+    lc = tmp_path / "lc.json"
+    ind = tmp_path / "ind.json"
+    assert run("build-mlpcp", "--layers", 2, "--vars-per-layer", 2,
+               "--label-sizes", "3,3", "--seed", 3, "--out", pcp_path) == 0
+    assert run("build-longcode", "--pcp", pcp_path, "--epsilon", "1/10",
+               "--out", lc) == 0
+    pcp = games.LayeredPcp.from_json_dict(json.loads(pcp_path.read_text())["pcp"])
+    gadget = longcode.build(pcp, Fraction(1, 10))
+    sigma = pcp.planted_labeling
+    vertices = []
+    for l in range(pcp.layers):
+        for v in range(pcp.var_counts[l]):
+            for pt in range(3 ** pcp.label_sizes[l]):
+                if ternary.point_digits(pt, pcp.label_sizes[l])[sigma[l][v]] == 1:
+                    vertices.append(gadget.vertex_id(l, v, pt))
+    ind.write_text(json.dumps({"vertices": vertices}))
     return lc, ind
 
 
@@ -255,6 +262,42 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "two-colorable: True\n"
         assert captured.err == ""
+
+    def test_longcode_decode_witness_retry_is_one(self, tmp_path, capsys, monkeypatch):
+        lc, ind = planted_longcode_bundle(tmp_path)
+
+        def no_witness(*args, **kwargs):
+            raise ternary.WitnessRetryError("no witness pair found in 3 draws")
+
+        monkeypatch.setattr(longcode, "two_element_witness", no_witness)
+        capsys.readouterr()
+        assert run("decode", "--kind", "longcode", "--gadget", lc, "--indicator", ind,
+                   "--delta", "0.4") == 1
+        assert capsys.readouterr().err == "error: no witness pair found in 3 draws\n"
+
+    def test_two_color_out_of_budget_is_two(self, tmp_path, capsys):
+        cycle = verify.GenericHypergraph(
+            2, tuple(range(5)), tuple((i, (i + 1) % 5) for i in range(5)))
+        bundle = tmp_path / "cycle.json"
+        bundle.write_text(json.dumps({"hypergraph": cycle.to_json_dict()}))
+        out = tmp_path / "tc.json"
+        assert run("verify", "--input", bundle, "--mode", "two-color", "--budget", 1,
+                   "--out", out) == 2
+        assert json.loads(out.read_text())["two_colorable"] is None
+        assert capsys.readouterr().out == "two-colorable: inconclusive after 2 nodes\n"
+
+    def test_almost_removed_is_a_list_on_yes_and_null_on_no(self, tmp_path):
+        # at epsilon 0 the even cycle is a yes with nothing removed, the odd one a no
+        for n, code, success, removed in ((4, 0, True, []), (5, 2, False, None)):
+            cycle = verify.GenericHypergraph(
+                2, tuple(range(n)), tuple((i, (i + 1) % n) for i in range(n)))
+            bundle = tmp_path / f"cycle{n}.json"
+            bundle.write_text(json.dumps({"hypergraph": cycle.to_json_dict()}))
+            out = tmp_path / f"almost{n}.json"
+            assert run("verify", "--input", bundle, "--mode", "almost", "--epsilon", "0",
+                       "--out", out) == code
+            payload = json.loads(out.read_text())
+            assert payload["success"] is success and payload["removed"] == removed
 
 
 class TestRoundTrips:

@@ -1,6 +1,7 @@
 """Biased long-code gadget: build, YES partition, decoding, set lemma."""
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -64,6 +65,34 @@ def greedy_independent(gadget: longcode.LongCodeGadget, rng: random.Random) -> s
 def is_independent(gadget: longcode.LongCodeGadget, vertex_set: set[int]) -> bool:
     return not any(all(v in vertex_set for v in e)
                    for e in all_constraint_tuples(gadget))
+
+
+def max_disjoint_recursive(sets: list[frozenset]) -> list[int]:
+    """Reference: the recursive search that the explicit-stack
+    `longcode._max_disjoint` replaced, kept as it was."""
+    best: list[int] = []
+
+    def dfs(idx: int, used: frozenset, chosen: list[int]) -> None:
+        nonlocal best
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if idx == len(sets) or len(chosen) + (len(sets) - idx) <= len(best):
+            return
+        if not (sets[idx] & used):
+            chosen.append(idx)
+            dfs(idx + 1, used | sets[idx], chosen)
+            chosen.pop()
+        dfs(idx + 1, used, chosen)
+
+    dfs(0, frozenset(), [])
+    return best
+
+
+def frame_depth() -> int:
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
 
 
 class TestBuild:
@@ -257,3 +286,22 @@ class TestCommonElement:
             D = len(packing)
             elem, count = longcode.common_element(sets, T=T, D=D)
             assert count * T * D >= len(sets)
+
+    def test_explicit_stack_matches_recursive_search(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            sets = [frozenset(rng.sample(range(10), rng.randrange(1, 4)))
+                    for _ in range(rng.randrange(0, 15))]
+            assert longcode._max_disjoint(sets) == max_disjoint_recursive(sets)
+
+    def test_packing_deeper_than_recursion_limit(self):
+        sets = [frozenset({i}) for i in range(400)]
+        old = sys.getrecursionlimit()
+        sys.setrecursionlimit(frame_depth() + 150)
+        try:
+            packing = longcode._max_disjoint(sets)
+            with pytest.raises(RecursionError):
+                max_disjoint_recursive(sets)
+        finally:
+            sys.setrecursionlimit(old)
+        assert packing == list(range(400))

@@ -2,6 +2,7 @@
 import itertools
 import random
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -164,6 +165,94 @@ def two_colorable_recursive(h: GenericHypergraph) -> verify.ColoringResult:
     return verify.ColoringResult(ok, dict(color) if ok else None, nodes, max_depth)
 
 
+@dataclass
+class AlmostColoringResult:
+    success: bool
+    removal: frozenset[int] | None
+    coloring: dict[int, int] | None
+    attempts: int
+    best_residual_depth: int
+
+
+def _induced(h: GenericHypergraph, survivors: set[int]) -> GenericHypergraph:
+    return GenericHypergraph(
+        h.k, tuple(sorted(survivors)),
+        tuple(e for e in h.edges if all(v in survivors for v in e)),
+        {v: h.weights[v] for v in survivors},
+    )
+
+
+def almost_two_colorable_enumerate(h: GenericHypergraph, epsilon,
+                                   candidate_removal=None,
+                                   enum_cap: int = 10**6) -> AlmostColoringResult:
+    """Reference oracle: the removal-set enumerator the three-state search
+    replaced, kept as it was but over the recursive 2-colouring reference.
+
+    Search for a removal set of weight <= epsilon * total whose induced
+    sub-hypergraph (edges fully inside the survivors) is 2-colorable.
+    With a candidate removal supplied, only that candidate is verified.
+    """
+    epsilon = Fraction(epsilon)
+    allowance = epsilon * h.total_weight
+    if candidate_removal is not None:
+        removal = set(candidate_removal)
+        if h.weight_of(removal) > allowance:
+            return AlmostColoringResult(False, None, None, 1, 0)
+        res = two_colorable_recursive(_induced(h, set(h.vertices) - removal))
+        return AlmostColoringResult(res.colorable, frozenset(removal) if res.colorable else None,
+                                    res.coloring, 1, res.max_depth)
+
+    removable = sorted((v for v in h.vertices if h.weights[v] <= allowance),
+                       key=lambda v: (-h.weights[v], v))
+    attempts = 0
+    best_depth = -1
+    for size in range(0, len(removable) + 1):
+        for combo in itertools.combinations(removable, size):
+            if h.weight_of(combo) > allowance:
+                continue
+            attempts += 1
+            if attempts > enum_cap:
+                return AlmostColoringResult(False, None, None, attempts - 1, best_depth)
+            res = two_colorable_recursive(_induced(h, set(h.vertices) - set(combo)))
+            best_depth = max(best_depth, res.max_depth)
+            if res.colorable:
+                return AlmostColoringResult(True, frozenset(combo), res.coloring,
+                                            attempts, res.max_depth)
+    return AlmostColoringResult(False, None, None, attempts, best_depth)
+
+
+def almost_colorable_exhaustive(h: GenericHypergraph, epsilon) -> bool:
+    """Scan all 3^n assignments of colour 0, colour 1 or removed: each
+    removal set of weight at most epsilon * total, then each 2-colouring
+    of its survivors, as bit masks."""
+    n = len(h.vertices)
+    pos = {v: i for i, v in enumerate(h.vertices)}
+    edge_masks = [sum(1 << pos[v] for v in e) for e in h.edges]
+    allowance = Fraction(epsilon) * h.total_weight
+    full = (1 << n) - 1
+    for removed in range(1 << n):
+        if h.weight_of(v for v in h.vertices if removed >> pos[v] & 1) > allowance:
+            continue
+        surviving = [em for em in edge_masks if not em & removed]
+        rest = full & ~removed
+        ones = rest
+        while True:  # every subset of the survivors as the colour-1 class
+            if all(0 < ones & em < em for em in surviving):
+                return True
+            if not ones:
+                break
+            ones = (ones - 1) & rest
+    return False
+
+
+def seven_copies_of_k5() -> GenericHypergraph:
+    """Seven disjoint complete 3-uniform hypergraphs on 5 unit-weight
+    vertices: each needs one vertex removed, and seven of 35 is 1/5."""
+    return GenericHypergraph(3, tuple(range(35)), tuple(
+        tuple(5 * c + x for x in t)
+        for c in range(7) for t in itertools.combinations(range(5), 3)))
+
+
 def frame_depth() -> int:
     frame, depth = sys._getframe(1), 0
     while frame is not None:
@@ -172,11 +261,12 @@ def frame_depth() -> int:
 
 
 @st.composite
-def small_hypergraphs(draw) -> GenericHypergraph:
+def small_hypergraphs(draw, max_n: int = 12, min_edges: int = 0) -> GenericHypergraph:
     k = draw(st.sampled_from([2, 3, 4]))
-    n = draw(st.integers(1, 12))
+    n = draw(st.integers(1, max_n))
     combos = list(itertools.combinations(range(n), k))
-    edges = draw(st.lists(st.sampled_from(combos), unique=True, max_size=24)) if combos else []
+    edges = draw(st.lists(st.sampled_from(combos), unique=True,
+                          min_size=min(min_edges, len(combos)), max_size=24)) if combos else []
     weights = {v: Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 4))) for v in range(n)}
     return GenericHypergraph(k, tuple(range(n)), tuple(edges), weights)
 
@@ -200,6 +290,33 @@ def test_explicit_stacks_match_recursive_oracles(h, budget):
     exhaustive = any(all(len({(mask >> v) & 1 for v in e}) > 1 for e in h.edges)
                      for mask in range(1 << len(h.vertices)))
     assert col.colorable == exhaustive
+
+
+# at least 12 edges where there are that many, so that about a fifth of
+# the examples are a no and a third need a removal
+@settings(max_examples=300)
+@given(h=small_hypergraphs(max_n=9, min_edges=12),
+       epsilon=st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 5),
+                                Fraction(1, 3), Fraction(1, 2), Fraction(1)]),
+       candidate=st.sets(st.integers(0, 8), max_size=3))
+def test_three_state_search_matches_enumerator(h, epsilon, candidate):
+    candidate = candidate & set(h.vertices)
+    checked = verify.almost_two_colorable(h, epsilon, candidate_removal=candidate)
+    reference = almost_two_colorable_enumerate(h, epsilon, candidate_removal=candidate)
+    assert checked.colorable == reference.success
+    res = verify.almost_two_colorable(h, epsilon)
+    assert res.colorable == almost_two_colorable_enumerate(h, epsilon).success
+    assert res.colorable == almost_colorable_exhaustive(h, epsilon)
+    if res.colorable:
+        assert h.weight_of(res.removal) <= epsilon * h.total_weight
+        assert res.coloring.keys() == set(h.vertices) - res.removal
+        assert all(set(e) & res.removal or len({res.coloring[v] for v in e}) == 2
+                   for e in h.edges)
+    else:
+        assert res.coloring is None and res.removal is None
+    if epsilon == 0:
+        col = verify.two_colorable(h)
+        assert res == col and res.removal == col.removal
 
 
 class TestHypergraphType:
@@ -328,28 +445,48 @@ class TestAlmostTwoColorable:
     def test_colorable_needs_no_removal(self):
         h = GenericHypergraph(3, (0, 1, 2, 3), ((0, 1, 2), (1, 2, 3)))
         res = verify.almost_two_colorable(h, 0)
-        assert res.success and res.removal == frozenset()
+        assert res.colorable and res.removal == frozenset()
 
     def test_complete_3uniform_on_5_needs_one_vertex(self):
         h = GenericHypergraph(3, tuple(range(5)), tuple(itertools.combinations(range(5), 3)))
         res = verify.almost_two_colorable(h, Fraction(1, 5))
-        assert res.success and len(res.removal) == 1
+        assert res.colorable and len(res.removal) == 1
 
     def test_epsilon_one_vacuous(self):
         h = GenericHypergraph(2, tuple(range(5)), tuple((i, (i + 1) % 5) for i in range(5)))
-        assert verify.almost_two_colorable(h, 1).success
+        assert verify.almost_two_colorable(h, 1).colorable
 
     def test_candidate_verification(self):
         h = GenericHypergraph(3, tuple(range(5)), tuple(itertools.combinations(range(5), 3)))
         ok = verify.almost_two_colorable(h, Fraction(1, 5), candidate_removal={4})
-        assert ok.success
+        assert ok.colorable
         too_heavy = verify.almost_two_colorable(h, Fraction(1, 10), candidate_removal={4})
-        assert not too_heavy.success
+        assert not too_heavy.colorable
 
     def test_failure_reports_attempts(self):
         h = GenericHypergraph(2, tuple(range(5)), tuple((i, (i + 1) % 5) for i in range(5)))
         res = verify.almost_two_colorable(h, Fraction(1, 10))
-        assert not res.success and res.attempts >= 1
+        assert not res.colorable and res.nodes >= 1
+
+    def test_seven_copies_of_k5_in_few_nodes(self):
+        h = seven_copies_of_k5()
+        res = verify.almost_two_colorable(h, Fraction(1, 5))
+        assert res.colorable and res.nodes <= 100
+        assert len(res.removal) == 7 and len({v // 5 for v in res.removal}) == 7
+        assert all(set(e) & res.removal or len({res.coloring[v] for v in e}) == 2
+                   for e in h.edges)
+
+    def test_budget_runs_out_inconclusive(self):
+        # one vertex short of the seven the copies need: a no, but only
+        # after a search far larger than the budget
+        res = verify.almost_two_colorable(seven_copies_of_k5(), Fraction(6, 35), budget=1000)
+        assert res.colorable is None and res.nodes == 1001
+        assert res.coloring is None and res.removal is None
+
+    def test_candidate_allows_no_further_removal(self):
+        h = seven_copies_of_k5()
+        res = verify.almost_two_colorable(h, Fraction(1, 5), candidate_removal={4, 9, 14})
+        assert res.colorable is False
 
 
 class TestDuality:
