@@ -162,15 +162,17 @@ def cmd_build_dto1(args) -> int:
 def cmd_verify(args) -> int:
     bundle = read_artifact(args.input)
     if args.mode == "yes":
+        sigma = bundle.get("planted_assignment")
+        if sigma is None:
+            raise UsageError("verify --mode yes needs a bundle with a planted assignment")
         cfg = bundle["config"]
         inst = games.Lin3Instance.from_json_dict(bundle["instance"])
         gadget = hadamard.build(inst, cfg["r"], mode=cfg.get("mode", "enumerate"),
                                 triples=cfg["triples"],
                                 seed=derive_seed(cfg["seed"], "build-hadamard"),
                                 distinct_blocks=cfg.get("distinct_blocks", False))
-        sigma = bundle.get("planted_assignment")
-        if sigma is None:
-            raise UsageError("verify --mode yes needs a bundle with a planted assignment")
+        if gadget.to_hypergraph() != verify.GenericHypergraph.from_json_dict(bundle["hypergraph"]):
+            raise UsageError(f"{args.input}: the stored hypergraph is not the one its config builds")
         result = hadamard.yes_coloring(gadget, sigma)
         report = {"removed": len(result.removed), "violations": len(result.violations),
                   "surviving_edges": result.surviving_edges, "ok": result.ok}
@@ -253,8 +255,10 @@ def cmd_decode(args) -> int:
             "labels_u": {f"{k[0]},{k[1]}": v for k, v in outcome.lam.items()},
         }
     else:
-        params = dto1.DecodeParams(args.delta, args.eps, args.nu, args.gamma,
-                                   args.tau, args.s, args.smooth_t)
+        T = (pcp.params or {}).get("T")
+        if T is None:
+            raise UsageError("decode --kind dto1 needs a smooth PCP, whose params carry T")
+        params = dto1.DecodeParams(args.delta, args.eps, args.nu, args.gamma, args.tau, args.s, T)
         indicators = {
             (int(key.split(",")[0]), int(key.split(",")[1])): np.array(vals, dtype=np.float64)
             for key, vals in indicator_data["indicators"].items()
@@ -388,7 +392,6 @@ def build_parser() -> _Parser:
     p.add_argument("--gamma", type=float, default=0.01)
     p.add_argument("--tau", type=float, default=1e-4)
     p.add_argument("--s", type=float, default=3.0)
-    p.add_argument("--smooth-t", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_decode)

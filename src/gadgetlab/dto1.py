@@ -15,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from .boolfn import FiniteJointDist, maximal_correlation
-from .games import (LayeredPcp, PcpConstraint, PcpGadget, check_labeling, code_layout,
-                    heavy_layer_pair, satisfied_fractions, split_degenerate)
+from .games import (LayeredPcp, PcpGadget, RuleCheck, code_layout, heavy_layer_pair,
+                    satisfied_fractions, split_degenerate)
 from .gf2 import _fwht, popcounts
 from .seeding import as_rng, derive_rng
 from .verify import GenericHypergraph
@@ -301,6 +301,7 @@ def cross_expectation(f_coeffs: np.ndarray, g_coeffs: np.ndarray,
 @dataclass
 class Dto1Gadget(PcpGadget):
     base = 2
+    removed_digit = None
 
     delta: float
     constraint_r: list[int]
@@ -319,6 +320,22 @@ class Dto1Gadget(PcpGadget):
             if dist.prob((x >> i) & 1, ym, zm) <= 0:
                 return False
         return True
+
+    def sample_hits(self, ci: int, rng: random.Random, samples: int):
+        """Generative draws, one per block, scattered to the label bits."""
+        c = self.pcp.constraints[ci]
+        r = self.constraint_r[ci]
+        block_pos = block_positions(blocks_of(c.projection, self.pcp.label_sizes[c.to_layer]),
+                                    self.pcp.label_sizes[c.from_layer])
+        for _ in range(samples):
+            x = y = z = 0
+            for i, positions in enumerate(block_pos):
+                xv, yv, zv = sample(self.delta, r, rng)
+                x |= (1 if xv == -1 else 0) << i
+                for t, j in enumerate(positions):
+                    y |= (1 if yv[t] == -1 else 0) << j
+                    z |= (1 if zv[t] == -1 else 0) << j
+            yield x, y, z
 
     def to_hypergraph(self) -> GenericHypergraph:
         return self._export(lambda l, v, pt: self.vertex_weight(l, v),
@@ -372,58 +389,10 @@ def build(pcp: LayeredPcp, delta: float) -> Dto1Gadget:
                       delta, constraint_r)
 
 
-@dataclass
-class YesCheckResult:
-    violations: list[tuple[int, int, int, int]]
-    checked: int
-    coverage: str
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def yes_check(g: Dto1Gadget, sigma, samples: int = 2000, seed: int = 0) -> YesCheckResult:
+def yes_check(g: Dto1Gadget, sigma, samples: int = 2000, seed: int = 0) -> RuleCheck:
     """The dictated coloring (the bit named by the labeling) must make
     every edge non-monochromatic."""
-    pcp = g.pcp
-    sigma = check_labeling(pcp, sigma)
-    violations = []
-    checked = 0
-
-    def check(ci: int, c: PcpConstraint, x: int, y: int, z: int) -> None:
-        nonlocal checked
-        checked += 1
-        cx = (x >> sigma[c.to_layer][c.u]) & 1
-        cy = (y >> sigma[c.from_layer][c.v]) & 1
-        cz = (z >> sigma[c.from_layer][c.v]) & 1
-        if cx == cy == cz:
-            violations.append((ci, x, y, z))
-
-    sampled = 0
-    for ci, c in enumerate(pcp.constraints):
-        triples = g.constraint_triples(ci)
-        if triples is not None:
-            for x, y, z in triples:
-                check(ci, c, x, y, z)
-            continue
-        sampled += 1
-        rng = derive_rng(seed, "yes-check", ci)
-        r = g.constraint_r[ci]
-        block_pos = block_positions(blocks_of(c.projection, pcp.label_sizes[c.to_layer]),
-                                    pcp.label_sizes[c.from_layer])
-        for _ in range(samples):
-            x = y = z = 0
-            for i, positions in enumerate(block_pos):
-                xv, yv, zv = sample(g.delta, r, rng)
-                x |= (1 if xv == -1 else 0) << i
-                for t, j in enumerate(positions):
-                    y |= (1 if yv[t] == -1 else 0) << j
-                    z |= (1 if zv[t] == -1 else 0) << j
-            check(ci, c, x, y, z)
-    coverage = ("exhaustive" if sampled == 0
-                else f"sampled:{samples} per constraint on {sampled} constraints")
-    return YesCheckResult(violations, checked, coverage)
+    return g.dictator_check(sigma, samples, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from .gf2 import Gf2Subspace, Gf2Vector
-from .seeding import as_rng
+from .seeding import as_rng, derive_rng
 from .verify import GenericHypergraph
 
 LABEL_TUPLE_CAP = 10**6
@@ -534,13 +534,31 @@ def satisfied_fractions(pcp: LayeredPcp, pair: tuple[int, int],
 
 
 @dataclass
+class RuleCheck:
+    """A colouring checked on rule hits: the monochromatic surviving hits as
+    (ci, x, y, z), the hits visited, those with no removed point, and
+    whether every hit was visited or some constraints were sampled."""
+
+    violations: list[tuple[int, int, int, int]]
+    checked: int
+    surviving: int
+    coverage: str
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+@dataclass
 class PcpGadget:
     """A code of base ** label_size points on every PCP variable, joined per
     constraint by the gadget's local rule on (x, y, z): x a point of u, y and
     z points of v. A constraint's rule hits are materialised as edges and
-    pairs, or None when only the rule is kept ("rule" or "mixed" mode)."""
+    pairs, or None when only the rule is kept ("rule" or "mixed" mode).
+    Points whose dictator digit is removed_digit leave the YES colouring."""
 
     base: ClassVar[int]
+    removed_digit: ClassVar[int | None]
 
     pcp: LayeredPcp
     mode: str
@@ -563,6 +581,40 @@ class PcpGadget:
         if edges is None:
             return None
         return edges + [(x, y, y) for x, y in self.constraint_pairs[ci]]
+
+    def sample_hits(self, ci: int, rng: random.Random, samples: int):
+        """samples random rule hits (x, y, z) of constraint ci."""
+        raise NotImplementedError
+
+    def dictator_check(self, sigma, samples: int = 2000, seed: int = 0) -> RuleCheck:
+        """The YES certificate of both label-cover reductions: colour every
+        point of variable (l, v) by its digit at the label sigma[l][v]. A hit
+        with a point on removed_digit is dropped with that colour class; no
+        other hit may be monochromatic. Materialised constraints are walked
+        whole; the others get samples draws of their own seeded stream."""
+        pcp = self.pcp
+        sigma = check_labeling(pcp, sigma)
+        base, removed = self.base, self.removed_digit
+        violations: list[tuple[int, int, int, int]] = []
+        checked = surviving = sampled = 0
+        for ci, c in enumerate(pcp.constraints):
+            hits = self.constraint_triples(ci)
+            if hits is None:
+                sampled += 1
+                hits = self.sample_hits(ci, derive_rng(seed, "yes-check", ci), samples)
+            sx = base ** sigma[c.to_layer][c.u]
+            sy = base ** sigma[c.from_layer][c.v]
+            for x, y, z in hits:
+                checked += 1
+                cx, cy, cz = x // sx % base, y // sy % base, z // sy % base
+                if removed in (cx, cy, cz):
+                    continue
+                surviving += 1
+                if cx == cy == cz:
+                    violations.append((ci, x, y, z))
+        coverage = ("exhaustive" if sampled == 0
+                    else f"sampled:{samples} per constraint on {sampled} constraints")
+        return RuleCheck(violations, checked, surviving, coverage)
 
     def _export(self, weight, meta: dict) -> GenericHypergraph:
         """The 3-uniform hypergraph of the materialised edges, with

@@ -14,8 +14,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import ternary
-from .games import (LayeredPcp, PcpConstraint, PcpGadget, check_labeling, code_layout,
-                    heavy_layer_pair, satisfied_fractions, split_degenerate)
+from .games import (LayeredPcp, PcpGadget, code_layout, heavy_layer_pair, satisfied_fractions,
+                    split_degenerate)
 from .seeding import derive_rng
 from .ternary import TernaryFamily, WitnessPair, two_element_witness
 from .verify import GenericHypergraph
@@ -62,6 +62,7 @@ def _edge_allowed(proj: tuple[int, ...], x_digits, y_digits, z_digits) -> bool:
 @dataclass
 class LongCodeGadget(PcpGadget):
     base = 3
+    removed_digit = ternary.STAR
 
     epsilon: Fraction
 
@@ -99,6 +100,21 @@ class LongCodeGadget(PcpGadget):
         xd = ternary.point_digits(x, self.pcp.label_sizes[c.to_layer])
         yd = ternary.point_digits(y, self.pcp.label_sizes[c.from_layer])
         return _edge_allowed(c.projection, xd, yd, yd)
+
+    def sample_hits(self, ci: int, rng: random.Random, samples: int):
+        """A uniform x, then a uniform allowed digit pair per coordinate."""
+        c = self.pcp.constraints[ci]
+        r_big = self.pcp.label_sizes[c.from_layer]
+        r_small = self.pcp.label_sizes[c.to_layer]
+        for _ in range(samples):
+            x = rng.randrange(3**r_small)
+            xd = ternary.point_digits(x, r_small)
+            y = z = 0
+            for j in range(r_big):
+                a, b = rng.choice(_allowed_pairs(xd[c.projection[j]]))
+                y += a * 3**j
+                z += b * 3**j
+            yield x, y, z
 
     def to_hypergraph(self) -> GenericHypergraph:
         return self._export(self.vertex_weight, {
@@ -145,62 +161,21 @@ def yes_partition(g: LongCodeGadget, sigma, samples: int = 2000,
                   seed: int = 0) -> PartitionResult:
     """Partition by the coordinate named by a satisfying labeling.
 
-    Classes are keyed 1, 2, 0(=star); the certificate confirms that no
-    surviving edge lies inside class 1 or class 2.
+    Classes are keyed 1, 2, 0(=star), with weights summed over their
+    vertices; the certificate confirms that no surviving edge lies inside
+    class 1 or class 2.
     """
-    pcp = g.pcp
-    sigma = check_labeling(pcp, sigma)
+    res = g.dictator_check(sigma, samples, seed)
     class_of: dict[int, int] = {}
-    w1 = w2 = wstar = Fraction(0)
-    for l in range(pcp.layers):
-        share = Fraction(1, pcp.layers * pcp.var_counts[l])
-        for v in range(pcp.var_counts[l]):
-            j = sigma[l][v]
-            m = pcp.label_sizes[l]
-            step = 3**j
-            for pt in range(3**m):
-                class_of[g.vertex_id(l, v, pt)] = (pt // step) % 3
-            wstar += g.epsilon * share
-            w1 += (1 - g.epsilon) / 2 * share
-            w2 += (1 - g.epsilon) / 2 * share
-
-    violations: list[tuple[int, int, int, int]] = []
-    checked = surviving = 0
-
-    def check_edge(ci: int, c: PcpConstraint, x: int, y: int, z: int) -> None:
-        nonlocal checked, surviving
-        checked += 1
-        cx = class_of[g.vertex_id(c.to_layer, c.u, x)]
-        cy = class_of[g.vertex_id(c.from_layer, c.v, y)]
-        cz = class_of[g.vertex_id(c.from_layer, c.v, z)]
-        if ternary.STAR in (cx, cy, cz):
-            return
-        surviving += 1
-        if cx == cy == cz:
-            violations.append((ci, x, y, z))
-
-    if g.mode == "enumerate":
-        for ci, c in enumerate(pcp.constraints):
-            for x, y, z in g.constraint_triples(ci):
-                check_edge(ci, c, x, y, z)
-        coverage = "exhaustive"
-    else:
-        rng = random.Random(seed)
-        for ci, c in enumerate(pcp.constraints):
-            r_big = pcp.label_sizes[c.from_layer]
-            r_small = pcp.label_sizes[c.to_layer]
-            for _ in range(samples):
-                x = rng.randrange(3**r_small)
-                xd = ternary.point_digits(x, r_small)
-                y = z = 0
-                for j in range(r_big):
-                    a, b = rng.choice(_allowed_pairs(xd[c.projection[j]]))
-                    y += a * 3**j
-                    z += b * 3**j
-                if y != z:
-                    check_edge(ci, c, x, y, z)
-        coverage = f"sampled:{samples} per constraint"
-    return PartitionResult(class_of, (w1, w2, wstar), violations, checked, surviving, coverage)
+    weights = [Fraction(0)] * 3
+    for (l, v), off in g.offsets.items():
+        step = 3 ** sigma[l][v]
+        for pt in range(3 ** g.pcp.label_sizes[l]):
+            digit = class_of[off + pt] = pt // step % 3
+            weights[digit] += g.vertex_weight(l, v, pt)
+    return PartitionResult(
+        class_of, (weights[ternary.ONE], weights[ternary.TWO], weights[ternary.STAR]),
+        res.violations, res.checked, res.surviving, res.coverage)
 
 
 @dataclass

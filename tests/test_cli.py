@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from gadgetlab import cli, games, hadamard, longcode, ternary, verify
+from gadgetlab import cli, dto1, games, hadamard, longcode, ternary, verify
 
 
 def run(*argv) -> int:
@@ -298,6 +298,69 @@ class TestExitCodes:
                        "--out", out) == code
             payload = json.loads(out.read_text())
             assert payload["success"] is success and payload["removed"] == removed
+
+    def test_hadamard_yes_reads_the_stored_hypergraph(self, tmp_path, capsys):
+        lin = tmp_path / "lin.json"
+        had = tmp_path / "had.json"
+        assert run("gen-3lin", "--n", 9, "--eqs", 9, "--seed", 7, "--out", lin) == 0
+        assert run("build-hadamard", "--instance", lin, "--r", 1, "--triples", 2,
+                   "--seed", 1, "--out", had) == 0
+        capsys.readouterr()
+        assert run("verify", "--input", had, "--mode", "yes") == 0
+        assert capsys.readouterr().out == (
+            "yes-case certificate: removed=0 violations=0 ok=True\n")
+        bundle = json.loads(had.read_text())
+        bundle["hypergraph"]["edges"] = []
+        had.write_text(json.dumps(bundle))
+        assert run("verify", "--input", had, "--mode", "yes") == 1
+        assert capsys.readouterr().err == (
+            f"error: {had}: the stored hypergraph is not the one its config builds\n")
+
+    def test_hadamard_yes_needs_witness_before_rebuilding(self, tmp_path, capsys, monkeypatch):
+        lin = tmp_path / "lin.json"
+        had = tmp_path / "had.json"
+        run("gen-3lin", "--n", 9, "--eqs", 9, "--seed", 7, "--random", "--out", lin)
+        run("build-hadamard", "--instance", lin, "--r", 1, "--triples", 1,
+            "--seed", 1, "--out", had)
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("the gadget was rebuilt")
+
+        monkeypatch.setattr(hadamard, "build", rebuilt)
+        capsys.readouterr()
+        assert run("verify", "--input", had, "--mode", "yes") == 1
+        assert capsys.readouterr().err == (
+            "error: verify --mode yes needs a bundle with a planted assignment\n")
+
+    def test_dto1_decode_has_no_smooth_t_flag(self, tmp_path, capsys):
+        bundle, ind = dto1_bundle(tmp_path, 0.5)
+        assert run("decode", "--kind", "dto1", "--gadget", bundle, "--indicator", ind,
+                   "--delta", "0.25", "--smooth-t", 1) == 1
+        assert capsys.readouterr().err == "error: unrecognized arguments: --smooth-t 1\n"
+
+    def test_dto1_decode_takes_t_from_the_pcp(self, tmp_path, capsys, monkeypatch):
+        bundle, ind = dto1_bundle(tmp_path, 0.5)
+        pcp = json.loads(bundle.read_text())["pcp"]
+        pcp["params"]["T"] = 3
+        bundle.write_text(json.dumps({"pcp": pcp}))
+        seen = []
+
+        def decode(indicators, pcp, params, seed=0):
+            seen.append(params.T)
+            raise ValueError("stop")
+
+        monkeypatch.setattr(dto1, "decode", decode)
+        assert run("decode", "--kind", "dto1", "--gadget", bundle, "--indicator", ind,
+                   "--delta", "0.25") == 1
+        assert seen == [3]
+        del pcp["params"]["T"]
+        bundle.write_text(json.dumps({"pcp": pcp}))
+        capsys.readouterr()
+        assert run("decode", "--kind", "dto1", "--gadget", bundle, "--indicator", ind,
+                   "--delta", "0.25") == 1
+        assert capsys.readouterr().err == (
+            "error: decode --kind dto1 needs a smooth PCP, whose params carry T\n")
+        assert seen == [3]
 
 
 class TestRoundTrips:
