@@ -115,7 +115,7 @@ def cmd_build_mlpcp(args) -> int:
 def cmd_build_hadamard(args) -> int:
     bundle = read_artifact(args.instance)
     inst = games.Lin3Instance.from_json_dict(bundle.get("instance", bundle))
-    gadget = hadamard.build(inst, args.r, mode=args.mode, triples=args.triples,
+    gadget = hadamard.build(inst, args.r, triples=args.triples,
                             seed=derive_seed(args.seed, "build-hadamard"),
                             distinct_blocks=args.distinct_blocks)
     h = gadget.to_hypergraph()
@@ -161,14 +161,15 @@ def cmd_build_dto1(args) -> int:
 
 def cmd_verify(args) -> int:
     bundle = read_artifact(args.input)
+    if "hypergraph" not in bundle:
+        raise UsageError(f"{args.input}: the file holds no hypergraph")
     if args.mode == "yes":
         sigma = bundle.get("planted_assignment")
         if sigma is None:
             raise UsageError("verify --mode yes needs a bundle with a planted assignment")
         cfg = bundle["config"]
         inst = games.Lin3Instance.from_json_dict(bundle["instance"])
-        gadget = hadamard.build(inst, cfg["r"], mode=cfg.get("mode", "enumerate"),
-                                triples=cfg["triples"],
+        gadget = hadamard.build(inst, cfg["r"], triples=cfg["triples"],
                                 seed=derive_seed(cfg["seed"], "build-hadamard"),
                                 distinct_blocks=cfg.get("distinct_blocks", False))
         if gadget.to_hypergraph() != verify.GenericHypergraph.from_json_dict(bundle["hypergraph"]):
@@ -241,6 +242,10 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+# decode flags that only the d-to-1 decoder reads
+DTO1_DECODE_FLAGS = ("eps", "nu", "gamma", "tau", "s")
+
+
 def cmd_decode(args) -> int:
     bundle = read_artifact(args.gadget)
     pcp = games.LayeredPcp.from_json_dict(bundle["pcp"])
@@ -269,7 +274,10 @@ def cmd_decode(args) -> int:
                   satisfied_fraction=str(outcome.satisfied_fraction),
                   satisfied_fraction_all=str(outcome.satisfied_fraction_all))
     if args.out:
-        write_artifact(args.out, {"config": _config_dict(args), "decode": report})
+        config = _config_dict(args)
+        if args.kind == "longcode":
+            config = {k: v for k, v in config.items() if k not in DTO1_DECODE_FLAGS}
+        write_artifact(args.out, {"config": config, "decode": report})
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -342,7 +350,6 @@ def build_parser() -> _Parser:
     p.add_argument("--instance", required=True)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--triples", type=int, default=2)
-    p.add_argument("--mode", choices=("enumerate", "stream"), default="enumerate")
     p.add_argument("--distinct-blocks", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--edge-list", help="also write a flat edge list")

@@ -11,14 +11,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-
+from itertools import combinations
 
 from . import gf2
 from .games import (BlockGeometry, EquationBlock, Lin3Instance, RejectionBudgetError,
                     VariableBlock, block_geometry, repeat_free, sample_round)
 from .verify import GenericHypergraph
 
-MAX_ENUMERATE_R = 2
+MAX_R = 2
 
 
 @dataclass(frozen=True)
@@ -53,12 +53,10 @@ class Triple:
 class HadamardGadget:
     source: Lin3Instance
     r: int
-    mode: str
     blocks: list[GadgetBlock]
     triples: list[Triple]
     edges_per_triple: list[list[tuple[int, int, int, int]]]
     dropped_degenerate: int
-    seed: int
 
     @property
     def vertex_count(self) -> int:
@@ -70,21 +68,7 @@ class HadamardGadget:
             out.update(edges)
         return sorted(out)
 
-    def iter_triple_edges(self, triple_index: int):
-        """Raw folded hyperedges of one triple; in stream mode they are
-        generated on demand, deduplicated within the triple."""
-        if self.mode == "enumerate":
-            yield from self.edges_per_triple[triple_index]
-        else:
-            seen: set[tuple[int, int, int, int]] = set()
-            for edge in _raw_edges(self, self.triples[triple_index]):
-                if edge is not None and edge not in seen:
-                    seen.add(edge)
-                    yield edge
-
     def to_hypergraph(self) -> GenericHypergraph:
-        if self.mode != "enumerate":
-            raise ValueError("export requires enumerate mode")
         vertices = tuple(range(self.vertex_count))
         meta = {
             "kind": "hadamard",
@@ -100,15 +84,15 @@ class HadamardGadget:
                                  {v: Fraction(1) for v in vertices}, meta)
 
 
-def _raw_edges(g: "HadamardGadget", triple: Triple):
+def _raw_edges(blocks: list[GadgetBlock], r: int, triple: Triple):
     """Yield each raw choice's sorted folded 4-tuple, or None if degenerate."""
-    bw = g.blocks[triple.w_index]
-    bwp = g.blocks[triple.wp_index]
-    m = 3 * g.r + 1
-    lift_w = [triple.geom_w.lift_bits(z) for z in range(1 << g.r)]
-    lift_wp = [triple.geom_wp.lift_bits(z) for z in range(1 << g.r)]
+    bw = blocks[triple.w_index]
+    bwp = blocks[triple.wp_index]
+    m = 3 * r + 1
+    lift_w = [triple.geom_w.lift_bits(z) for z in range(1 << r)]
+    lift_wp = [triple.geom_wp.lift_bits(z) for z in range(1 << r)]
     hw = triple.geom_w.h_w.bits
-    for z in range(1, 1 << g.r):
+    for z in range(1, 1 << r):
         shift_w = lift_w[z] ^ hw
         shift_wp = lift_wp[z]
         for x in range(1 << m):
@@ -121,20 +105,21 @@ def _raw_edges(g: "HadamardGadget", triple: Triple):
                 yield tuple(sorted(ids)) if len(set(ids)) == 4 else None
 
 
-def build(inst: Lin3Instance, r: int, mode: str = "enumerate",
-          triples: int = 2, seed: int = 0, distinct_blocks: bool = False,
-          budget: int = 10**6) -> HadamardGadget:
+def build(inst: Lin3Instance, r: int, triples: int = 2, seed: int = 0,
+          distinct_blocks: bool = False, budget: int = 10**6) -> HadamardGadget:
     """Instantiate a gadget from sampled verifier triples.
 
     Each triple is a round (W, U) plus a second block W' drawn uniformly
     among blocks whose i-th equation contains the i-th variable of U.
     Raw hyperedges touching fewer than 4 distinct folded positions are
-    dropped and counted.
+    dropped and counted. r is capped at MAX_R, so checking up front that
+    some r equations share no variable is one O(E^2) scan.
     """
-    if mode not in ("enumerate", "stream"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "enumerate" and r > MAX_ENUMERATE_R:
-        raise ValueError(f"enumerate mode caps r at {MAX_ENUMERATE_R}, got {r}")
+    if r > MAX_R:
+        raise ValueError(f"the gadget caps r at {MAX_R}, got {r}")
+    if not any(repeat_free(inst, ids) for ids in combinations(range(len(inst.equations)), r)):
+        raise ValueError(f"no repeat-free block of {r} equations exists among the "
+                         f"{len(inst.equations)} equations; instance too small")
     rng = random.Random(seed)
     eq_with_var: dict[int, list[int]] = {}
     for ei, (i, j, k, _) in enumerate(inst.equations):
@@ -177,26 +162,23 @@ def build(inst: Lin3Instance, r: int, mode: str = "enumerate",
         else:
             raise RejectionBudgetError(f"could not sample a consistent W' in {budget} attempts")
 
-    gadget = HadamardGadget(inst, r, mode, blocks, triple_list, [], 0, seed)
+    edges_per_triple = []
     dropped = 0
-    if mode == "enumerate":
-        for triple in triple_list:
-            seen_edges: set[tuple[int, int, int, int]] = set()
-            for edge in _raw_edges(gadget, triple):
-                if edge is None:
-                    dropped += 1
-                else:
-                    seen_edges.add(edge)
-            gadget.edges_per_triple.append(sorted(seen_edges))
-    gadget.dropped_degenerate = dropped
-    return gadget
+    for triple in triple_list:
+        seen_edges: set[tuple[int, int, int, int]] = set()
+        for edge in _raw_edges(blocks, r, triple):
+            if edge is None:
+                dropped += 1
+            else:
+                seen_edges.add(edge)
+        edges_per_triple.append(sorted(seen_edges))
+    return HadamardGadget(inst, r, blocks, triple_list, edges_per_triple, dropped)
 
 
 @dataclass
 class YesColoringResult:
     colors: dict[int, int]
     removed: frozenset[int]
-    good_blocks: list[int]
     checked_edges: int
     surviving_edges: int
     violations: list[tuple[int, int, int, int]]
@@ -208,13 +190,13 @@ class YesColoringResult:
 
 def yes_coloring(g: HadamardGadget, sigma) -> YesColoringResult:
     """Color good-block positions by the folded planted-code value and
-    certify the four-term parity on every surviving hyperedge."""
+    certify the four-term parity on every surviving hyperedge, each
+    hyperedge of the exported set checked once."""
     sigma = list(sigma)
     if len(sigma) != g.source.n:
         raise ValueError("assignment must cover all instance variables")
     colors: dict[int, int] = {}
     removed: set[int] = set()
-    good: list[int] = []
     for gb in g.blocks:
         block_ok = all(
             sigma[gb.block.var_order[3 * t]] ^ sigma[gb.block.var_order[3 * t + 1]]
@@ -222,7 +204,6 @@ def yes_coloring(g: HadamardGadget, sigma) -> YesColoringResult:
             for t in range(g.r)
         )
         if block_ok:
-            good.append(gb.index)
             code = 0
             for pos, var in enumerate(gb.block.var_order):
                 code |= sigma[var] << pos
@@ -232,19 +213,12 @@ def yes_coloring(g: HadamardGadget, sigma) -> YesColoringResult:
         else:
             removed.update(range(gb.vertex_base, gb.vertex_base + len(gb.reps)))
 
-    checked = 0
-    surviving = 0
-    violations: list[tuple[int, int, int, int]] = []
-    for ti in range(len(g.triples)):
-        for edge in g.iter_triple_edges(ti):
-            checked += 1
-            if any(v in removed for v in edge):
-                continue
-            surviving += 1
-            parity = colors[edge[0]] ^ colors[edge[1]] ^ colors[edge[2]] ^ colors[edge[3]]
-            if parity != 1:
-                violations.append(edge)
-    return YesColoringResult(colors, frozenset(removed), good, checked, surviving, violations)
+    edges = g.all_edges()
+    surviving = [e for e in edges if not any(v in removed for v in e)]
+    violations = [e for e in surviving
+                  if colors[e[0]] ^ colors[e[1]] ^ colors[e[2]] ^ colors[e[3]] != 1]
+    return YesColoringResult(colors, frozenset(removed), len(edges), len(surviving),
+                             violations)
 
 
 @dataclass
@@ -319,7 +293,7 @@ def extract_strategies(g: HadamardGadget, indicator, triple_index: int) -> Strat
     rhs = float(spec_a.coeffs[0] ** 2 * spec_b.coeffs[0] ** 2) - 2.0 ** (-g.r)
 
     independent = True
-    for edge in g.iter_triple_edges(triple_index):
+    for edge in g.edges_per_triple[triple_index]:
         if all(v in indicator for v in edge):
             independent = False
             break

@@ -81,6 +81,21 @@ class TestPipelines:
         report = json.loads(dec.read_text())["decode"]
         assert report["satisfied_fraction"] == "1"
 
+    def test_decode_config_records_only_the_kinds_flags(self, tmp_path):
+        lc, ind = planted_longcode_bundle(tmp_path)
+        dec = tmp_path / "dec.json"
+        assert run("decode", "--kind", "longcode", "--gadget", lc, "--indicator", ind,
+                   "--delta", "0.4", "--out", dec) == 0
+        config = json.loads(dec.read_text())["config"]
+        assert sorted(config) == ["command", "delta", "gadget", "indicator", "kind", "out",
+                                  "out_dir", "seed"]
+        bundle, ind = dto1_bundle(tmp_path, 0.5)
+        assert run("decode", "--kind", "dto1", "--gadget", bundle, "--indicator", ind,
+                   "--delta", "0.25", "--out", dec) == 0
+        config = json.loads(dec.read_text())["config"]
+        assert {k: config[k] for k in ("eps", "nu", "gamma", "tau", "s")} == {
+            "eps": 0.5, "nu": 0.1, "gamma": 0.01, "tau": 1e-4, "s": 3.0}
+
 
 class TestReadmeArtifacts:
     """The README pipelines, run with its relative paths, write these bytes."""
@@ -227,18 +242,49 @@ class TestExitCodes:
         assert run("verify", "--input", bundle, "--mode", "almost",
                    "--epsilon", "1/5") == 0
 
-    def test_hadamard_stream_export_is_one(self, tmp_path, capsys):
+    def test_build_hadamard_has_no_mode_flag(self, tmp_path, capsys):
         lin = tmp_path / "lin.json"
         assert run("gen-3lin", "--n", 9, "--eqs", 9, "--seed", 7, "--out", lin) == 0
         capsys.readouterr()
         out = tmp_path / "had.json"
         assert run("build-hadamard", "--instance", lin, "--mode", "stream", "--out", out) == 1
-        assert capsys.readouterr().err == "error: export requires enumerate mode\n"
+        assert capsys.readouterr().err == "error: unrecognized arguments: --mode stream\n"
         assert not out.exists()
+
+    def test_hadamard_yes_ignores_an_old_mode_key(self, tmp_path, capsys):
+        lin = tmp_path / "lin.json"
+        had = tmp_path / "had.json"
+        assert run("gen-3lin", "--n", 9, "--eqs", 9, "--seed", 7, "--out", lin) == 0
+        assert run("build-hadamard", "--instance", lin, "--r", 1, "--triples", 2,
+                   "--seed", 1, "--out", had) == 0
+        bundle = json.loads(had.read_text())
+        assert "mode" not in bundle["config"]
+        bundle["config"]["mode"] = "enumerate"
+        had.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert run("verify", "--input", had, "--mode", "yes") == 0
+        assert capsys.readouterr().out == (
+            "yes-case certificate: removed=0 violations=0 ok=True\n")
+
+    @pytest.mark.parametrize("mode", ["max-is", "two-color", "almost"])
+    def test_verify_without_hypergraph_is_one(self, tmp_path, capsys, mode):
+        lin = tmp_path / "lin.json"
+        plain = tmp_path / "plain.json"
+        lc = tmp_path / "lc.json"
+        assert run("gen-3lin", "--n", 9, "--eqs", 9, "--seed", 7, "--out", lin) == 0
+        # label size 5 is above the long-code gadget's enumerate cap: rule mode, no hypergraph
+        assert run("build-mlpcp", "--layers", 2, "--vars-per-layer", 2, "--label-sizes", "5,5",
+                   "--seed", 3, "--out", plain) == 0
+        assert run("build-longcode", "--pcp", plain, "--epsilon", "1/10", "--out", lc) == 0
+        assert json.loads(lc.read_text())["mode"] == "rule"
+        for path in (lin, lc):
+            capsys.readouterr()
+            assert run("verify", "--input", path, "--mode", mode) == 1
+            assert capsys.readouterr().err == f"error: {path}: the file holds no hypergraph\n"
 
     @pytest.mark.parametrize("equations, argv, message", [
         (((0, 1, 2, 1),), ["--r", "2"],
-         "no repeat-free block of 2 equations found in 1000 attempts; instance too small"),
+         "no repeat-free block of 2 equations exists among the 1 equations; instance too small"),
         (((0, 1, 2, 1), (3, 4, 5, 0)), ["--r", "2", "--distinct-blocks"],
          "could not sample a consistent W' in 1000 attempts"),
     ])

@@ -26,7 +26,8 @@ def one_triple(planted):
 
 class TestBuild:
     def test_raw_choice_count_r1(self, one_triple):
-        raw = list(hadamard._raw_edges(one_triple, one_triple.triples[0]))
+        raw = list(hadamard._raw_edges(one_triple.blocks, one_triple.r,
+                                       one_triple.triples[0]))
         assert len(raw) == 16 * 16 * 1
 
     def test_vertices_per_block(self, gadget):
@@ -47,17 +48,16 @@ class TestBuild:
         with pytest.raises(ValueError, match="caps r"):
             hadamard.build(inst, r=3, triples=1)
 
-    def test_stream_mode_matches_enumerate(self, planted):
-        inst, _ = planted
-        enum = hadamard.build(inst, r=1, triples=1, seed=5)
-        stream = hadamard.build(inst, r=1, triples=1, seed=5, mode="stream")
-        assert sorted(stream.iter_triple_edges(0)) == enum.edges_per_triple[0]
+    def test_impossible_r_rejected_before_sampling(self, monkeypatch):
+        # with one equation there are no two equations with disjoint variables
+        def sampled(*args, **kwargs):
+            raise AssertionError("sample_round was called")
 
-    def test_stream_mode_cannot_export(self, planted):
-        inst, _ = planted
-        stream = hadamard.build(inst, r=1, triples=1, seed=5, mode="stream")
-        with pytest.raises(ValueError, match="export requires enumerate mode"):
-            stream.to_hypergraph()
+        monkeypatch.setattr(hadamard, "sample_round", sampled)
+        inst = games.Lin3Instance(3, ((0, 1, 2, 1),))
+        with pytest.raises(ValueError, match="no repeat-free block of 2 equations exists among "
+                                             "the 1 equations; instance too small"):
+            hadamard.build(inst, r=2, triples=1)
 
     def test_w_prime_rejection_budget(self):
         # W' must differ from W, but each variable lies in one equation only
@@ -94,7 +94,7 @@ class TestBuild:
                                bwp.vertex_id(y), bwp.vertex_id(y ^ shift_wp))
                         if len(set(ids)) == 4:
                             expected.add(tuple(sorted(ids)))
-            assert set(gadget.iter_triple_edges(ti)) == expected
+            assert set(gadget.edges_per_triple[ti]) == expected
 
     def test_export_round_trip(self, gadget):
         h = gadget.to_hypergraph()
@@ -137,6 +137,16 @@ class TestYesColoring:
             else:
                 assert ids <= res.removed
 
+    def test_shared_hyperedges_checked_once(self):
+        # one equation puts every triple on the same block, so triples share edges
+        inst = games.Lin3Instance(3, ((0, 1, 2, 1),))
+        gadget = hadamard.build(inst, r=1, triples=6, seed=2)
+        h = gadget.to_hypergraph()
+        assert sum(len(e) for e in gadget.edges_per_triple) > len(h.edges)
+        res = hadamard.yes_coloring(gadget, [1, 0, 0])
+        assert res.ok and not res.removed
+        assert res.checked_edges == res.surviving_edges == len(h.edges)
+
     def test_assignment_length_checked(self, gadget):
         with pytest.raises(ValueError):
             hadamard.yes_coloring(gadget, [0, 1])
@@ -167,7 +177,7 @@ class TestExtractStrategies:
         h = one_triple.to_hypergraph()
         res = verify.max_independent_set(h)
         ind = res.vertices
-        for edge in one_triple.iter_triple_edges(0):
+        for edge in one_triple.edges_per_triple[0]:
             prod = 1
             for v in edge:
                 prod *= 1 if v in ind else 0
