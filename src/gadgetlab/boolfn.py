@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .gf2 import _fwht, popcounts
 
@@ -308,6 +307,8 @@ def gamma_bounds(rho: float, mu: float, nu: float) -> tuple[float, float]:
         lower = 0.0 if (mu == 0.0 or nu == 0.0) else (nu if mu == 1.0 else mu)
         upper = 0.0 if (mu == 0.0 or nu == 0.0) else (nu if mu == 1.0 else mu)
         return lower, upper
+    from scipy import integrate  # imported here: it is most of the CLI's start-up time
+
     a = inv_norm_cdf(mu)
     b = inv_norm_cdf(nu)
     denom = math.sqrt(1.0 - rho * rho)

@@ -621,19 +621,21 @@ class PcpGadget:
         weight(layer, var, point) per vertex; meta gains dropped_degenerate."""
         if self.mode != "enumerate":
             raise ValueError("export requires enumerate mode")
-        weights = {}
-        for (l, v), off in self.offsets.items():
-            for pt in range(self.base ** self.pcp.label_sizes[l]):
-                weights[off + pt] = weight(l, v, pt)
-        edges = set()
-        for ci, c in enumerate(self.pcp.constraints):
-            ou = self.offsets[(c.to_layer, c.u)]
-            ov = self.offsets[(c.from_layer, c.v)]
-            for x, y, z in self.constraint_edges[ci]:
-                edges.add(tuple(sorted((ou + x, ov + y, ov + z))))
+        weights = {off + pt: weight(l, v, pt) for (l, v), off in self.offsets.items()
+                   for pt in range(self.base ** self.pcp.label_sizes[l])}
+        ends = [0, *itertools.accumulate(map(len, self.constraint_edges))]
+        flat = itertools.chain.from_iterable(itertools.chain.from_iterable(self.constraint_edges))
+        edges = np.fromiter(flat, dtype=np.int64, count=3 * ends[-1]).reshape(-1, 3)
+        for c, start, end in zip(self.pcp.constraints, ends, ends[1:]):
+            edges[start:end, 0] += self.offsets[(c.to_layer, c.u)]
+            edges[start:end, 1:] += self.offsets[(c.from_layer, c.v)]
+        # sorted({tuple(sorted(e)) for e in edges}) by array operations
+        edges.sort(axis=1)
+        edges = edges[np.lexsort(edges.T[::-1])]
+        keep = np.ones(len(edges), dtype=bool)
+        keep[1:] = (edges[1:] != edges[:-1]).any(axis=1)
         meta["dropped_degenerate"] = self.dropped_degenerate
-        return GenericHypergraph(3, tuple(range(self.vertex_count)), tuple(sorted(edges)),
-                                 weights, meta)
+        return GenericHypergraph(3, tuple(range(self.vertex_count)), edges[keep], weights, meta)
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,7 @@ class HadamardGadget:
         return sum(len(b.reps) for b in self.blocks)
 
     def all_edges(self) -> list[tuple[int, int, int, int]]:
-        out = set()
-        for edges in self.edges_per_triple:
-            out.update(edges)
-        return sorted(out)
+        return sorted(set().union(*self.edges_per_triple))
 
     def to_hypergraph(self) -> GenericHypergraph:
         vertices = tuple(range(self.vertex_count))
@@ -80,7 +77,7 @@ class HadamardGadget:
             ],
             "dropped_degenerate": self.dropped_degenerate,
         }
-        return GenericHypergraph(4, vertices, tuple(self.all_edges()),
+        return GenericHypergraph(4, vertices, self.all_edges(),
                                  {v: Fraction(1) for v in vertices}, meta)
 
 
@@ -142,36 +139,30 @@ def build(inst: Lin3Instance, r: int, triples: int = 2, seed: int = 0,
         block_index[key] = gb.index
         return gb.index
 
+    # one budget of draws for all triples; a draw is one W and, if W is repeat-free, one W'
     triple_list: list[Triple] = []
+    draws = iter(range(budget))
     for _ in range(triples):
-        for _attempt in range(budget):
-            w_block, picks = sample_round(inst, r, rng, budget=budget)
+        for _draw in draws:
+            try:
+                w_block, picks = sample_round(inst, r, rng, budget=1)
+            except RejectionBudgetError:
+                continue
             wp_ids = tuple(rng.choice(eq_with_var[v]) for v in picks.var_ids)
             if not repeat_free(inst, wp_ids) or (distinct_blocks and wp_ids == w_block.eq_ids):
                 continue
             wp_block = EquationBlock.from_instance(inst, wp_ids)
             wp_picks = VariableBlock(r, picks.var_ids)
-            wi = register(w_block, picks)
-            wpi = register(wp_block, wp_picks)
-            triple_list.append(Triple(
-                picks, wi, wpi,
-                block_geometry(w_block, picks, inst),
-                block_geometry(wp_block, wp_picks, inst),
-            ))
+            triple_list.append(Triple(picks, register(w_block, picks), register(wp_block, wp_picks),
+                                      block_geometry(w_block, picks, inst),
+                                      block_geometry(wp_block, wp_picks, inst)))
             break
         else:
             raise RejectionBudgetError(f"could not sample a consistent W' in {budget} attempts")
 
-    edges_per_triple = []
-    dropped = 0
-    for triple in triple_list:
-        seen_edges: set[tuple[int, int, int, int]] = set()
-        for edge in _raw_edges(blocks, r, triple):
-            if edge is None:
-                dropped += 1
-            else:
-                seen_edges.add(edge)
-        edges_per_triple.append(sorted(seen_edges))
+    raw = [list(_raw_edges(blocks, r, triple)) for triple in triple_list]
+    edges_per_triple = [sorted(set(edges) - {None}) for edges in raw]
+    dropped = sum(edges.count(None) for edges in raw)
     return HadamardGadget(inst, r, blocks, triple_list, edges_per_triple, dropped)
 
 

@@ -6,38 +6,55 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 DEFAULT_NODE_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
 class GenericHypergraph:
-    """k-uniform hypergraph with positive rational vertex weights."""
+    """k-uniform hypergraph with positive rational vertex weights; the
+    edges are one read-only (E, k) int64 array, each row sorted."""
 
     k: int
     vertices: tuple[int, ...]
-    edges: tuple[tuple[int, ...], ...]
+    edges: np.ndarray
     weights: dict[int, Fraction] = field(default_factory=dict)
     meta: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        vset = set(self.vertices)
-        if len(vset) != len(self.vertices):
+        if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
-        norm_edges = []
-        for e in self.edges:
-            te = tuple(sorted(e))
-            if len(set(te)) != self.k:
-                raise ValueError(f"edge {e} does not have exactly {self.k} distinct vertices")
-            if any(v not in vset for v in te):
-                raise ValueError(f"edge {e} mentions an unknown vertex")
-            norm_edges.append(te)
-        object.__setattr__(self, "edges", tuple(norm_edges))
+        try:
+            edges = np.asarray(self.edges)
+        except ValueError:  # ragged rows
+            edges = np.empty(0)
+        if not (edges.dtype.kind == "i" and edges.ndim == 2 and edges.shape[1] == self.k):
+            for e in self.edges:  # name the first ragged, wrong-arity or non-integer edge
+                if not isinstance(e, (list, tuple, np.ndarray)) or len(e) != self.k:
+                    raise ValueError(f"edge {e} does not have exactly {self.k} vertices")
+                if not all(type(v) is int and -2**63 <= v < 2**63 for v in e):
+                    raise ValueError(f"edge {e} holds a vertex id that is not an int64 integer")
+            edges = np.asarray(self.edges, dtype=np.int64).reshape(0, self.k)  # no edges
+        edges = np.sort(edges.astype(np.int64, copy=False), axis=1)
+        for bad, what in (((edges[:, 1:] == edges[:, :-1]).any(axis=1),
+                           f"does not have exactly {self.k} distinct vertices"),
+                          (~np.isin(edges, np.asarray(self.vertices, dtype=np.int64)).all(axis=1),
+                           "mentions an unknown vertex")):
+            if bad.any():
+                raise ValueError(f"edge {edges[bad.argmax()].tolist()} {what}")
+        edges.flags.writeable = False
+        object.__setattr__(self, "edges", edges)
         weights = {v: Fraction(w) for v, w in self.weights.items()}
         for v in self.vertices:
             weights.setdefault(v, Fraction(1))
         if any(w <= 0 for w in weights.values()):
             raise ValueError("vertex weights must be positive")
         object.__setattr__(self, "weights", weights)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, GenericHypergraph) and np.array_equal(self.edges, other.edges)
+                and (self.k, self.vertices, self.weights) == (other.k, other.vertices, other.weights))
 
     @property
     def total_weight(self) -> Fraction:
@@ -53,7 +70,7 @@ class GenericHypergraph:
                 {"id": v, "weight": [self.weights[v].numerator, self.weights[v].denominator]}
                 for v in self.vertices
             ],
-            "edges": [list(e) for e in self.edges],
+            "edges": self.edges.tolist(),
             "meta": self.meta,
         }
 
@@ -61,11 +78,10 @@ class GenericHypergraph:
     def from_json_dict(cls, d: dict) -> "GenericHypergraph":
         vertices = tuple(v["id"] for v in d["vertices"])
         weights = {v["id"]: Fraction(v["weight"][0], v["weight"][1]) for v in d["vertices"]}
-        return cls(d["k"], vertices, tuple(tuple(e) for e in d["edges"]),
-                   weights, d.get("meta", {}))
+        return cls(d["k"], vertices, d["edges"], weights, d.get("meta", {}))
 
     def to_edge_list(self) -> str:
-        return "".join(" ".join(str(v) for v in e) + "\n" for e in self.edges)
+        return "".join(" ".join(map(str, e)) + "\n" for e in self.edges.tolist())
 
 
 @dataclass
@@ -76,15 +92,16 @@ class IndependentSetResult:
     nodes_expanded: int
 
 
-def _incidence(h: GenericHypergraph) -> tuple[list[int], dict[int, list[int]]]:
-    """The vertices by falling degree, then id, and the edge ids of each
-    vertex; one pass over the edges, O(E·k)."""
+def _incidence(h: GenericHypergraph) -> tuple[list[list[int]], list[int], dict[int, list[int]]]:
+    """The edges as lists, the vertices by falling degree, then id, and the
+    edge ids of each vertex; one pass over the edges, O(E·k)."""
+    edges = h.edges.tolist()
     edges_of: dict[int, list[int]] = {v: [] for v in h.vertices}
-    for ei, e in enumerate(h.edges):
+    for ei, e in enumerate(edges):
         for v in e:
             edges_of[v].append(ei)
     order = sorted(h.vertices, key=lambda v: (-len(edges_of[v]), v))
-    return order, edges_of
+    return edges, order, edges_of
 
 
 def max_independent_set(h: GenericHypergraph, budget: int = DEFAULT_NODE_BUDGET) -> IndependentSetResult:
@@ -95,8 +112,7 @@ def max_independent_set(h: GenericHypergraph, budget: int = DEFAULT_NODE_BUDGET)
     from a packing of vertex-disjoint live edges. Exceeding the
     node-expansion budget degrades the result to best-found.
     """
-    order, edges_of = _incidence(h)
-    edges = h.edges
+    edges, order, edges_of = _incidence(h)
 
     def completes_edge(v: int, chosen: set[int]) -> bool:
         return any(all(u == v or u in chosen for u in edges[ei]) for ei in edges_of[v])
@@ -208,8 +224,7 @@ def almost_two_colorable(h: GenericHypergraph, epsilon, candidate_removal=None,
         return ColoringResult(False, None, 0, 0)
     if candidate_removal is not None:
         allowance = removed_weight
-    order, edges_of = _incidence(h)
-    edges = h.edges
+    edges, order, edges_of = _incidence(h)
     weights = h.weights
     state: dict[int, int] = dict.fromkeys(removal, _REMOVED)
 
@@ -282,7 +297,7 @@ def min_vertex_cover_exhaustive(h: GenericHypergraph) -> tuple[frozenset[int], F
     if n > 20:
         raise ValueError("exhaustive cover scan capped at 20 vertices")
     vpos = {v: i for i, v in enumerate(verts)}
-    edge_masks = [sum(1 << vpos[v] for v in e) for e in h.edges]
+    edge_masks = [sum(1 << vpos[v] for v in e) for e in h.edges.tolist()]
     best_mask = (1 << n) - 1
     best_weight = h.total_weight
     for mask in range(1 << n):

@@ -3,9 +3,16 @@ import functools
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gadgetlab import cli, dto1, games, hadamard, longcode, ternary, verify
 
@@ -362,6 +369,41 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {had}: the stored hypergraph is not the one its config builds\n")
 
+    def test_hadamard_yes_rejects_one_changed_edge(self, tmp_path, capsys):
+        lin = tmp_path / "lin.json"
+        had = tmp_path / "had.json"
+        assert run("gen-3lin", "--n", 9, "--eqs", 9, "--seed", 7, "--out", lin) == 0
+        assert run("build-hadamard", "--instance", lin, "--r", 1, "--triples", 2,
+                   "--seed", 1, "--out", had) == 0
+        bundle = json.loads(had.read_text())
+        edges = bundle["hypergraph"]["edges"]
+        stored = set(map(tuple, edges))
+        vertex_count = len(bundle["hypergraph"]["vertices"])
+        # move the first edge's smallest vertex to one that makes a new edge
+        changed = next(e for w in range(vertex_count) if w not in edges[0]
+                       for e in [sorted([w, *edges[0][1:]])] if tuple(e) not in stored)
+        edges[0] = changed
+        had.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert run("verify", "--input", had, "--mode", "yes") == 1
+        assert capsys.readouterr().err == (
+            f"error: {had}: the stored hypergraph is not the one its config builds\n")
+
+    @pytest.mark.parametrize("edges, message", [
+        ([[0, 1, 2], [0, 1]], "edge [0, 1] does not have exactly 3 vertices"),
+        ([[0, 1, 2, 3]], "edge [0, 1, 2, 3] does not have exactly 3 vertices"),
+        ([[0, 1.5, 2]], "edge [0, 1.5, 2] holds a vertex id that is not an int64 integer"),
+    ])
+    @pytest.mark.parametrize("mode", ["max-is", "two-color", "almost"])
+    def test_verify_malformed_edges_is_one(self, tmp_path, capsys, edges, message, mode):
+        h = verify.GenericHypergraph(3, tuple(range(4)), ((0, 1, 2),)).to_json_dict()
+        h["edges"] = edges
+        bundle = tmp_path / "bad.json"
+        bundle.write_text(json.dumps({"hypergraph": h}))
+        assert run("verify", "--input", bundle, "--mode", mode) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n" and captured.out == ""
+
     def test_hadamard_yes_needs_witness_before_rebuilding(self, tmp_path, capsys, monkeypatch):
         lin = tmp_path / "lin.json"
         had = tmp_path / "had.json"
@@ -463,3 +505,65 @@ class TestReport:
         summary = tmp_path / "summary.json"
         assert run("report", pcp, "--out", summary) == 0
         assert json.loads(summary.read_text())["all_ok"]
+
+
+def test_import_cli_leaves_scipy_integrate_out():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", "import sys, gadgetlab.cli; "
+                          "print('scipy.integrate' in sys.modules)"],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
+
+
+def written_bytes(payload) -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "a.json"
+        cli.write_artifact(path, payload)
+        return path.read_bytes()
+
+
+def stdlib_bytes(payload) -> bytes:
+    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+
+
+# JSON values with int-row lists (edges), near misses, and nesting
+INTS = st.integers(-2**70, 2**70)
+INT_ROWS = st.integers(0, 4).flatmap(
+    lambda k: st.lists(st.lists(INTS, min_size=k, max_size=k), max_size=5))
+NEAR_ROWS = st.lists(st.lists(INTS | st.booleans() | st.floats(allow_nan=False), max_size=3),
+                     max_size=4)
+VALUES = st.recursive(
+    st.none() | st.booleans() | INTS | st.floats(allow_nan=False) | st.text(max_size=4)
+    | INT_ROWS | NEAR_ROWS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=4),
+    max_leaves=20)
+
+
+class TestArtifactWriter:
+    """write_artifact renders int rows itself; its bytes must be the stdlib's."""
+
+    @pytest.mark.parametrize("payload", [
+        {"empty": [], "empty_rows": [[]], "two_empty_rows": [[], []], "dict": {}},
+        {"edges": [[-3, 0, 2**63], [2**70, -2**70, 1]]},
+        {"bools": [[1, True], [0, 0]], "floats": [[1, 2.0], [3, 4]], "all_bools": [[True]]},
+        {"ragged": [[1, 2], [3]], "mixed": [[1, 2], "x"], "nested": [[[1, 2]], [[3, 4]]]},
+        {"z": [[1]], "a": {"m": [[2, 3]], "b": [[4, 5]], "c": [{"r": [[6, 7]]}, [[8]]]}},
+        [[1, 2, 3], [4, 5, 6]],
+        {"hypergraph": verify.GenericHypergraph(
+            3, tuple(range(6)), tuple(itertools.combinations(range(6), 3))).to_json_dict()},
+    ])
+    def test_matches_stdlib(self, payload):
+        assert written_bytes(payload) == stdlib_bytes(payload)
+
+    def test_rows_cross_write_chunks(self, monkeypatch):
+        monkeypatch.setattr(cli, "ROWS_PER_WRITE", 3)
+        for n in range(1, 8):
+            payload = {"a": [[i, -i] for i in range(n)], "b": {"c": [[i] for i in range(n)]}}
+            assert written_bytes(payload) == stdlib_bytes(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(payload=st.dictionaries(st.text(max_size=6), VALUES, max_size=5))
+    def test_matches_stdlib_on_generated_payloads(self, payload):
+        assert written_bytes(payload) == stdlib_bytes(payload)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gadgetlab import games
+from gadgetlab import dto1, games, longcode
 from gadgetlab.games import (Dto1Game, EquationBlock, LayeredPcp, Lin3Instance,
                              PcpConstraint, VariableBlock)
 
@@ -335,3 +335,34 @@ class TestAsRng:
         assert [as_rng(9).random() for _ in range(3)] == [random.Random(9).random()] * 3
         rng = random.Random(4)
         assert as_rng(rng) is rng
+
+
+def reference_export_edges(gadget: games.PcpGadget) -> list[tuple[int, int, int]]:
+    """The set-of-sorted-tuples export: every materialised rule hit plus its
+    constraint's offsets, each sorted, each once, in sorted order."""
+    edges = set()
+    for ci, c in enumerate(gadget.pcp.constraints):
+        ou = gadget.offsets[(c.to_layer, c.u)]
+        ov = gadget.offsets[(c.from_layer, c.v)]
+        for x, y, z in gadget.constraint_edges[ci]:
+            edges.add(tuple(sorted((ou + x, ov + y, ov + z))))
+    return sorted(edges)
+
+
+class TestPcpGadgetExport:
+    @pytest.mark.parametrize("layers, vars_per_layer, sizes, seed", [
+        (2, 2, 3, 7), (2, 1, 2, 0), (3, 2, (2, 3, 2), 4), (2, 3, 2, 9),
+    ])
+    def test_longcode_matches_the_set_reference(self, layers, vars_per_layer, sizes, seed):
+        pcp = games.gen_toy_mlpcp(layers, vars_per_layer, sizes, seed)
+        gadget = longcode.build(pcp, Fraction(1, 10))
+        h = gadget.to_hypergraph()
+        assert [tuple(e) for e in h.edges.tolist()] == reference_export_edges(gadget)
+        assert h.vertices == tuple(range(gadget.vertex_count))
+
+    @pytest.mark.parametrize("u, v, seed", [(1, 3, 1), (2, 3, 5)])
+    def test_dto1_matches_the_set_reference(self, u, v, seed):
+        pcp = games.build_smooth_mlpcp(games.gen_toy_dto1_game(u, v, 1, 2, seed), 2, 1)
+        gadget = dto1.build(pcp, 0.25)
+        h = gadget.to_hypergraph()
+        assert [tuple(e) for e in h.edges.tolist()] == reference_export_edges(gadget)

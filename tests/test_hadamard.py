@@ -65,6 +65,32 @@ class TestBuild:
         with pytest.raises(games.RejectionBudgetError, match="consistent W' in 50 attempts"):
             hadamard.build(inst, r=2, triples=1, distinct_blocks=True, budget=50)
 
+    @pytest.mark.parametrize("triples", [1, 3])
+    def test_one_draw_budget_for_every_triple(self, monkeypatch, triples):
+        # each sample_round call may draw as many W as its budget allows, and
+        # each W that is repeat-free adds one W' draw: the sum is the draws
+        inst = games.Lin3Instance(6, ((0, 1, 2, 1), (3, 4, 5, 0)))
+        allowed = []
+
+        def counted(*args, **kwargs):
+            allowed.append(kwargs["budget"])
+            return games.sample_round(*args, **kwargs)
+
+        monkeypatch.setattr(hadamard, "sample_round", counted)
+        with pytest.raises(games.RejectionBudgetError, match="consistent W' in 50 attempts"):
+            hadamard.build(inst, r=2, triples=triples, distinct_blocks=True, budget=50)
+        assert len(allowed) == 50 and sum(allowed) <= 50
+
+    def test_draw_budget_is_shared_across_triples(self, planted):
+        inst, _ = planted
+        g = hadamard.build(inst, r=1, triples=3, seed=2)
+        # r = 1 draws never repeat a variable and W' is any equation holding
+        # U's variable, so three triples take exactly three draws
+        assert len(g.triples) == 3
+        hadamard.build(inst, r=1, triples=3, seed=2, budget=3)
+        with pytest.raises(games.RejectionBudgetError):
+            hadamard.build(inst, r=1, triples=3, seed=2, budget=2)
+
     def test_deterministic_under_seed(self, planted):
         inst, _ = planted
         a = hadamard.build(inst, r=1, triples=2, seed=7)

@@ -5,6 +5,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -336,6 +337,45 @@ class TestHypergraphType:
     def test_edge_list_format(self):
         h = GenericHypergraph(3, (0, 1, 2, 3), ((0, 1, 2), (1, 2, 3)))
         assert h.to_edge_list() == "0 1 2\n1 2 3\n"
+        assert GenericHypergraph(3, (0, 1, 2), ()).to_edge_list() == ""
+
+    def test_edges_are_one_read_only_int64_array(self):
+        h = GenericHypergraph(3, tuple(range(5)), ((4, 0, 2), (3, 1, 0)))
+        assert h.edges.dtype == np.int64 and h.edges.shape == (2, 3)
+        assert h.edges.tolist() == [[0, 2, 4], [0, 1, 3]]  # rows sorted, order kept
+        with pytest.raises(ValueError):
+            h.edges[0, 0] = 1
+        assert GenericHypergraph(3, (0, 1), ()).edges.shape == (0, 3)
+        assert GenericHypergraph(3, (0, 1, 2), np.array([[2, 1, 0]])).edges.tolist() == [[0, 1, 2]]
+
+    def test_equality_compares_edge_arrays(self):
+        h = GenericHypergraph(3, tuple(range(5)), ((0, 1, 2), (1, 2, 3)))
+        assert h == GenericHypergraph(3, tuple(range(5)), [[2, 1, 0], [3, 2, 1]])
+        assert h != GenericHypergraph(3, tuple(range(5)), ((0, 1, 2), (1, 2, 4)))
+        assert h != GenericHypergraph(3, tuple(range(5)), ((0, 1, 2),))
+        assert h != GenericHypergraph(3, tuple(range(5)), ((0, 1, 2), (1, 2, 3)), {4: 2})
+
+    @pytest.mark.parametrize("edges, message", [
+        ([[0, 1, 2], [0, 1]], "edge [0, 1] does not have exactly 3 vertices"),
+        ([[0, 1]], "edge [0, 1] does not have exactly 3 vertices"),
+        ([[0, 1, 2], [1, 2, 3, 0]], "edge [1, 2, 3, 0] does not have exactly 3 vertices"),
+        ([[0, 1, 2], [0, 1.5, 2]], "edge [0, 1.5, 2] holds a vertex id that is not an int64"),
+        ([[0, 1.0, 2]], "edge [0, 1.0, 2] holds a vertex id that is not an int64"),
+        ([[True, False, True]], "edge [True, False, True] holds a vertex id that is not"),
+        ([[0, "1", 2]], "edge [0, '1', 2] holds a vertex id that is not an int64"),
+        ([[0, 1, 2**63]], f"edge [0, 1, {2**63}] holds a vertex id that is not an int64"),
+        ([[0, 1, 2], [3, 1, 1]], "edge [1, 1, 3] does not have exactly 3 distinct vertices"),
+        ([[0, 1, 2], [0, 1, 9]], "edge [0, 1, 9] mentions an unknown vertex"),
+    ])
+    def test_malformed_edges_name_the_first_offender(self, edges, message):
+        with pytest.raises(ValueError) as err:
+            GenericHypergraph(3, tuple(range(4)), edges)
+        assert str(err.value).startswith(message)
+        d = GenericHypergraph(3, tuple(range(4)), ()).to_json_dict()
+        d["edges"] = edges
+        with pytest.raises(ValueError) as err:
+            GenericHypergraph.from_json_dict(d)
+        assert str(err.value).startswith(message)
 
 
 class TestMaxIndependentSet:
