@@ -193,26 +193,40 @@ def cmd_verify(args) -> int:
     bundle = read_artifact(args.input)
     if "hypergraph" not in bundle:
         raise UsageError(f"{args.input}: the file holds no hypergraph")
-    if args.mode == "yes":
-        sigma = bundle.get("planted_assignment")
-        if sigma is None:
+    h = verify.GenericHypergraph.from_json_dict(bundle["hypergraph"])
+    if args.mode == "yes":  # the planted colouring, checked on the stored edges
+        kind = h.meta.get("kind")
+        gadget_cls = {"longcode": longcode.LongCodeGadget, "dto1": dto1.Dto1Gadget}.get(kind)
+        if kind == "hadamard" and "planted_assignment" in bundle:
+            cfg = bundle["config"]
+            inst = games.Lin3Instance.from_json_dict(bundle["instance"])
+            gadget = hadamard.build(inst, cfg["r"], triples=cfg["triples"],
+                                    seed=derive_seed(cfg["seed"], "build-hadamard"),
+                                    distinct_blocks=cfg.get("distinct_blocks", False))
+            if gadget.to_hypergraph() != h:
+                raise UsageError(f"{args.input}: the stored hypergraph is not the one its config builds")
+            result = hadamard.yes_coloring(gadget, bundle["planted_assignment"])
+            removed, surviving, violations = result.removed, result.surviving_edges, len(result.violations)
+        elif gadget_cls and bundle.get("pcp", {}).get("planted_labeling"):
+            pcp = games.LayeredPcp.from_json_dict(bundle["pcp"])
+            colors = games.dictator_colors(pcp, gadget_cls.base, pcp.planted_labeling)
+            if h.vertices != tuple(range(len(colors))):
+                raise UsageError(f"{args.input}: the stored hypergraph does not fit its PCP's codes")
+            mask = colors == gadget_cls.removed_digit
+            kept, violating = verify.check_coloring(h.edges, colors, mask)
+            removed = np.flatnonzero(mask).tolist()
+            surviving, violations = int(kept.sum()), int(violating.sum())
+        else:
             raise UsageError("verify --mode yes needs a bundle with a planted assignment")
-        cfg = bundle["config"]
-        inst = games.Lin3Instance.from_json_dict(bundle["instance"])
-        gadget = hadamard.build(inst, cfg["r"], triples=cfg["triples"],
-                                seed=derive_seed(cfg["seed"], "build-hadamard"),
-                                distinct_blocks=cfg.get("distinct_blocks", False))
-        if gadget.to_hypergraph() != verify.GenericHypergraph.from_json_dict(bundle["hypergraph"]):
-            raise UsageError(f"{args.input}: the stored hypergraph is not the one its config builds")
-        result = hadamard.yes_coloring(gadget, sigma)
-        report = {"removed": len(result.removed), "violations": len(result.violations),
-                  "surviving_edges": result.surviving_edges, "ok": result.ok}
+        report = {"removed": len(removed), "violations": violations,
+                  "surviving_edges": surviving, "ok": violations == 0}
         if args.out:
             write_artifact(args.out, {"config": _config_dict(args), "yes_certificate": report})
         print(f"yes-case certificate: removed={report['removed']} "
               f"violations={report['violations']} ok={report['ok']}")
-        return EXIT_OK if result.ok and not result.removed else EXIT_CERT
-    h = verify.GenericHypergraph.from_json_dict(bundle["hypergraph"])
+        eps = Fraction(bundle["config"].get("epsilon", 0))  # only the long code removes: its * class
+        within = not removed or h.weight_of(removed) <= eps * h.total_weight
+        return EXIT_OK if report["ok"] and within else EXIT_CERT
     if args.mode == "max-is":
         res = verify.max_independent_set(h, budget=args.budget)
         report = {"weight": [res.weight.numerator, res.weight.denominator],

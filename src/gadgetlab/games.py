@@ -18,7 +18,7 @@ import numpy as np
 
 from .gf2 import Gf2Subspace, Gf2Vector
 from .seeding import as_rng, derive_rng
-from .verify import GenericHypergraph
+from .verify import GenericHypergraph, check_coloring
 
 LABEL_TUPLE_CAP = 10**6
 
@@ -495,6 +495,25 @@ def check_labeling(pcp: LayeredPcp, sigma) -> list[list[int]]:
     return sigma
 
 
+def dictator_colors(pcp: LayeredPcp, base: int, sigma, ids: np.ndarray | None = None) -> np.ndarray:
+    """The colouring a satisfying labeling dictates: each point's digit at
+    its variable's label sigma[l][v], as int8, for the vertex ids of the
+    code_layout given (by default every vertex, in id order)."""
+    sigma = check_labeling(pcp, sigma)
+    offsets, total = code_layout(pcp, base)
+    firsts = np.array(list(offsets.values()), dtype=np.int64)
+    steps = np.array([base ** sigma[l][v] for l, v in offsets], dtype=np.int64)
+    ids = np.arange(total) if ids is None else ids
+    var = np.searchsorted(firsts, ids, side="right") - 1
+    return ((ids - firsts[var]) // steps[var] % base).astype(np.int8)
+
+
+def int_rows(rows, k: int) -> np.ndarray:
+    """A list of rows of k ints as an (n, k) int64 array."""
+    return np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
+                       count=len(rows) * k).reshape(len(rows), k)
+
+
 def heavy_layer_pair(pcp: LayeredPcp, measures: dict[tuple[int, int], float],
                      threshold: float) -> tuple[dict[int, list[int]], dict[int, set[int]], dict]:
     """Heavy variables (measure >= threshold/2) per layer, the layers where
@@ -555,7 +574,8 @@ class PcpGadget:
     constraint by the gadget's local rule on (x, y, z): x a point of u, y and
     z points of v. A constraint's rule hits are materialised as edges and
     pairs, or None when only the rule is kept ("rule" or "mixed" mode).
-    Points whose dictator digit is removed_digit leave the YES colouring."""
+    Points whose dictator digit is removed_digit leave the YES colouring;
+    None matches no digit, so no point leaves."""
 
     base: ClassVar[int]
     removed_digit: ClassVar[int | None]
@@ -574,17 +594,50 @@ class PcpGadget:
     def vertex_id(self, layer: int, var: int, point: int) -> int:
         return self.offsets[(layer, var)] + point
 
-    def constraint_triples(self, ci: int) -> list[tuple[int, int, int]] | None:
-        """Every rule hit of constraint ci, its edges then its pairs as
-        (x, y, y); None when the constraint is not materialised."""
-        edges = self.constraint_edges[ci]
-        if edges is None:
-            return None
-        return edges + [(x, y, y) for x, y in self.constraint_pairs[ci]]
-
     def sample_hits(self, ci: int, rng: random.Random, samples: int):
         """samples random rule hits (x, y, z) of constraint ci."""
         raise NotImplementedError
+
+    def point_weights(self, weight) -> list:
+        """weight(layer, var, point) of every vertex, in vertex id order."""
+        return [weight(l, v, pt) for l, v in self.offsets
+                for pt in range(self.base ** self.pcp.label_sizes[l])]
+
+    def hit_offsets(self) -> np.ndarray:
+        """Per constraint, the first vertex id of the codes its x, y and z
+        points lie in: (offset of u, offset of v, offset of v)."""
+        return np.array([[self.offsets[(c.to_layer, c.u)]] + [self.offsets[(c.from_layer, c.v)]] * 2
+                         for c in self.pcp.constraints], dtype=np.int64).reshape(-1, 3)
+
+    def hit_rows(self, samples: int = 0, seed: int = 0) -> tuple[np.ndarray, list[int]]:
+        """Every constraint's rule hits as one (H, 3) int64 array of vertex
+        ids, in constraint order, and the first row of each constraint (then
+        H). A materialised constraint gives its edges, then its pairs as
+        (x, y, y); a rule-only one gives samples draws from its own seeded
+        stream, none unless samples are asked for."""
+        counts = [samples if edges is None else len(edges) + len(pairs)
+                  for edges, pairs in zip(self.constraint_edges, self.constraint_pairs)]
+        starts = [0, *itertools.accumulate(counts)]
+        rows = np.empty((starts[-1], 3), dtype=np.int64)
+        tables = zip(self.constraint_edges, self.constraint_pairs, self.hit_offsets())
+        for ci, (edges, pairs, offset) in enumerate(tables):
+            block = rows[starts[ci]:starts[ci + 1]]
+            if edges is None:
+                hits = list(self.sample_hits(ci, derive_rng(seed, "yes-check", ci), samples))
+                block[:] = int_rows(hits, 3)
+            else:
+                block[:len(edges)] = int_rows(edges, 3)
+                block[len(edges):] = int_rows(pairs, 2)[:, [0, 1, 1]]
+            block += offset
+        return rows, starts
+
+    def local_hits(self, rows: np.ndarray, starts: list[int],
+                   index: np.ndarray) -> list[tuple[int, int, int, int]]:
+        """The hit rows at index as (ci, x, y, z): the constraint and the
+        points within their codes."""
+        ci = np.searchsorted(starts, index, side="right") - 1
+        local = rows[index] - self.hit_offsets()[ci]
+        return [(c, *hit) for c, hit in zip(ci.tolist(), local.tolist())]
 
     def dictator_check(self, sigma, samples: int = 2000, seed: int = 0) -> RuleCheck:
         """The YES certificate of both label-cover reductions: colour every
@@ -592,50 +645,34 @@ class PcpGadget:
         with a point on removed_digit is dropped with that colour class; no
         other hit may be monochromatic. Materialised constraints are walked
         whole; the others get samples draws of their own seeded stream."""
-        pcp = self.pcp
-        sigma = check_labeling(pcp, sigma)
-        base, removed = self.base, self.removed_digit
-        violations: list[tuple[int, int, int, int]] = []
-        checked = surviving = sampled = 0
-        for ci, c in enumerate(pcp.constraints):
-            hits = self.constraint_triples(ci)
-            if hits is None:
-                sampled += 1
-                hits = self.sample_hits(ci, derive_rng(seed, "yes-check", ci), samples)
-            sx = base ** sigma[c.to_layer][c.u]
-            sy = base ** sigma[c.from_layer][c.v]
-            for x, y, z in hits:
-                checked += 1
-                cx, cy, cz = x // sx % base, y // sy % base, z // sy % base
-                if removed in (cx, cy, cz):
-                    continue
-                surviving += 1
-                if cx == cy == cz:
-                    violations.append((ci, x, y, z))
+        rows, starts = self.hit_rows(samples, seed)
+        ids, edges = None, rows
+        if self.mode != "enumerate":  # rule-only codes may be too large to colour whole
+            ids, edges = np.unique(rows, return_inverse=True)
+            edges = edges.reshape(rows.shape)
+        colors = dictator_colors(self.pcp, self.base, sigma, ids)
+        surviving, violating = check_coloring(edges, colors, colors == self.removed_digit)
+        sampled = sum(table is None for table in self.constraint_edges)
         coverage = ("exhaustive" if sampled == 0
                     else f"sampled:{samples} per constraint on {sampled} constraints")
-        return RuleCheck(violations, checked, surviving, coverage)
+        return RuleCheck(self.local_hits(rows, starts, np.flatnonzero(violating)), len(rows),
+                         int(surviving.sum()), coverage)
 
     def _export(self, weight, meta: dict) -> GenericHypergraph:
         """The 3-uniform hypergraph of the materialised edges, with
         weight(layer, var, point) per vertex; meta gains dropped_degenerate."""
         if self.mode != "enumerate":
             raise ValueError("export requires enumerate mode")
-        weights = {off + pt: weight(l, v, pt) for (l, v), off in self.offsets.items()
-                   for pt in range(self.base ** self.pcp.label_sizes[l])}
-        ends = [0, *itertools.accumulate(map(len, self.constraint_edges))]
-        flat = itertools.chain.from_iterable(itertools.chain.from_iterable(self.constraint_edges))
-        edges = np.fromiter(flat, dtype=np.int64, count=3 * ends[-1]).reshape(-1, 3)
-        for c, start, end in zip(self.pcp.constraints, ends, ends[1:]):
-            edges[start:end, 0] += self.offsets[(c.to_layer, c.u)]
-            edges[start:end, 1:] += self.offsets[(c.from_layer, c.v)]
+        edges, _ = self.hit_rows()
+        edges = edges[edges[:, 1] != edges[:, 2]]  # the (x, y, y) pairs are no 3-edges
         # sorted({tuple(sorted(e)) for e in edges}) by array operations
         edges.sort(axis=1)
         edges = edges[np.lexsort(edges.T[::-1])]
         keep = np.ones(len(edges), dtype=bool)
         keep[1:] = (edges[1:] != edges[:-1]).any(axis=1)
         meta["dropped_degenerate"] = self.dropped_degenerate
-        return GenericHypergraph(3, tuple(range(self.vertex_count)), edges[keep], weights, meta)
+        return GenericHypergraph(3, tuple(range(self.vertex_count)), edges[keep],
+                                 dict(enumerate(self.point_weights(weight))), meta)
 
 
 # ---------------------------------------------------------------------------

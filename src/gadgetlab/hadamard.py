@@ -13,10 +13,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+
 from . import gf2
 from .games import (BlockGeometry, EquationBlock, Lin3Instance, RejectionBudgetError,
-                    VariableBlock, block_geometry, repeat_free, sample_round)
-from .verify import GenericHypergraph
+                    VariableBlock, block_geometry, int_rows, repeat_free, sample_round)
+from .verify import GenericHypergraph, check_coloring
 
 MAX_R = 2
 
@@ -186,30 +188,24 @@ def yes_coloring(g: HadamardGadget, sigma) -> YesColoringResult:
     sigma = list(sigma)
     if len(sigma) != g.source.n:
         raise ValueError("assignment must cover all instance variables")
-    colors: dict[int, int] = {}
-    removed: set[int] = set()
+    colors = np.zeros(g.vertex_count, dtype=np.int8)
+    removed = np.zeros(g.vertex_count, dtype=bool)
     for gb in g.blocks:
-        block_ok = all(
-            sigma[gb.block.var_order[3 * t]] ^ sigma[gb.block.var_order[3 * t + 1]]
-            ^ sigma[gb.block.var_order[3 * t + 2]] == gb.block.rhs[t]
-            for t in range(g.r)
-        )
-        if block_ok:
-            code = 0
-            for pos, var in enumerate(gb.block.var_order):
-                code |= sigma[var] << pos
-            code |= 1 << (3 * g.r)
-            for t, rep in enumerate(gb.reps):
-                colors[gb.vertex_base + t] = gf2.dot_bits(code, rep)
+        span = slice(gb.vertex_base, gb.vertex_base + len(gb.reps))
+        code = 1 << (3 * g.r)
+        for pos, var in enumerate(gb.block.var_order):
+            code |= sigma[var] << pos
+        if any(gf2.dot_bits(code, h.bits) for h in gb.geometry.h):  # an equation fails
+            removed[span] = True
         else:
-            removed.update(range(gb.vertex_base, gb.vertex_base + len(gb.reps)))
+            colors[span] = [gf2.dot_bits(code, rep) for rep in gb.reps]
 
-    edges = g.all_edges()
-    surviving = [e for e in edges if not any(v in removed for v in e)]
-    violations = [e for e in surviving
-                  if colors[e[0]] ^ colors[e[1]] ^ colors[e[2]] ^ colors[e[3]] != 1]
-    return YesColoringResult(colors, frozenset(removed), len(edges), len(surviving),
-                             violations)
+    edges = int_rows(g.all_edges(), 4)
+    surviving, violating = check_coloring(edges, colors, removed, parity=True)
+    kept = np.flatnonzero(~removed).tolist()
+    return YesColoringResult(dict(zip(kept, colors[kept].tolist())),
+                             frozenset(np.flatnonzero(removed).tolist()), len(edges),
+                             int(surviving.sum()), list(map(tuple, edges[violating].tolist())))
 
 
 @dataclass
@@ -242,23 +238,19 @@ class StrategyReport:
     spectrum_wp: gf2.FourierSpectrum
 
 
-def _indicator_table(g: HadamardGadget, gb: GadgetBlock, indicator: set[int]) -> gf2.RealTable:
-    folded = {
-        rep: 1.0 if gb.vertex_base + t in indicator else 0.0
-        for t, rep in enumerate(gb.reps)
-    }
-    return gf2.unfold(gf2.FoldedTable(gb.geometry.subspace, folded))
+def _indicator_table(gb: GadgetBlock, members: np.ndarray) -> gf2.RealTable:
+    folded = members[gb.vertex_base:gb.vertex_base + len(gb.reps)].astype(np.float64).tolist()
+    return gf2.unfold(gf2.FoldedTable(gb.geometry.subspace, dict(zip(gb.reps, folded))))
 
 
 def extract_strategies(g: HadamardGadget, indicator, triple_index: int) -> StrategyReport:
     """Spectra of the unfolded block indicators, the two prover
     strategies, and both sides of the quadratic-form inequality."""
     indicator = set(indicator)
+    members = np.fromiter((v in indicator for v in range(g.vertex_count)), dtype=bool)
     triple = g.triples[triple_index]
-    bw = g.blocks[triple.w_index]
-    bwp = g.blocks[triple.wp_index]
-    table_a = _indicator_table(g, bw, indicator)
-    table_b = _indicator_table(g, bwp, indicator)
+    table_a = _indicator_table(g.blocks[triple.w_index], members)
+    table_b = _indicator_table(g.blocks[triple.wp_index], members)
     spec_a = gf2.fourier_transform(table_a)
     spec_b = gf2.fourier_transform(table_b)
     hw = triple.geom_w.h_w.bits
@@ -283,11 +275,7 @@ def extract_strategies(g: HadamardGadget, indicator, triple_index: int) -> Strat
         lhs += mass * by_proj.get(triple.geom_w.project_bits(a), 0.0)
     rhs = float(spec_a.coeffs[0] ** 2 * spec_b.coeffs[0] ** 2) - 2.0 ** (-g.r)
 
-    independent = True
-    for edge in g.edges_per_triple[triple_index]:
-        if all(v in indicator for v in edge):
-            independent = False
-            break
+    independent = not members[int_rows(g.edges_per_triple[triple_index], 4)].all(axis=1).any()
     return StrategyReport(prover2, prover1, lhs, rhs, lhs >= rhs - 1e-10,
                           independent, spec_a, spec_b)
 

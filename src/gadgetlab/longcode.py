@@ -7,6 +7,7 @@ triple is (1,1,1) or (2,2,2).
 """
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -14,8 +15,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import ternary
-from .games import (LayeredPcp, PcpGadget, code_layout, heavy_layer_pair, satisfied_fractions,
-                    split_degenerate)
+from .games import (LayeredPcp, PcpGadget, code_layout, dictator_colors, heavy_layer_pair,
+                    satisfied_fractions, split_degenerate)
 from .seeding import derive_rng
 from .ternary import TernaryFamily, WitnessPair, two_element_witness
 from .verify import GenericHypergraph
@@ -51,14 +52,6 @@ def _constraint_triples(proj: tuple[int, ...], r_big: int, r_small: int):
     return triples
 
 
-def _edge_allowed(proj: tuple[int, ...], x_digits, y_digits, z_digits) -> bool:
-    for j, i in enumerate(proj):
-        t = (x_digits[i], y_digits[j], z_digits[j])
-        if t == (1, 1, 1) or t == (2, 2, 2):
-            return False
-    return True
-
-
 @dataclass
 class LongCodeGadget(PcpGadget):
     base = 3
@@ -70,14 +63,6 @@ class LongCodeGadget(PcpGadget):
     def p(self) -> Fraction:
         return 1 - self.epsilon
 
-    def vertex_info(self, vid: int) -> tuple[int, int, int]:
-        best = None
-        for (layer, var), off in self.offsets.items():
-            if off <= vid and (best is None or off > best[2]):
-                best = (layer, var, off)
-        layer, var, off = best
-        return layer, var, vid - off
-
     def vertex_weight(self, layer: int, var: int, point: int) -> Fraction:
         p = self.p
         digits = ternary.point_digits(point, self.pcp.label_sizes[layer])
@@ -87,19 +72,15 @@ class LongCodeGadget(PcpGadget):
         return w / (self.pcp.layers * self.pcp.var_counts[layer])
 
     def edge_exists(self, ci: int, x: int, y: int, z: int) -> bool:
-        """Rule test for distinct-point triples; y == z rule hits are pair
-        constraints, not 3-uniform edges."""
+        """Whether (x, y, z) is a rule hit of constraint ci: no matched
+        coordinate triple is (1, 1, 1) or (2, 2, 2). A y == z hit is a pair
+        constraint, not a 3-uniform edge."""
         c = self.pcp.constraints[ci]
         xd = ternary.point_digits(x, self.pcp.label_sizes[c.to_layer])
         yd = ternary.point_digits(y, self.pcp.label_sizes[c.from_layer])
         zd = ternary.point_digits(z, self.pcp.label_sizes[c.from_layer])
-        return y != z and _edge_allowed(c.projection, xd, yd, zd)
-
-    def pair_exists(self, ci: int, x: int, y: int) -> bool:
-        c = self.pcp.constraints[ci]
-        xd = ternary.point_digits(x, self.pcp.label_sizes[c.to_layer])
-        yd = ternary.point_digits(y, self.pcp.label_sizes[c.from_layer])
-        return _edge_allowed(c.projection, xd, yd, yd)
+        return all((xd[i], yd[j], zd[j]) not in ((1, 1, 1), (2, 2, 2))
+                   for j, i in enumerate(c.projection))
 
     def sample_hits(self, ci: int, rng: random.Random, samples: int):
         """A uniform x, then a uniform allowed digit pair per coordinate."""
@@ -166,13 +147,10 @@ def yes_partition(g: LongCodeGadget, sigma, samples: int = 2000,
     class 1 or class 2.
     """
     res = g.dictator_check(sigma, samples, seed)
-    class_of: dict[int, int] = {}
+    class_of = dict(enumerate(dictator_colors(g.pcp, g.base, sigma).tolist()))
     weights = [Fraction(0)] * 3
-    for (l, v), off in g.offsets.items():
-        step = 3 ** sigma[l][v]
-        for pt in range(3 ** g.pcp.label_sizes[l]):
-            digit = class_of[off + pt] = pt // step % 3
-            weights[digit] += g.vertex_weight(l, v, pt)
+    for digit, w in zip(class_of.values(), g.point_weights(g.vertex_weight)):
+        weights[digit] += w
     return PartitionResult(
         class_of, (weights[ternary.ONE], weights[ternary.TWO], weights[ternary.STAR]),
         res.violations, res.checked, res.surviving, res.coverage)
@@ -192,45 +170,32 @@ class DecodeOutcome:
 
 
 def _indicator_families(g: LongCodeGadget, indicator: set[int]) -> dict[tuple[int, int], TernaryFamily]:
-    fams = {}
-    p_float = float(g.p)
-    for (l, v), off in g.offsets.items():
-        size = 3 ** g.pcp.label_sizes[l]
-        mem = np.zeros(size, dtype=bool)
-        for pt in range(size):
-            if off + pt in indicator:
-                mem[pt] = True
-        fams[(l, v)] = TernaryFamily(g.pcp.label_sizes[l], mem, p_float)
-    return fams
+    members = np.isin(np.arange(g.vertex_count), list(indicator))
+    return {(l, v): TernaryFamily(g.pcp.label_sizes[l], members[off:off + 3 ** g.pcp.label_sizes[l]],
+                                  float(g.p))
+            for (l, v), off in g.offsets.items()}
 
 
 def check_independent(g: LongCodeGadget, families: dict[tuple[int, int], TernaryFamily],
                       samples: int = 5000, seed: int = 0) -> tuple[int, int, int] | None:
     """First edge inside the indicator, or None. Exhaustive in enumerate
     mode, sampled otherwise."""
-    pcp = g.pcp
     if g.mode == "enumerate":
-        for ci, c in enumerate(pcp.constraints):
-            fu = families[(c.to_layer, c.u)]
-            fv = families[(c.from_layer, c.v)]
-            for x, y, z in g.constraint_triples(ci):
-                if fu.membership[x] and fv.membership[y] and fv.membership[z]:
-                    return (ci, x, y, z)
-        return None
+        members = np.concatenate([families[key].membership for key in g.offsets])
+        rows, starts = g.hit_rows()
+        inside = g.local_hits(rows, starts, np.flatnonzero(members[rows].all(axis=1))[:1])
+        return inside[0] if inside else None
     rng = random.Random(seed)
-    for ci, c in enumerate(pcp.constraints):
-        fu = families[(c.to_layer, c.u)]
-        fv = families[(c.from_layer, c.v)]
-        xs = [x for x in range(3 ** pcp.label_sizes[c.to_layer]) if fu.membership[x]]
-        ys = [y for y in range(3 ** pcp.label_sizes[c.from_layer]) if fv.membership[y]]
+    for ci, c in enumerate(g.pcp.constraints):
+        xs = np.flatnonzero(families[(c.to_layer, c.u)].membership).tolist()
+        ys = np.flatnonzero(families[(c.from_layer, c.v)].membership).tolist()
         if not xs or not ys:
             continue
         for _ in range(samples):
             x, y, z = rng.choice(xs), rng.choice(ys), rng.choice(ys)
-            if g.edge_exists(ci, x, y, z):
-                return (ci, x, y, z)
-            if g.pair_exists(ci, x, y):
-                return (ci, x, y, y)
+            for hit in ((x, y, z), (x, y, y)):
+                if g.edge_exists(ci, *hit):
+                    return (ci, *hit)
     return None
 
 
@@ -241,10 +206,8 @@ def decode(g: LongCodeGadget, indicator, delta: float, seed: int = 0) -> DecodeO
     plurality."""
     pcp = g.pcp
     indicator = set(indicator)
-    weight = Fraction(0)
-    for vid in indicator:
-        l, v, pt = g.vertex_info(vid)
-        weight += g.vertex_weight(l, v, pt)
+    members = np.isin(np.arange(g.vertex_count), list(indicator))
+    weight = sum(itertools.compress(g.point_weights(g.vertex_weight), members), Fraction(0))
     if weight < Fraction(delta).limit_denominator(10**9):
         raise ValueError(f"indicator weight {weight} is below delta={delta}")
     families = {key: ternary.monotone_closure(f)

@@ -3,6 +3,7 @@ and almost-2-coloring, over vertex weights kept as exact rationals. Each
 search takes a node budget and says when it ran out."""
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -29,7 +30,9 @@ class GenericHypergraph:
             edges = np.asarray(self.edges)
         except ValueError:  # ragged rows
             edges = np.empty(0)
-        if not (edges.dtype.kind == "i" and edges.ndim == 2 and edges.shape[1] == self.k):
+        if not (edges.dtype.kind == "i" and edges.ndim == 2 and edges.shape[1] == self.k) or (
+                not isinstance(self.edges, np.ndarray)  # an int64 cast reads True as 1
+                and {bool, np.bool_} & set(map(type, itertools.chain.from_iterable(self.edges)))):
             for e in self.edges:  # name the first ragged, wrong-arity or non-integer edge
                 if not isinstance(e, (list, tuple, np.ndarray)) or len(e) != self.k:
                     raise ValueError(f"edge {e} does not have exactly {self.k} vertices")
@@ -82,6 +85,17 @@ class GenericHypergraph:
 
     def to_edge_list(self) -> str:
         return "".join(" ".join(map(str, e)) + "\n" for e in self.edges.tolist())
+
+
+def check_coloring(edges: np.ndarray, colors: np.ndarray, removed: np.ndarray,
+                   parity: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Masks over the rows of an (E, k) edge array: the rows with no vertex
+    in the removed mask, and those of them the colours violate: monochromatic
+    rows, or with parity (the Hadamard rule) rows of even colour sum."""
+    gathered = colors[edges]
+    surviving = ~removed[edges].any(axis=1)
+    violated = gathered.sum(axis=1) % 2 == 0 if parity else (gathered == gathered[:, :1]).all(axis=1)
+    return surviving, surviving & violated
 
 
 @dataclass

@@ -166,6 +166,23 @@ def planted_longcode_bundle(tmp_path):
     return lc, ind
 
 
+def label_cover_bundle(tmp_path, kind: str, *flags):
+    """The README's long-code or d-to-1 gadget bundle (flags go to the PCP
+    or game generator), its code base and its removed digit."""
+    pcp, out = tmp_path / "pcp.json", tmp_path / f"{kind}.json"
+    if kind == "longcode":
+        assert run("build-mlpcp", "--layers", 2, "--vars-per-layer", 2, "--label-sizes", "3,3",
+                   "--seed", 3, *flags, "--out", pcp) == 0
+        assert run("build-longcode", "--pcp", pcp, "--epsilon", "1/10", "--out", out) == 0
+        return out, 3, ternary.STAR
+    game = tmp_path / "game.json"
+    assert run("gen-game", "--u", 2, "--v", 3, "--k", 1, "--d", 2, "--seed", 5, *flags,
+               "--out", game) == 0
+    assert run("build-mlpcp", "--game", game, "--layers", 2, "--smooth-t", 1, "--out", pcp) == 0
+    assert run("build-dto1", "--pcp", pcp, "--delta", "0.25", "--out", out) == 0
+    return out, 2, None
+
+
 def dto1_bundle(tmp_path, value: float):
     """A one-constraint smooth PCP and constant indicators of the given value."""
     pcp = games.LayeredPcp(2, (1, 1), (4, 2),
@@ -393,6 +410,7 @@ class TestExitCodes:
         ([[0, 1, 2], [0, 1]], "edge [0, 1] does not have exactly 3 vertices"),
         ([[0, 1, 2, 3]], "edge [0, 1, 2, 3] does not have exactly 3 vertices"),
         ([[0, 1.5, 2]], "edge [0, 1.5, 2] holds a vertex id that is not an int64 integer"),
+        ([[0, True, 2]], "edge [0, True, 2] holds a vertex id that is not an int64 integer"),
     ])
     @pytest.mark.parametrize("mode", ["max-is", "two-color", "almost"])
     def test_verify_malformed_edges_is_one(self, tmp_path, capsys, edges, message, mode):
@@ -418,6 +436,45 @@ class TestExitCodes:
         capsys.readouterr()
         assert run("verify", "--input", had, "--mode", "yes") == 1
         assert capsys.readouterr().err == (
+            "error: verify --mode yes needs a bundle with a planted assignment\n")
+
+    @pytest.mark.parametrize("kind", ["longcode", "dto1"])
+    def test_label_cover_yes_checks_the_stored_edges(self, tmp_path, capsys, monkeypatch, kind):
+        bundle, base, removed_digit = label_cover_bundle(tmp_path, kind)
+        payload = json.loads(bundle.read_text())
+        pcp = games.LayeredPcp.from_json_dict(payload["pcp"])
+        sigma = pcp.planted_labeling
+        colors = [pt // base ** sigma[l][v] % base for l in range(pcp.layers)
+                  for v in range(pcp.var_counts[l]) for pt in range(base ** pcp.label_sizes[l])]
+        removed = colors.count(removed_digit)
+        monkeypatch.setattr(longcode, "build", None)  # the gadget is not rebuilt
+        monkeypatch.setattr(dto1, "build", None)
+        capsys.readouterr()
+        out = tmp_path / "yes.json"
+        assert run("verify", "--input", bundle, "--mode", "yes", "--out", out) == 0
+        assert capsys.readouterr().out == (
+            f"yes-case certificate: removed={removed} violations=0 ok=True\n")
+        first = out.read_bytes()
+        assert run("verify", "--input", bundle, "--mode", "yes", "--out", out) == 0
+        assert out.read_bytes() == first
+        report = json.loads(first)["yes_certificate"]
+        assert report["ok"] and report["removed"] == removed
+        # one stored edge made monochromatic under the planted colouring
+        edges = payload["hypergraph"]["edges"]
+        edges[0] = [v for v, c in enumerate(colors) if c == 1][:3]
+        bundle.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("verify", "--input", bundle, "--mode", "yes") == 2
+        assert capsys.readouterr().out == (
+            f"yes-case certificate: removed={removed} violations=1 ok=False\n")
+
+    @pytest.mark.parametrize("kind", ["longcode", "dto1"])
+    def test_label_cover_yes_needs_a_planted_pcp(self, tmp_path, capsys, kind):
+        bundle, _, _ = label_cover_bundle(tmp_path, kind, "--random")
+        capsys.readouterr()
+        assert run("verify", "--input", bundle, "--mode", "yes") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
             "error: verify --mode yes needs a bundle with a planted assignment\n")
 
     def test_dto1_decode_has_no_smooth_t_flag(self, tmp_path, capsys):

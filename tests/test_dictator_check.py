@@ -51,7 +51,7 @@ def yes_partition_reference(g: longcode.LongCodeGadget, sigma, samples: int = 20
 
     if g.mode == "enumerate":
         for ci, c in enumerate(pcp.constraints):
-            for x, y, z in g.constraint_triples(ci):
+            for x, y, z in g.constraint_edges[ci] + [(x, y, y) for x, y in g.constraint_pairs[ci]]:
                 check_edge(ci, c, x, y, z)
         coverage = "exhaustive"
     else:
@@ -100,9 +100,9 @@ def yes_check_reference(g: dto1.Dto1Gadget, sigma, samples: int = 2000,
 
     sampled = 0
     for ci, c in enumerate(pcp.constraints):
-        triples = g.constraint_triples(ci)
-        if triples is not None:
-            for x, y, z in triples:
+        edges, pairs = g.constraint_edges[ci], g.constraint_pairs[ci]
+        if edges is not None:
+            for x, y, z in edges + [(x, y, y) for x, y in pairs]:
                 check(ci, c, x, y, z)
             continue
         sampled += 1
