@@ -296,8 +296,7 @@ def cmd_decode(args) -> int:
     indicator_data = read_artifact(args.indicator)
     if args.kind == "longcode":
         gadget = longcode.build(pcp, Fraction(bundle["config"]["epsilon"]))
-        vertex_ids = set(indicator_data["vertices"])
-        outcome = longcode.decode(gadget, vertex_ids, args.delta,
+        outcome = longcode.decode(gadget, indicator_data["vertices"], args.delta,
                                   seed=derive_seed(args.seed, "decode"))
         report = {
             "labels_v": {f"{k[0]},{k[1]}": v for k, v in outcome.rho.items()},

@@ -603,55 +603,53 @@ class PcpGadget:
         return [weight(l, v, pt) for l, v in self.offsets
                 for pt in range(self.base ** self.pcp.label_sizes[l])]
 
-    def hit_offsets(self) -> np.ndarray:
-        """Per constraint, the first vertex id of the codes its x, y and z
-        points lie in: (offset of u, offset of v, offset of v)."""
-        return np.array([[self.offsets[(c.to_layer, c.u)]] + [self.offsets[(c.from_layer, c.v)]] * 2
-                         for c in self.pcp.constraints], dtype=np.int64).reshape(-1, 3)
-
-    def hit_rows(self, samples: int = 0, seed: int = 0) -> tuple[np.ndarray, list[int]]:
+    def hit_rows(self, samples: int = 0, seed: int = 0,
+                 pairs: bool = True) -> tuple[np.ndarray, list[int]]:
         """Every constraint's rule hits as one (H, 3) int64 array of vertex
         ids, in constraint order, and the first row of each constraint (then
-        H). A materialised constraint gives its edges, then its pairs as
-        (x, y, y); a rule-only one gives samples draws from its own seeded
-        stream, none unless samples are asked for."""
-        counts = [samples if edges is None else len(edges) + len(pairs)
-                  for edges, pairs in zip(self.constraint_edges, self.constraint_pairs)]
+        H). A materialised constraint gives its edges, then (unless pairs is
+        False) its pairs as (x, y, y); a rule-only one gives samples draws
+        from its own seeded stream, none unless samples are asked for."""
+        counts = [samples if edges is None else len(edges) + pairs * len(pair_table)
+                  for edges, pair_table in zip(self.constraint_edges, self.constraint_pairs)]
         starts = [0, *itertools.accumulate(counts)]
         rows = np.empty((starts[-1], 3), dtype=np.int64)
-        tables = zip(self.constraint_edges, self.constraint_pairs, self.hit_offsets())
-        for ci, (edges, pairs, offset) in enumerate(tables):
+        tables = zip(self.pcp.constraints, self.constraint_edges, self.constraint_pairs)
+        for ci, (c, edges, pair_table) in enumerate(tables):
             block = rows[starts[ci]:starts[ci + 1]]
             if edges is None:
                 hits = list(self.sample_hits(ci, derive_rng(seed, "yes-check", ci), samples))
                 block[:] = int_rows(hits, 3)
             else:
                 block[:len(edges)] = int_rows(edges, 3)
-                block[len(edges):] = int_rows(pairs, 2)[:, [0, 1, 1]]
-            block += offset
+                if pairs:
+                    block[len(edges):] = int_rows(pair_table, 2)[:, [0, 1, 1]]
+            block[:, 0] += self.offsets[(c.to_layer, c.u)]  # x is a point of u, y and z of v
+            block[:, 1:] += self.offsets[(c.from_layer, c.v)]
         return rows, starts
 
     def local_hits(self, rows: np.ndarray, starts: list[int],
                    index: np.ndarray) -> list[tuple[int, int, int, int]]:
         """The hit rows at index as (ci, x, y, z): the constraint and the
         points within their codes."""
+        firsts = np.fromiter(self.offsets.values(), dtype=np.int64)
+        hits = rows[index]
+        local = hits - firsts[np.searchsorted(firsts, hits, side="right") - 1]
         ci = np.searchsorted(starts, index, side="right") - 1
-        local = rows[index] - self.hit_offsets()[ci]
         return [(c, *hit) for c, hit in zip(ci.tolist(), local.tolist())]
 
     def dictator_check(self, sigma, samples: int = 2000, seed: int = 0) -> RuleCheck:
-        """The YES certificate of both label-cover reductions: colour every
-        point of variable (l, v) by its digit at the label sigma[l][v]. A hit
-        with a point on removed_digit is dropped with that colour class; no
-        other hit may be monochromatic. Materialised constraints are walked
-        whole; the others get samples draws of their own seeded stream."""
+        """The YES certificate of both label-cover reductions: each point a
+        hit touches is coloured by its digit at its variable's label
+        sigma[l][v]. A hit with a point on removed_digit is dropped with that
+        colour class; no other hit may be monochromatic. Materialised
+        constraints are walked whole; the others get samples draws of their
+        own seeded stream."""
         rows, starts = self.hit_rows(samples, seed)
-        ids, edges = None, rows
-        if self.mode != "enumerate":  # rule-only codes may be too large to colour whole
-            ids, edges = np.unique(rows, return_inverse=True)
-            edges = edges.reshape(rows.shape)
+        ids, edges = np.unique(rows, return_inverse=True)
         colors = dictator_colors(self.pcp, self.base, sigma, ids)
-        surviving, violating = check_coloring(edges, colors, colors == self.removed_digit)
+        surviving, violating = check_coloring(edges.reshape(rows.shape), colors,
+                                              colors == self.removed_digit)
         sampled = sum(table is None for table in self.constraint_edges)
         coverage = ("exhaustive" if sampled == 0
                     else f"sampled:{samples} per constraint on {sampled} constraints")
@@ -663,8 +661,7 @@ class PcpGadget:
         weight(layer, var, point) per vertex; meta gains dropped_degenerate."""
         if self.mode != "enumerate":
             raise ValueError("export requires enumerate mode")
-        edges, _ = self.hit_rows()
-        edges = edges[edges[:, 1] != edges[:, 2]]  # the (x, y, y) pairs are no 3-edges
+        edges, _ = self.hit_rows(pairs=False)
         # sorted({tuple(sorted(e)) for e in edges}) by array operations
         edges.sort(axis=1)
         edges = edges[np.lexsort(edges.T[::-1])]

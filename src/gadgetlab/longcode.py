@@ -206,6 +206,9 @@ def decode(g: LongCodeGadget, indicator, delta: float, seed: int = 0) -> DecodeO
     plurality."""
     pcp = g.pcp
     indicator = set(indicator)
+    stray = [v for v in indicator if not 0 <= v < g.vertex_count]
+    if stray:
+        raise ValueError(f"indicator vertex {stray[0]} is not a vertex id in [0, {g.vertex_count})")
     members = np.isin(np.arange(g.vertex_count), list(indicator))
     weight = sum(itertools.compress(g.point_weights(g.vertex_weight), members), Fraction(0))
     if weight < Fraction(delta).limit_denominator(10**9):

@@ -250,6 +250,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: weak-density threshold must be positive, got 0.0\n")
 
+    @pytest.mark.parametrize("vertices, stray", [([0, 1, 2, 5000], 5000), ([-1, 0, 1], -1)])
+    def test_longcode_decode_stray_vertex_is_one(self, tmp_path, capsys, vertices, stray):
+        lc, ind = longcode_bundle(tmp_path)
+        ind.write_text(json.dumps({"vertices": vertices}))
+        capsys.readouterr()
+        assert run("decode", "--kind", "longcode", "--gadget", lc, "--indicator", ind,
+                   "--delta", "0.2") == 1
+        assert capsys.readouterr().err == (
+            f"error: indicator vertex {stray} is not a vertex id in [0, 108)\n")
+
     def test_dto1_decode_zero_eps_is_one(self, tmp_path, capsys):
         bundle, ind = dto1_bundle(tmp_path, 0.5)
         assert run("decode", "--kind", "dto1", "--gadget", bundle, "--indicator", ind,

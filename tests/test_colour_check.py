@@ -2,6 +2,7 @@
 the YES certificates and the independence tests, diff-tested against the
 walks they replaced."""
 import functools
+import itertools
 import random
 from fractions import Fraction
 
@@ -136,6 +137,9 @@ def test_hit_rows_lay_out_edges_then_pairs_per_constraint():
         c = pcp.constraints[ci]
         assert want[i] == (g.vertex_id(c.to_layer, c.u, x), g.vertex_id(c.from_layer, c.v, y),
                            g.vertex_id(c.from_layer, c.v, z))
+    edges_only, edge_starts = g.hit_rows(pairs=False)
+    assert edge_starts == [0, *itertools.accumulate(map(len, g.constraint_edges))]
+    assert list(map(tuple, edges_only.tolist())) == [hit for hit in want if hit[1] != hit[2]]
 
 
 def test_hit_rows_draw_rule_constraints_only_when_asked():
