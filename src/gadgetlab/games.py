@@ -639,17 +639,18 @@ class PcpGadget:
         return [(c, *hit) for c, hit in zip(ci.tolist(), local.tolist())]
 
     def dictator_check(self, sigma, samples: int = 2000, seed: int = 0) -> RuleCheck:
-        """The YES certificate of both label-cover reductions: each point a
-        hit touches is coloured by its digit at its variable's label
-        sigma[l][v]. A hit with a point on removed_digit is dropped with that
-        colour class; no other hit may be monochromatic. Materialised
-        constraints are walked whole; the others get samples draws of their
-        own seeded stream."""
+        """The YES certificate of both label-cover reductions: colour every
+        point of variable (l, v) by its digit at the label sigma[l][v]. A hit
+        with a point on removed_digit is dropped with that colour class; no
+        other hit may be monochromatic. Materialised constraints are walked
+        whole; the others get samples draws of their own seeded stream."""
         rows, starts = self.hit_rows(samples, seed)
-        ids, edges = np.unique(rows, return_inverse=True)
+        ids, edges = None, rows
+        if self.mode != "enumerate":  # rule-only codes may hold 2**32 points: colour the hit ones
+            ids, edges = np.unique(rows, return_inverse=True)
+            edges = edges.reshape(rows.shape)
         colors = dictator_colors(self.pcp, self.base, sigma, ids)
-        surviving, violating = check_coloring(edges.reshape(rows.shape), colors,
-                                              colors == self.removed_digit)
+        surviving, violating = check_coloring(edges, colors, colors == self.removed_digit)
         sampled = sum(table is None for table in self.constraint_edges)
         coverage = ("exhaustive" if sampled == 0
                     else f"sampled:{samples} per constraint on {sampled} constraints")
