@@ -555,13 +555,15 @@ def satisfied_fractions(pcp: LayeredPcp, pair: tuple[int, int],
 @dataclass
 class RuleCheck:
     """A colouring checked on rule hits: the monochromatic surviving hits as
-    (ci, x, y, z), the hits visited, those with no removed point, and
-    whether every hit was visited or some constraints were sampled."""
+    (ci, x, y, z), the hits visited, those with no removed point, whether
+    every hit was visited or some constraints were sampled, and the colour
+    of every vertex when all were coloured (None when only the hit ones)."""
 
     violations: list[tuple[int, int, int, int]]
     checked: int
     surviving: int
     coverage: str
+    colors: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -655,7 +657,7 @@ class PcpGadget:
         coverage = ("exhaustive" if sampled == 0
                     else f"sampled:{samples} per constraint on {sampled} constraints")
         return RuleCheck(self.local_hits(rows, starts, np.flatnonzero(violating)), len(rows),
-                         int(surviving.sum()), coverage)
+                         int(surviving.sum()), coverage, colors if ids is None else None)
 
     def _export(self, weight, meta: dict) -> GenericHypergraph:
         """The 3-uniform hypergraph of the materialised edges, with

@@ -147,7 +147,8 @@ def yes_partition(g: LongCodeGadget, sigma, samples: int = 2000,
     class 1 or class 2.
     """
     res = g.dictator_check(sigma, samples, seed)
-    class_of = dict(enumerate(dictator_colors(g.pcp, g.base, sigma).tolist()))
+    colors = dictator_colors(g.pcp, g.base, sigma) if res.colors is None else res.colors
+    class_of = dict(enumerate(colors.tolist()))
     weights = [Fraction(0)] * 3
     for digit, w in zip(class_of.values(), g.point_weights(g.vertex_weight)):
         weights[digit] += w

@@ -233,39 +233,59 @@ def almost_two_colorable(h: GenericHypergraph, epsilon, candidate_removal=None,
     """
     allowance = Fraction(epsilon) * h.total_weight
     removal = set(candidate_removal or ())
+    if unknown := [v for v in candidate_removal or () if v not in h.weights]:
+        raise ValueError(f"candidate removal holds {unknown[0]!r}, which is not a vertex id")
     removed_weight = h.weight_of(removal)
     if removed_weight > allowance:
         return ColoringResult(False, None, 0, 0)
     if candidate_removal is not None:
         allowance = removed_weight
-    edges, order, edges_of = _incidence(h)
-    weights = h.weights
-    state: dict[int, int] = dict.fromkeys(removal, _REMOVED)
+    # Vertices are positions 0..V-1 in id order, incident[p] the ids of p's
+    # edges. Per edge, counts[s] counts the members in state s and open_sum
+    # sums the open members' positions, so it names an edge's last one.
+    ids = sorted(h.vertices)
+    members = np.searchsorted(ids, h.edges)
+    degree = np.bincount(members.ravel(), minlength=len(ids))
+    incident = np.split(np.argsort(members.ravel(), kind="stable") // h.k, np.cumsum(degree)[:-1])
+    order = np.argsort(-degree, kind="stable").tolist()
+    weights = [h.weights[v] for v in ids]
+    counts = [np.zeros(len(members), dtype=np.min_scalar_type(h.k)) for _ in range(3)]
+    open_sum = members.sum(axis=1)
+    state: dict[int, int] = {}
 
-    # Only coloured vertices are propagated, so `assigned` holds the
-    # propagated vertex's colour; a removed vertex adds _REMOVED beside it,
-    # and an edge holding one is never monochromatic and forces nothing.
+    def assign(p: int, s: int, trail: list[int]) -> None:
+        state[p] = s
+        trail.append(p)
+        counts[s][incident[p]] += 1
+        open_sum[incident[p]] -= p
+
+    def undo(trail: list[int]) -> None:
+        for p in trail:
+            counts[state.pop(p)][incident[p]] -= 1
+            open_sum[incident[p]] += p
+
+    # Only coloured vertices are propagated, each over all its edges at
+    # once: unit propagation reaches the same fixpoint, or a conflict, in
+    # any order. Edges with a removed member or one of the other colour
+    # are satisfied; the rest conflict when full and force when one short,
+    # unless the open vertex still fits in the removal slack. Two edges
+    # may force the same vertex; the second finds it assigned.
     def propagate(trail: list[int]) -> bool:
-        queue = list(trail)
-        while queue:
-            v = queue.pop()
-            for ei in edges_of[v]:
-                e = edges[ei]
-                assigned = [state[u] for u in e if u in state]
-                unassigned = [u for u in e if u not in state]
-                if not unassigned:
-                    if len(set(assigned)) == 1:
-                        return False
-                    continue
-                if len(unassigned) == 1 and len(set(assigned)) == 1:
-                    u = unassigned[0]
-                    if removed_weight + weights[u] <= allowance:
-                        continue
-                    state[u] = 1 - assigned[0]
-                    trail.append(u)
-                    queue.append(u)
+        slack = allowance - removed_weight
+        for p in trail:  # the trail grows as vertices are forced
+            c = state[p]
+            es = incident[p]
+            es = es[(counts[_REMOVED][es] == 0) & (counts[1 - c][es] == 0)]
+            filled = counts[c][es]
+            if (filled == h.k).any():
+                return False
+            for u in open_sum[es[filled == h.k - 1]].tolist():
+                if u not in state and weights[u] > slack:
+                    assign(u, 1 - c, trail)
         return True
 
+    for p in np.searchsorted(ids, list(removal)).tolist():
+        assign(p, _REMOVED, [])
     # Decision trail: (position, state, vertices it decided). A failed
     # state pops decisions until one still has a state left to try.
     decisions: list[tuple[int, int, list[int]]] = []
@@ -275,29 +295,26 @@ def almost_two_colorable(h: GenericHypergraph, epsilon, candidate_removal=None,
             idx += 1
         max_depth = max(max_depth, len(state))
         if idx == len(order):
-            coloring = {v: c for v, c in state.items() if c != _REMOVED}
+            coloring = {ids[p]: c for p, c in state.items() if c != _REMOVED}
             return ColoringResult(True, coloring, nodes, max_depth,
-                                  frozenset(state.keys() - coloring.keys()))
+                                  frozenset(ids[p] for p, c in state.items() if c == _REMOVED))
         nodes += 1
         if nodes > budget:
             return ColoringResult(None, None, nodes, max_depth)
-        v = order[idx]
-        state[v] = s
-        trail = [v]
+        trail: list[int] = []
+        assign(order[idx], s, trail)
         if s == _REMOVED:
-            removed_weight += weights[v]
+            removed_weight += weights[order[idx]]
         if s == _REMOVED or propagate(trail):
             decisions.append((idx, s, trail))
             idx, s = idx + 1, 0
             continue
-        for u in trail:
-            del state[u]
+        undo(trail)
         while s == _REMOVED or s == 1 and removed_weight + weights[order[idx]] > allowance:
             if not decisions:
                 return ColoringResult(False, None, nodes, max_depth)
             idx, s, trail = decisions.pop()
-            for u in trail:
-                del state[u]
+            undo(trail)
             if s == _REMOVED:
                 removed_weight -= weights[order[idx]]
         s += 1

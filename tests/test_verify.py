@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gadgetlab import verify
-from gadgetlab.verify import GenericHypergraph
+from gadgetlab import dto1, games, verify
+from gadgetlab.seeding import derive_rng
+from gadgetlab.verify import DEFAULT_NODE_BUDGET, ColoringResult, GenericHypergraph
 
 
 def random_hypergraph(rng: random.Random, n: int, k: int, m: int,
@@ -222,6 +223,113 @@ def almost_two_colorable_enumerate(h: GenericHypergraph, epsilon,
     return AlmostColoringResult(False, None, None, attempts, best_depth)
 
 
+_REMOVED = 2
+
+
+def _incidence(h: GenericHypergraph) -> tuple[list[list[int]], list[int], dict[int, list[int]]]:
+    """The edges as lists, the vertices by falling degree, then id, and the
+    edge ids of each vertex; one pass over the edges, O(E·k)."""
+    edges = h.edges.tolist()
+    edges_of: dict[int, list[int]] = {v: [] for v in h.vertices}
+    for ei, e in enumerate(edges):
+        for v in e:
+            edges_of[v].append(ei)
+    order = sorted(h.vertices, key=lambda v: (-len(edges_of[v]), v))
+    return edges, order, edges_of
+
+
+def almost_two_colorable_lists(h: GenericHypergraph, epsilon, candidate_removal=None,
+                               budget: int = DEFAULT_NODE_BUDGET) -> ColoringResult:
+    """Reference oracle: the three-state search with per-edge list
+    propagation that the count-array search replaced, kept as it was.
+
+    Search for a removal set of weight <= epsilon * total whose induced
+    sub-hypergraph (edges fully inside the survivors) is 2-colorable.
+
+    Each vertex, in falling degree order, tries colour 0, colour 1, then
+    removed, the last only while the removed weight stays within the
+    allowance; a removed vertex satisfies all its edges. Unit propagation
+    forces the last open vertex of a monochromatic edge only once that
+    vertex can no longer be removed. With a candidate removal supplied,
+    the search starts with it removed and allows no further removals.
+    """
+    allowance = Fraction(epsilon) * h.total_weight
+    removal = set(candidate_removal or ())
+    removed_weight = h.weight_of(removal)
+    if removed_weight > allowance:
+        return ColoringResult(False, None, 0, 0)
+    if candidate_removal is not None:
+        allowance = removed_weight
+    edges, order, edges_of = _incidence(h)
+    weights = h.weights
+    state: dict[int, int] = dict.fromkeys(removal, _REMOVED)
+
+    # Only coloured vertices are propagated, so `assigned` holds the
+    # propagated vertex's colour; a removed vertex adds _REMOVED beside it,
+    # and an edge holding one is never monochromatic and forces nothing.
+    def propagate(trail: list[int]) -> bool:
+        queue = list(trail)
+        while queue:
+            v = queue.pop()
+            for ei in edges_of[v]:
+                e = edges[ei]
+                assigned = [state[u] for u in e if u in state]
+                unassigned = [u for u in e if u not in state]
+                if not unassigned:
+                    if len(set(assigned)) == 1:
+                        return False
+                    continue
+                if len(unassigned) == 1 and len(set(assigned)) == 1:
+                    u = unassigned[0]
+                    if removed_weight + weights[u] <= allowance:
+                        continue
+                    state[u] = 1 - assigned[0]
+                    trail.append(u)
+                    queue.append(u)
+        return True
+
+    # Decision trail: (position, state, vertices it decided). A failed
+    # state pops decisions until one still has a state left to try.
+    decisions: list[tuple[int, int, list[int]]] = []
+    nodes = max_depth = idx = s = 0
+    while True:
+        while idx < len(order) and order[idx] in state:
+            idx += 1
+        max_depth = max(max_depth, len(state))
+        if idx == len(order):
+            coloring = {v: c for v, c in state.items() if c != _REMOVED}
+            return ColoringResult(True, coloring, nodes, max_depth,
+                                  frozenset(state.keys() - coloring.keys()))
+        nodes += 1
+        if nodes > budget:
+            return ColoringResult(None, None, nodes, max_depth)
+        v = order[idx]
+        state[v] = s
+        trail = [v]
+        if s == _REMOVED:
+            removed_weight += weights[v]
+        if s == _REMOVED or propagate(trail):
+            decisions.append((idx, s, trail))
+            idx, s = idx + 1, 0
+            continue
+        for u in trail:
+            del state[u]
+        while s == _REMOVED or s == 1 and removed_weight + weights[order[idx]] > allowance:
+            if not decisions:
+                return ColoringResult(False, None, nodes, max_depth)
+            idx, s, trail = decisions.pop()
+            for u in trail:
+                del state[u]
+            if s == _REMOVED:
+                removed_weight -= weights[order[idx]]
+        s += 1
+
+
+def whole(res: ColoringResult) -> tuple:
+    """Every field of a colouring result, removal included."""
+    return res.colorable, res.coloring, res.nodes, res.max_depth, res.removal
+
+
 def almost_colorable_exhaustive(h: GenericHypergraph, epsilon) -> bool:
     """Scan all 3^n assignments of colour 0, colour 1 or removed: each
     removal set of weight at most epsilon * total, then each 2-colouring
@@ -318,6 +426,49 @@ def test_three_state_search_matches_enumerator(h, epsilon, candidate):
     if epsilon == 0:
         col = verify.two_colorable(h)
         assert res == col and res.removal == col.removal
+
+
+@st.composite
+def scattered_cases(draw) -> tuple[GenericHypergraph, set[int] | None]:
+    """A small hypergraph on scattered ids, negative ones and isolated
+    vertices among them, listed out of order, with random rational
+    weights; and no candidate removal, or a few of its vertices."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    ids = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=10, unique=True))
+    combos = list(itertools.combinations(ids, k))
+    edges = draw(st.lists(st.sampled_from(combos), unique=True, max_size=24)) if combos else []
+    weights = {v: Fraction(draw(st.integers(1, 6)), draw(st.integers(1, 4))) for v in ids}
+    candidate = draw(st.none() | st.sets(st.sampled_from(ids), max_size=3))
+    return GenericHypergraph(k, tuple(ids), tuple(edges), weights), candidate
+
+
+@settings(max_examples=400)
+@given(case=scattered_cases(),
+       epsilon=st.sampled_from([Fraction(0), Fraction(1, 10), Fraction(1, 5), Fraction(1, 2)]),
+       budget=st.sampled_from([0, 1, DEFAULT_NODE_BUDGET]) | st.integers(2, 40))
+# two edges of one vertex force the same vertex, then the search backtracks
+@example(case=(GenericHypergraph(3, (18, -6, 28, 34, 30, 10, -2), (
+    (30, 10, -2), (-6, 28, 30), (28, 34, -2), (-6, 28, 10), (18, -6, 30), (18, 30, 10),
+    (18, 10, -2))), None), epsilon=Fraction(0), budget=DEFAULT_NODE_BUDGET)
+def test_count_arrays_match_list_propagation(case, epsilon, budget):
+    h, candidate = case
+    res = verify.almost_two_colorable(h, epsilon, candidate, budget)
+    assert whole(res) == whole(almost_two_colorable_lists(h, epsilon, candidate, budget))
+
+
+def dto1_yes_hypergraph() -> GenericHypergraph:
+    """The d-to-1 gadget of the dto1-yes benchmark workload at seed 1 (304
+    vertices, 98,304 edges), built as its CLI pipeline builds it."""
+    game = games.gen_toy_dto1_game(1, 3, 1, 2, derive_rng(1, "gen-game"))
+    return dto1.build(games.build_smooth_mlpcp(game, 2, 1), 0.25).to_hypergraph()
+
+
+def test_dto1_yes_gadget_search_is_pinned():
+    h = dto1_yes_hypergraph()
+    assert (len(h.vertices), len(h.edges)) == (304, 98304)
+    res = verify.two_colorable(h)
+    assert (res.colorable, res.nodes, res.max_depth) == (True, 64, 304)
+    assert whole(res) == whole(almost_two_colorable_lists(h, 0))
 
 
 class TestHypergraphType:
@@ -522,6 +673,13 @@ class TestAlmostTwoColorable:
         res = verify.almost_two_colorable(seven_copies_of_k5(), Fraction(6, 35), budget=1000)
         assert res.colorable is None and res.nodes == 1001
         assert res.coloring is None and res.removal is None
+
+    @pytest.mark.parametrize("candidate", [{99}, [0, 99, -5], (4, -1)])
+    def test_unknown_candidate_id_is_named(self, candidate):
+        h = GenericHypergraph(3, tuple(range(5)), tuple(itertools.combinations(range(5), 3)))
+        unknown = next(v for v in candidate if v not in h.vertices)
+        with pytest.raises(ValueError, match=rf"candidate removal holds {unknown}, which is not"):
+            verify.almost_two_colorable(h, 1, candidate_removal=candidate)
 
     def test_candidate_allows_no_further_removal(self):
         h = seven_copies_of_k5()
