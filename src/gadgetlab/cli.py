@@ -8,6 +8,7 @@ its stream from --seed and a stage name via seeding.derive_seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import itertools
 import json
@@ -352,11 +353,30 @@ def cmd_report(args) -> int:
     return EXIT_OK if summary["all_ok"] else EXIT_CERT
 
 
+def _epsilon(text: str) -> str:
+    """A rational in [0, 1], kept as written, so that configs record it verbatim."""
+    try:
+        if 0 <= Fraction(text) <= 1:
+            return text
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from None
+    raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+
+
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
+
+
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="gadgetlab",
                      description="hardness-reduction gadget constructors and exact checkers")
-    parser.add_argument("--out-dir", default=os.environ.get("GADGETLAB_OUT", "."),
-                        help="default directory for artifacts (env GADGETLAB_OUT)")
+    parser.add_argument("--out-dir", help="default directory for artifacts (env GADGETLAB_OUT)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-3lin", help="toy Max-3Lin instance")
@@ -393,7 +413,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("build-hadamard", help="4-uniform folded-code gadget")
     p.add_argument("--instance", required=True)
     p.add_argument("--r", type=int, default=1)
-    p.add_argument("--triples", type=int, default=2)
+    p.add_argument("--triples", type=_int_at_least(1), default=2)
     p.add_argument("--distinct-blocks", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--edge-list", help="also write a flat edge list")
@@ -402,7 +422,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("build-longcode", help="3-uniform biased long-code gadget")
     p.add_argument("--pcp", required=True)
-    p.add_argument("--epsilon", required=True, help="rational, e.g. 1/10")
+    p.add_argument("--epsilon", type=_epsilon, required=True, help="rational, e.g. 1/10")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_build_longcode)
 
@@ -415,8 +435,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("verify", help="oracles over an artifact")
     p.add_argument("--input", required=True)
     p.add_argument("--mode", choices=("yes", "max-is", "two-color", "almost"), required=True)
-    p.add_argument("--epsilon", default="0")
-    p.add_argument("--budget", type=int, default=verify.DEFAULT_NODE_BUDGET)
+    p.add_argument("--epsilon", type=_epsilon, default="0")
+    p.add_argument("--budget", type=_int_at_least(0), default=verify.DEFAULT_NODE_BUDGET)
     p.add_argument("--out")
     p.set_defaults(func=cmd_verify)
 
@@ -458,6 +478,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.out_dir is None:  # read per call: the parser is built once
+            args.out_dir = os.environ.get("GADGETLAB_OUT", ".")
         for attr in ("out", "edge_list", "csv"):
             value = getattr(args, attr, None)
             if value is not None and not Path(value).is_absolute():

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -34,6 +35,11 @@ class GadgetBlock:
 
     def vertex_id(self, x_bits: int) -> int:
         return self.vertex_base + self.rep_pos[self.geometry.subspace.reduce_bits(x_bits)]
+
+    @cached_property
+    def vertex_ids(self) -> np.ndarray:
+        """vertex_id of every point, indexed by the point's bits."""
+        return np.array([self.vertex_id(x) for x in range(1 << self.geometry.subspace.ambient_width)])
 
 
 @dataclass(frozen=True)
@@ -83,25 +89,17 @@ class HadamardGadget:
                                  {v: Fraction(1) for v in vertices}, meta)
 
 
-def _raw_edges(blocks: list[GadgetBlock], r: int, triple: Triple):
-    """Yield each raw choice's sorted folded 4-tuple, or None if degenerate."""
-    bw = blocks[triple.w_index]
-    bwp = blocks[triple.wp_index]
-    m = 3 * r + 1
-    lift_w = [triple.geom_w.lift_bits(z) for z in range(1 << r)]
-    lift_wp = [triple.geom_wp.lift_bits(z) for z in range(1 << r)]
+def _raw_edges(blocks: list[GadgetBlock], r: int, triple: Triple) -> np.ndarray:
+    """Each raw choice's folded 4-tuple as a sorted row, in (z, x, y) order."""
+    w, wp = blocks[triple.w_index].vertex_ids, blocks[triple.wp_index].vertex_ids
+    points = np.arange(len(w))
     hw = triple.geom_w.h_w.bits
+    rows = []
     for z in range(1, 1 << r):
-        shift_w = lift_w[z] ^ hw
-        shift_wp = lift_wp[z]
-        for x in range(1 << m):
-            v1 = bw.vertex_id(x)
-            v2 = bw.vertex_id(x ^ shift_w)
-            for y in range(1 << m):
-                v3 = bwp.vertex_id(y)
-                v4 = bwp.vertex_id(y ^ shift_wp)
-                ids = (v1, v2, v3, v4)
-                yield tuple(sorted(ids)) if len(set(ids)) == 4 else None
+        xs = np.stack([w, w[points ^ triple.geom_w.lift_bits(z) ^ hw]], axis=1)
+        ys = np.stack([wp, wp[points ^ triple.geom_wp.lift_bits(z)]], axis=1)
+        rows.append(np.concatenate(np.broadcast_arrays(xs[:, None], ys[None, :]), axis=2))
+    return np.sort(np.concatenate(rows).reshape(-1, 4), axis=1)
 
 
 def build(inst: Lin3Instance, r: int, triples: int = 2, seed: int = 0,
@@ -162,9 +160,11 @@ def build(inst: Lin3Instance, r: int, triples: int = 2, seed: int = 0,
         else:
             raise RejectionBudgetError(f"could not sample a consistent W' in {budget} attempts")
 
-    raw = [list(_raw_edges(blocks, r, triple)) for triple in triple_list]
-    edges_per_triple = [sorted(set(edges) - {None}) for edges in raw]
-    dropped = sum(edges.count(None) for edges in raw)
+    raw = [_raw_edges(blocks, r, triple) for triple in triple_list]
+    degenerate = [(rows[:, 1:] == rows[:, :-1]).any(axis=1) for rows in raw]
+    edges_per_triple = [sorted(set(map(tuple, rows[~bad].tolist())))
+                        for rows, bad in zip(raw, degenerate)]
+    dropped = sum(int(bad.sum()) for bad in degenerate)
     return HadamardGadget(inst, r, blocks, triple_list, edges_per_triple, dropped)
 
 

@@ -4,6 +4,7 @@ search takes a node budget and says when it ran out."""
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -106,18 +107,6 @@ class IndependentSetResult:
     nodes_expanded: int
 
 
-def _incidence(h: GenericHypergraph) -> tuple[list[list[int]], list[int], dict[int, list[int]]]:
-    """The edges as lists, the vertices by falling degree, then id, and the
-    edge ids of each vertex; one pass over the edges, O(E·k)."""
-    edges = h.edges.tolist()
-    edges_of: dict[int, list[int]] = {v: [] for v in h.vertices}
-    for ei, e in enumerate(edges):
-        for v in e:
-            edges_of[v].append(ei)
-    order = sorted(h.vertices, key=lambda v: (-len(edges_of[v]), v))
-    return edges, order, edges_of
-
-
 def max_independent_set(h: GenericHypergraph, budget: int = DEFAULT_NODE_BUDGET) -> IndependentSetResult:
     """Branch and bound for the maximum-weight independent set.
 
@@ -125,68 +114,70 @@ def max_independent_set(h: GenericHypergraph, budget: int = DEFAULT_NODE_BUDGET)
     with a greedy solution, and prunes with a fractional bound obtained
     from a packing of vertex-disjoint live edges. Exceeding the
     node-expansion budget degrades the result to best-found.
+
+    Vertex order[i], by falling degree, then id, is bit i of every mask,
+    and the weights are ints over the lcm of their denominators, so the
+    search makes the same comparisons as over the Fractions.
     """
-    edges, order, edges_of = _incidence(h)
+    degree = dict(zip(*np.unique(h.edges, return_counts=True)))
+    order = sorted(h.vertices, key=lambda v: (-degree.get(v, 0), v))
+    pos = {v: i for i, v in enumerate(order)}
+    scale = math.lcm(*(w.denominator for w in h.weights.values()))
+    weight = [h.weights[v].numerator * (scale // h.weights[v].denominator) for v in order]
+    suffix = list(itertools.accumulate(reversed(weight), initial=0))[::-1]
+    edges = [[pos[v] for v in e] for e in h.edges.tolist()]
+    masks = [sum(1 << i for i in e) for e in edges]
+    # per edge, its members' (weight, bit) by weight: the first live one is the lightest
+    by_weight = [sorted((weight[i], 1 << i) for i in e) for e in edges]
+    others: list[list[int]] = [[] for _ in order]  # per position, its edges' other members
+    for e, m in zip(edges, masks):
+        for i in e:
+            others[i].append(m ^ 1 << i)
 
-    def completes_edge(v: int, chosen: set[int]) -> bool:
-        return any(all(u == v or u in chosen for u in edges[ei]) for ei in edges_of[v])
+    def completes_edge(i: int, chosen: int) -> bool:
+        return any(o & chosen == o for o in others[i])
 
-    greedy: set[int] = set()
-    for v in order:
-        if not completes_edge(v, greedy):
-            greedy.add(v)
-    best_set = frozenset(greedy)
-    best_weight = h.weight_of(greedy)
+    greedy = 0
+    for i in range(len(order)):
+        if not completes_edge(i, greedy):
+            greedy |= 1 << i
+    best_mask, best_weight = greedy, sum(w for i, w in enumerate(weight) if greedy >> i & 1)
 
-    def bound(idx: int, excluded: set[int], current: Fraction) -> Fraction:
-        undecided = order[idx:]
-        optimistic = current + h.weight_of(undecided)
-        undecided_set = set(undecided)
-        used: set[int] = set()
-        penalty = Fraction(0)
-        for e in edges:
-            if any(v in excluded for v in e):
+    def bound(idx: int, included: int, current: int) -> int:
+        excluded = included ^ ((1 << idx) - 1)
+        undecided = -1 << idx
+        used = penalty = 0
+        for m, members in zip(masks, by_weight):
+            if m & excluded or not m & undecided or m & used:
                 continue
-            live = [v for v in e if v in undecided_set]
-            if not live:
-                continue
-            if any(v in used for v in e):
-                continue
-            used.update(e)
-            penalty += min(h.weights[v] for v in live)
-        return optimistic - penalty
+            used |= m
+            for w, b in members:  # the lightest live member
+                if b & undecided:
+                    penalty += w
+                    break
+        return current + suffix[idx] - penalty
 
-    # Depth-first over (position, weight so far, whether order[position - 1]
-    # was taken); the include branch is pushed last so it is searched first.
-    # Popping a node first undoes the decisions of the subtree left behind.
-    included: set[int] = set()
-    excluded: set[int] = set()
-    stack: list[tuple[int, Fraction, bool]] = [(0, Fraction(0), False)]
+    # Depth-first over (position, weight so far, mask of the vertices taken);
+    # every earlier vertex not taken is excluded. The include branch is
+    # pushed last so it is searched first.
+    stack = [(0, 0, 0)]
     nodes = 0
-    exhausted = False
     while stack:
-        idx, current, take = stack.pop()
-        for u in order[max(idx - 1, 0):len(included) + len(excluded)]:
-            included.discard(u)
-            excluded.discard(u)
-        if idx:
-            (included if take else excluded).add(order[idx - 1])
+        idx, current, included = stack.pop()
         nodes += 1
         if nodes > budget:
-            exhausted = True
             break
         if idx == len(order):
             if current > best_weight:
-                best_weight = current
-                best_set = frozenset(included)
+                best_mask, best_weight = included, current
             continue
-        if bound(idx, excluded, current) <= best_weight:
+        if bound(idx, included, current) <= best_weight:
             continue
-        v = order[idx]
-        stack.append((idx + 1, current, False))
-        if not completes_edge(v, included):
-            stack.append((idx + 1, current + h.weights[v], True))
-    return IndependentSetResult(best_set, best_weight, not exhausted, nodes)
+        stack.append((idx + 1, current, included))
+        if not completes_edge(idx, included):
+            stack.append((idx + 1, current + weight[idx], included | 1 << idx))
+    return IndependentSetResult(frozenset(v for i, v in enumerate(order) if best_mask >> i & 1),
+                                Fraction(best_weight, scale), nodes <= budget, nodes)
 
 
 @dataclass

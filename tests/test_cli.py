@@ -195,6 +195,13 @@ def dto1_bundle(tmp_path, value: float):
     return bundle, ind
 
 
+def triangle_bundle(tmp_path):
+    triangle = verify.GenericHypergraph(2, (0, 1, 2), ((0, 1), (1, 2), (0, 2)))
+    bundle = tmp_path / "triangle.json"
+    bundle.write_text(json.dumps({"hypergraph": triangle.to_json_dict()}))
+    return bundle
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self):
         assert run("gen-3lin", "--n", 9) == 1
@@ -275,6 +282,47 @@ class TestExitCodes:
         assert run("verify", "--input", bundle, "--mode", "two-color") == 2
         assert run("verify", "--input", bundle, "--mode", "almost",
                    "--epsilon", "1/5") == 0
+
+    @pytest.mark.parametrize("command, value, message", [
+        ("verify", "1/0", "not a rational: '1/0'"),
+        ("verify", "-1", "must lie in [0, 1], got -1"),
+        ("verify", "3/2", "must lie in [0, 1], got 3/2"),
+        ("build-longcode", "1/0", "not a rational: '1/0'")])
+    def test_bad_epsilon_is_one(self, tmp_path, capsys, command, value, message):
+        bundle = triangle_bundle(tmp_path)
+        source = ["--input", bundle, "--mode", "almost"] if command == "verify" else ["--pcp", bundle]
+        out = tmp_path / "out.json"
+        assert run(command, *source, "--epsilon", value, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: argument --epsilon: {message}\n"
+        assert not out.exists()
+
+    def test_epsilon_is_recorded_as_written(self, tmp_path):
+        bundle, out = triangle_bundle(tmp_path), tmp_path / "out.json"
+        assert run("verify", "--input", bundle, "--mode", "almost", "--epsilon", "0.40",
+                   "--out", out) == 0
+        assert json.loads(out.read_text())["config"]["epsilon"] == "0.40"
+
+    def test_negative_budget_is_one(self, tmp_path, capsys):
+        bundle = triangle_bundle(tmp_path)
+        out = tmp_path / "mis.json"
+        assert run("verify", "--input", bundle, "--mode", "max-is", "--budget", -1,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == "error: argument --budget: must be at least 0, got -1\n"
+        assert not out.exists()
+        assert run("verify", "--input", bundle, "--mode", "max-is", "--budget", 0,
+                   "--out", out) == 0
+        assert json.loads(out.read_text())["max_is"]["optimal"] is False
+
+    @pytest.mark.parametrize("triples", ["0", "-2"])
+    def test_fewer_than_one_triple_is_one(self, tmp_path, capsys, triples):
+        lin = tmp_path / "lin.json"
+        assert run("gen-3lin", "--n", 9, "--eqs", 9, "--seed", 7, "--out", lin) == 0
+        capsys.readouterr()
+        out = tmp_path / "had.json"
+        assert run("build-hadamard", "--instance", lin, "--triples", triples, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: argument --triples: must be at least 1, got {triples}\n")
+        assert not out.exists()
 
     def test_build_hadamard_has_no_mode_flag(self, tmp_path, capsys):
         lin = tmp_path / "lin.json"
@@ -516,6 +564,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "error: decode --kind dto1 needs a smooth PCP, whose params carry T\n")
         assert seen == [3]
+
+
+class TestSharedParser:
+    """main parses with one parser per process, but reads GADGETLAB_OUT per call."""
+
+    def test_each_call_reads_the_out_dir_variable(self, tmp_path, monkeypatch):
+        assert cli.build_parser() is cli.build_parser()
+        for name in ("a", "b"):
+            monkeypatch.setenv("GADGETLAB_OUT", str(tmp_path / name))
+            assert run("gen-3lin", "--n", 9, "--eqs", 9, "--seed", 7, "--out", "lin.json") == 0
+            config = json.loads((tmp_path / name / "lin.json").read_text())["config"]
+            assert config["out_dir"] == str(tmp_path / name)
+        assert run("--out-dir", tmp_path / "c", "gen-3lin", "--n", 9, "--eqs", 9,
+                   "--out", "lin.json") == 0
+        assert (tmp_path / "c" / "lin.json").exists()
+
+    def test_a_usage_error_leaves_the_parser_usable(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("GADGETLAB_OUT", str(tmp_path))
+        assert run("gen-3lin", "--n", 9) == 1
+        assert run("gen-3lin", "--n", "nine", "--eqs", 9, "--out", "lin.json") == 1
+        assert "invalid int value: 'nine'" in capsys.readouterr().err
+        assert run("gen-3lin", "--n", 9, "--eqs", 9, "--out", "lin.json") == 0
+        assert json.loads((tmp_path / "lin.json").read_text())["config"] == {
+            "command": "gen-3lin", "eqs": 9, "n": 9, "out": str(tmp_path / "lin.json"),
+            "out_dir": str(tmp_path), "random": False, "seed": 0}
 
 
 class TestRoundTrips:

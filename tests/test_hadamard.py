@@ -24,6 +24,46 @@ def one_triple(planted):
     return hadamard.build(inst, r=1, triples=1, seed=3, distinct_blocks=True)
 
 
+def raw_edges_generator(blocks, r, triple):
+    """Reference: the per-choice generator the broadcast rows replaced, kept
+    as it was. Yield each raw choice's sorted folded 4-tuple, or None if
+    degenerate."""
+    bw = blocks[triple.w_index]
+    bwp = blocks[triple.wp_index]
+    m = 3 * r + 1
+    lift_w = [triple.geom_w.lift_bits(z) for z in range(1 << r)]
+    lift_wp = [triple.geom_wp.lift_bits(z) for z in range(1 << r)]
+    hw = triple.geom_w.h_w.bits
+    for z in range(1, 1 << r):
+        shift_w = lift_w[z] ^ hw
+        shift_wp = lift_wp[z]
+        for x in range(1 << m):
+            v1 = bw.vertex_id(x)
+            v2 = bw.vertex_id(x ^ shift_w)
+            for y in range(1 << m):
+                v3 = bwp.vertex_id(y)
+                v4 = bwp.vertex_id(y ^ shift_wp)
+                ids = (v1, v2, v3, v4)
+                yield tuple(sorted(ids)) if len(set(ids)) == 4 else None
+
+
+@pytest.mark.parametrize("r, triples, seeds", [(1, 6, range(6)), (2, 2, range(2))])
+@pytest.mark.parametrize("distinct_blocks", [False, True])
+def test_broadcast_rows_match_generator(r, triples, seeds, distinct_blocks):
+    for seed in seeds:
+        inst, _ = games.gen_3lin(12, 14, seed)
+        g = hadamard.build(inst, r, triples=triples, seed=seed, distinct_blocks=distinct_blocks)
+        raw = [list(raw_edges_generator(g.blocks, r, t)) for t in g.triples]
+        assert g.edges_per_triple == [sorted(set(edges) - {None}) for edges in raw]
+        assert all(type(e) is tuple and type(e[0]) is int for edges in g.edges_per_triple
+                   for e in edges)
+        assert g.dropped_degenerate == sum(edges.count(None) for edges in raw)
+        for t, edges in zip(g.triples, raw):  # row for row, degenerate rows included
+            rows = hadamard._raw_edges(g.blocks, r, t).tolist()
+            assert [tuple(row) for row, e in zip(rows, edges) if e] == [e for e in edges if e]
+            assert len(rows) == len(edges)
+
+
 class TestBuild:
     def test_raw_choice_count_r1(self, one_triple):
         raw = list(hadamard._raw_edges(one_triple.blocks, one_triple.r,

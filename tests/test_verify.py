@@ -1,5 +1,6 @@
 """Exact hypergraph oracles."""
 import itertools
+import json
 import random
 import sys
 from dataclasses import dataclass
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gadgetlab import dto1, games, verify
+from gadgetlab import cli, dto1, games, verify
 from gadgetlab.seeding import derive_rng
 from gadgetlab.verify import DEFAULT_NODE_BUDGET, ColoringResult, GenericHypergraph
 
@@ -380,9 +381,31 @@ def small_hypergraphs(draw, max_n: int = 12, min_edges: int = 0) -> GenericHyper
     return GenericHypergraph(k, tuple(range(n)), tuple(edges), weights)
 
 
-@settings(max_examples=120)
-@given(h=small_hypergraphs(),
-       budget=st.one_of(st.integers(1, 60), st.just(verify.DEFAULT_NODE_BUDGET)))
+@st.composite
+def scattered_hypergraphs(draw, max_n: int = 12) -> GenericHypergraph:
+    """Ids scattered over [-40, 40] and listed out of order, some of them
+    isolated, with weights over coprime denominators up to 7, so that the
+    max-IS search scales its integer weights by more than one denominator."""
+    k = draw(st.sampled_from([2, 3, 4]))
+    ids = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=max_n, unique=True))
+    isolated = draw(st.sets(st.sampled_from(ids), max_size=3))
+    combos = list(itertools.combinations(sorted(set(ids) - isolated), k))
+    edges = draw(st.lists(st.sampled_from(combos), unique=True, max_size=24)) if combos else []
+    weights = {v: Fraction(draw(st.integers(1, 6)), draw(st.sampled_from([1, 2, 3, 5, 7])))
+               for v in ids}
+    return GenericHypergraph(k, tuple(ids), tuple(edges), weights)
+
+
+SCATTERED = GenericHypergraph(3, (7, -3, 12, 0, -20, 5), ((-3, 0, 7), (0, 7, 12), (-3, 5, 12)),
+                              {7: Fraction(1, 2), -3: Fraction(2, 3), 12: Fraction(3, 5),
+                               0: Fraction(1, 7), -20: Fraction(5, 7), 5: Fraction(4, 3)})
+
+
+@settings(max_examples=200)
+@given(h=st.one_of(small_hypergraphs(), scattered_hypergraphs()),
+       budget=st.one_of(st.integers(0, 60), st.just(verify.DEFAULT_NODE_BUDGET)))
+@example(h=SCATTERED, budget=0)
+@example(h=SCATTERED, budget=verify.DEFAULT_NODE_BUDGET)
 # unsatisfiable only below the first decision: a star, then a triangle
 @example(h=GenericHypergraph(2, tuple(range(8)), ((0, 1), (0, 2), (0, 3), (0, 4),
                                                  (5, 6), (6, 7), (5, 7))),
@@ -396,7 +419,8 @@ def test_explicit_stacks_match_recursive_oracles(h, budget):
         assert res.weight == brute_force_max_is(h)
     col = verify.two_colorable(h)
     assert col == two_colorable_recursive(h)
-    exhaustive = any(all(len({(mask >> v) & 1 for v in e}) > 1 for e in h.edges)
+    pos = {v: i for i, v in enumerate(h.vertices)}
+    exhaustive = any(all(len({(mask >> pos[v]) & 1 for v in e}) > 1 for e in h.edges)
                      for mask in range(1 << len(h.vertices)))
     assert col.colorable == exhaustive
 
@@ -576,6 +600,18 @@ class TestMaxIndependentSet:
             sys.setrecursionlimit(old)
         assert not res.optimal and res.nodes_expanded == 401
         assert not any(set(e) <= res.vertices for e in h.edges)
+
+    def test_hadamard_mis_gadget_is_pinned(self, tmp_path):
+        # the benchmark's oracle-search shape: 64 vertices, 136 edges, budget 200
+        lin, had = tmp_path / "lin.json", tmp_path / "had.json"
+        assert cli.main(["gen-3lin", "--n", "9", "--eqs", "9", "--seed", "1", "--out", str(lin)]) == 0
+        assert cli.main(["build-hadamard", "--instance", str(lin), "--r", "1", "--triples", "10",
+                         "--seed", "1", "--out", str(had)]) == 0
+        h = GenericHypergraph.from_json_dict(json.loads(had.read_text())["hypergraph"])
+        assert (len(h.vertices), len(h.edges)) == (64, 136)
+        res = verify.max_independent_set(h, budget=200)
+        assert res == max_independent_set_recursive(h, budget=200)
+        assert res.nodes_expanded == 201 and not res.optimal and res.weight == 42
 
 
 class TestTwoColorable:
