@@ -296,6 +296,8 @@ def cmd_decode(args) -> int:
     pcp = games.LayeredPcp.from_json_dict(bundle["pcp"])
     indicator_data = read_artifact(args.indicator)
     if args.kind == "longcode":
+        if "epsilon" not in bundle.get("config", {}):
+            raise UsageError(f"{args.gadget}: not a long-code gadget bundle (no config.epsilon)")
         gadget = longcode.build(pcp, Fraction(bundle["config"]["epsilon"]))
         outcome = longcode.decode(gadget, indicator_data["vertices"], args.delta,
                                   seed=derive_seed(args.seed, "decode"))

@@ -16,7 +16,7 @@ import numpy as np
 
 from .boolfn import FiniteJointDist, maximal_correlation
 from .games import (LayeredPcp, PcpGadget, RuleCheck, code_layout, heavy_layer_pair,
-                    satisfied_fractions, split_degenerate)
+                    product_rows, satisfied_fractions, split_degenerate)
 from .gf2 import _fwht, popcounts
 from .seeding import as_rng, derive_rng
 from .verify import GenericHypergraph
@@ -349,34 +349,23 @@ def build(pcp: LayeredPcp, delta: float) -> Dto1Gadget:
         raise ValueError("the correlated-test gadget needs a smooth layered PCP")
     d = pcp.params["d"]
     offsets, total = code_layout(pcp, Dto1Gadget.base)
-    constraint_edges: list[list[tuple[int, int, int]] | None] = []
-    constraint_pairs: list[list[tuple[int, int]] | None] = []
-    constraint_r: list[int] = []
-    dist_cache: dict[int, DDeltaR] = {}
+    constraint_edges, constraint_pairs, constraint_r = [], [], []
+    tables: dict = {}  # (projection, label sizes, r) -> its constraints' shared (edges, pairs)
     for c in pcp.constraints:
         r = d ** (c.to_layer - c.from_layer)
         constraint_r.append(r)
-        if pcp.label_sizes[c.to_layer] * (1 + 2 * r) > EDGE_ENUM_BITS:
-            constraint_edges.append(None)
-            constraint_pairs.append(None)
-            continue
-        dist = dist_cache.setdefault(r, dist_table(delta, r))
-        support = dist.support()
-        block_pos = block_positions(blocks_of(c.projection, pcp.label_sizes[c.to_layer]),
-                                    pcp.label_sizes[c.from_layer])
-        partial: list[tuple[int, int, int]] = [(0, 0, 0)]
-        for i, positions in enumerate(block_pos):
-            scattered = []
-            for x_bit, ym, zm in support:
-                ys = sum(((ym >> t) & 1) << j for t, j in enumerate(positions))
-                zs = sum(((zm >> t) & 1) << j for t, j in enumerate(positions))
-                scattered.append((x_bit << i, ys, zs))
-            partial = [
-                (x | xb, y | yb, z | zb)
-                for (x, y, z) in partial
-                for (xb, yb, zb) in scattered
-            ]
-        edges, pairs = split_degenerate(partial)
+        small, big = pcp.label_sizes[c.to_layer], pcp.label_sizes[c.from_layer]
+        key = (c.projection, small, big, r)
+        if key not in tables and small * (1 + 2 * r) <= EDGE_ENUM_BITS:
+            atoms = np.array(dist_table(delta, r).support())
+            factors = []
+            for i, pos in enumerate(block_positions(blocks_of(c.projection, small), big)):
+                # per atom: x's bit at i, and bit t of y and of z at label bit pos[t]
+                bits = atoms[:, 1:, None] >> np.arange(len(pos)) & 1
+                factors.append(np.column_stack([atoms[:, 0] << i,
+                                                bits @ 2 ** np.array(pos, dtype=np.int64)]))
+            tables[key] = split_degenerate(product_rows(factors))
+        edges, pairs = tables.get(key, (None, None))  # None: over the bit cap, rule only
         constraint_edges.append(edges)
         constraint_pairs.append(pairs)
     if all(e is not None for e in constraint_edges):

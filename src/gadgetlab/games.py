@@ -12,6 +12,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -476,13 +477,24 @@ def code_layout(pcp: LayeredPcp, base: int) -> tuple[dict[tuple[int, int], int],
     return offsets, acc
 
 
-def split_degenerate(triples: list[tuple[int, int, int]]
-                     ) -> tuple[list[tuple[int, int, int]], list[tuple[int, int]]]:
-    """One constraint's (x, y, z) rule hits as 3-uniform edges and (x, y)
-    pairs: y == z leaves two distinct vertices, which the rule still forbids
-    together, so those stay out of the 3-uniform edge set."""
-    return ([t for t in triples if t[1] != t[2]],
-            [(x, y) for x, y, z in triples if y == z])
+def product_rows(factors: list) -> np.ndarray:
+    """Every choice of one row per (m_i, 3) factor, summed, the first factor
+    varying slowest: one (prod m_i, 3) int64 array. Factors on disjoint
+    digits or bits make the sum their OR."""
+    rows = np.zeros((1, 3), dtype=np.int64)
+    for factor in factors:
+        rows = (rows[:, None] + np.asarray(factor, dtype=np.int64)).reshape(-1, 3)
+    return rows
+
+
+def split_degenerate(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One constraint's (x, y, z) rule hits as read-only 3-uniform edges and
+    (x, y) pairs: y == z leaves two distinct vertices, which the rule still
+    forbids together, so those stay out of the 3-uniform edge set."""
+    same = rows[:, 1] == rows[:, 2]
+    edges, pairs = rows[~same], rows[same, :2]
+    edges.flags.writeable = pairs.flags.writeable = False
+    return edges, pairs
 
 
 def check_labeling(pcp: LayeredPcp, sigma) -> list[list[int]]:
@@ -574,8 +586,9 @@ class RuleCheck:
 class PcpGadget:
     """A code of base ** label_size points on every PCP variable, joined per
     constraint by the gadget's local rule on (x, y, z): x a point of u, y and
-    z points of v. A constraint's rule hits are materialised as edges and
-    pairs, or None when only the rule is kept ("rule" or "mixed" mode).
+    z points of v. A constraint's rule hits are materialised as split_degenerate's
+    read-only edge and pair arrays, which constraints of one rule share, or
+    None when only the rule is kept ("rule" or "mixed" mode).
     Points whose dictator digit is removed_digit leave the YES colouring;
     None matches no digit, so no point leaves."""
 
@@ -586,12 +599,17 @@ class PcpGadget:
     mode: str
     offsets: dict[tuple[int, int], int]
     vertex_count: int
-    constraint_edges: list[list[tuple[int, int, int]] | None]
-    constraint_pairs: list[list[tuple[int, int]] | None]
+    constraint_edges: list[np.ndarray | None]
+    constraint_pairs: list[np.ndarray | None]
 
     @property
     def dropped_degenerate(self) -> int:
         return sum(len(p) for p in self.constraint_pairs if p is not None)
+
+    @cached_property
+    def code_firsts(self) -> np.ndarray:
+        """The first vertex id of each code, in offsets order."""
+        return np.fromiter(self.offsets.values(), dtype=np.int64)
 
     def vertex_id(self, layer: int, var: int, point: int) -> int:
         return self.offsets[(layer, var)] + point
@@ -623,9 +641,9 @@ class PcpGadget:
                 hits = list(self.sample_hits(ci, derive_rng(seed, "yes-check", ci), samples))
                 block[:] = int_rows(hits, 3)
             else:
-                block[:len(edges)] = int_rows(edges, 3)
+                block[:len(edges)] = edges
                 if pairs:
-                    block[len(edges):] = int_rows(pair_table, 2)[:, [0, 1, 1]]
+                    block[len(edges):] = pair_table[:, [0, 1, 1]]
             block[:, 0] += self.offsets[(c.to_layer, c.u)]  # x is a point of u, y and z of v
             block[:, 1:] += self.offsets[(c.from_layer, c.v)]
         return rows, starts
@@ -634,7 +652,7 @@ class PcpGadget:
                    index: np.ndarray) -> list[tuple[int, int, int, int]]:
         """The hit rows at index as (ci, x, y, z): the constraint and the
         points within their codes."""
-        firsts = np.fromiter(self.offsets.values(), dtype=np.int64)
+        firsts = self.code_firsts
         hits = rows[index]
         local = hits - firsts[np.searchsorted(firsts, hits, side="right") - 1]
         ci = np.searchsorted(starts, index, side="right") - 1

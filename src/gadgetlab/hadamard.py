@@ -125,12 +125,19 @@ def build(inst: Lin3Instance, r: int, triples: int = 2, seed: int = 0,
 
     blocks: list[GadgetBlock] = []
     block_index: dict[tuple[int, ...], int] = {}
+    geometries: dict = {}  # (eq_ids, var_ids) -> the block_geometry of W and U's picks
+
+    def geometry(block: EquationBlock, picks: VariableBlock) -> BlockGeometry:
+        key = (block.eq_ids, picks.var_ids)
+        if key not in geometries:
+            geometries[key] = block_geometry(block, picks, inst)
+        return geometries[key]
 
     def register(block: EquationBlock, picks: VariableBlock) -> int:
         key = block.eq_ids
         if key in block_index:
             return block_index[key]
-        geom = block_geometry(block, picks, inst)
+        geom = geometry(block, picks)
         base = sum(len(b.reps) for b in blocks)
         reps = tuple(v.bits for v in geom.subspace.coset_reps())
         gb = GadgetBlock(len(blocks), block, geom, base, reps,
@@ -154,8 +161,7 @@ def build(inst: Lin3Instance, r: int, triples: int = 2, seed: int = 0,
             wp_block = EquationBlock.from_instance(inst, wp_ids)
             wp_picks = VariableBlock(r, picks.var_ids)
             triple_list.append(Triple(picks, register(w_block, picks), register(wp_block, wp_picks),
-                                      block_geometry(w_block, picks, inst),
-                                      block_geometry(wp_block, wp_picks, inst)))
+                                      geometry(w_block, picks), geometry(wp_block, wp_picks)))
             break
         else:
             raise RejectionBudgetError(f"could not sample a consistent W' in {budget} attempts")

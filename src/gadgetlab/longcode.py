@@ -16,7 +16,7 @@ import numpy as np
 
 from . import ternary
 from .games import (LayeredPcp, PcpGadget, code_layout, dictator_colors, heavy_layer_pair,
-                    satisfied_fractions, split_degenerate)
+                    product_rows, satisfied_fractions, split_degenerate)
 from .seeding import derive_rng
 from .ternary import TernaryFamily, WitnessPair, two_element_witness
 from .verify import GenericHypergraph
@@ -36,20 +36,13 @@ def _allowed_pairs(x_digit: int) -> list[tuple[int, int]]:
     return pairs
 
 
-def _constraint_triples(proj: tuple[int, ...], r_big: int, r_small: int):
-    """All (x, y, z) index triples passing the coordinate rule."""
-    triples = []
-    small_digits = ternary.digits_matrix(r_small)
-    for x in range(3**r_small):
-        xd = small_digits[x]
-        partial: list[tuple[int, int, int]] = [(x, 0, 0)]
-        for j in range(r_big):
-            step = 3**j
-            allowed = _allowed_pairs(int(xd[proj[j]]))
-            partial = [(x, y + a * step, z + b * step)
-                       for (_, y, z) in partial for (a, b) in allowed]
-        triples += partial
-    return triples
+def _constraint_rows(proj: tuple[int, ...], r_big: int, r_small: int) -> np.ndarray:
+    """All (x, y, z) index triples passing the coordinate rule: by x, then by
+    the allowed (y, z) digit pair of each coordinate, coordinate 0 slowest."""
+    options = [np.array([(0, a, b) for a, b in _allowed_pairs(d)]) for d in range(3)]
+    return np.concatenate([
+        product_rows([[(x, 0, 0)], *(options[xd[i]] * 3**j for j, i in enumerate(proj))])
+        for x, xd in enumerate(ternary.digits_matrix(r_small).tolist())])
 
 
 @dataclass
@@ -112,13 +105,13 @@ def build(pcp: LayeredPcp, epsilon) -> LongCodeGadget:
     if total > SIZE_CAP:
         raise ValueError(f"gadget would have {total} vertices, cap is {SIZE_CAP}")
     mode = "enumerate" if max(pcp.label_sizes) <= ENUMERATE_LABEL_CAP else "rule"
-    constraint_edges: list[list[tuple[int, int, int]] | None] = []
-    constraint_pairs: list[list[tuple[int, int]] | None] = []
+    tables: dict = {}  # (projection, label sizes) -> its constraints' shared (edges, pairs)
+    constraint_edges, constraint_pairs = [], []
     for c in pcp.constraints:
-        edges = pairs = None
-        if mode == "enumerate":
-            edges, pairs = split_degenerate(_constraint_triples(
-                c.projection, pcp.label_sizes[c.from_layer], pcp.label_sizes[c.to_layer]))
+        key = (c.projection, pcp.label_sizes[c.from_layer], pcp.label_sizes[c.to_layer])
+        if mode == "enumerate" and key not in tables:
+            tables[key] = split_degenerate(_constraint_rows(*key))
+        edges, pairs = tables.get(key, (None, None))
         constraint_edges.append(edges)
         constraint_pairs.append(pairs)
     return LongCodeGadget(pcp, mode, offsets, total, constraint_edges, constraint_pairs, eps)

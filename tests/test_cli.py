@@ -267,6 +267,17 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: indicator vertex {stray} is not a vertex id in [0, 108)\n")
 
+    @pytest.mark.parametrize("name", ["dto1.json", "pcp.json"])
+    def test_longcode_decode_of_another_bundle_is_one(self, tmp_path, capsys, name):
+        label_cover_bundle(tmp_path, "dto1")  # writes a plain PCP and a d-to-1 bundle
+        ind = tmp_path / "ind.json"
+        ind.write_text(json.dumps({"vertices": [0]}))
+        capsys.readouterr()
+        assert run("decode", "--kind", "longcode", "--gadget", tmp_path / name, "--indicator", ind,
+                   "--delta", "0.4") == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / name}: not a long-code gadget bundle (no config.epsilon)\n")
+
     def test_dto1_decode_zero_eps_is_one(self, tmp_path, capsys):
         bundle, ind = dto1_bundle(tmp_path, 0.5)
         assert run("decode", "--kind", "dto1", "--gadget", bundle, "--indicator", ind,

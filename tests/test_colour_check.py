@@ -56,7 +56,8 @@ def check_independent_reference(g: longcode.LongCodeGadget, families):
     for ci, c in enumerate(g.pcp.constraints):
         fu = families[(c.to_layer, c.u)]
         fv = families[(c.from_layer, c.v)]
-        for x, y, z in g.constraint_edges[ci] + [(x, y, y) for x, y in g.constraint_pairs[ci]]:
+        for x, y, z in (list(map(tuple, g.constraint_edges[ci].tolist()))
+                        + [(x, y, y) for x, y in g.constraint_pairs[ci].tolist()]):
             if fu.membership[x] and fv.membership[y] and fv.membership[z]:
                 return (ci, x, y, z)
     return None
@@ -124,7 +125,8 @@ def test_hit_rows_lay_out_edges_then_pairs_per_constraint():
     want, starts = [], [0]
     for ci, c in enumerate(pcp.constraints):
         ou, ov = g.offsets[(c.to_layer, c.u)], g.offsets[(c.from_layer, c.v)]
-        hits = g.constraint_edges[ci] + [(x, y, y) for x, y in g.constraint_pairs[ci]]
+        hits = (list(map(tuple, g.constraint_edges[ci].tolist()))
+                + [(x, y, y) for x, y in g.constraint_pairs[ci].tolist()])
         want += [(ou + x, ov + y, ov + z) for x, y, z in hits]
         starts.append(len(want))
     rows, got_starts = g.hit_rows()
@@ -245,7 +247,7 @@ def test_check_independent_finds_an_injected_pair_first():
     g = longcode.build(pcp, Fraction(1, 10))
     c = pcp.constraints[1]
     x, y = 5, 7
-    g.constraint_pairs[1].insert(0, (x, y))
+    g.constraint_pairs[1] = np.insert(g.constraint_pairs[1], 0, (x, y), axis=0)
     families = families_of(g, {g.vertex_id(c.to_layer, c.u, x), g.vertex_id(c.from_layer, c.v, y)})
     assert longcode.check_independent(g, families) == (1, x, y, y)
     assert check_independent_reference(g, families) == (1, x, y, y)

@@ -4,6 +4,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gadgetlab import dto1, games, longcode, ternary
@@ -51,7 +52,8 @@ def yes_partition_reference(g: longcode.LongCodeGadget, sigma, samples: int = 20
 
     if g.mode == "enumerate":
         for ci, c in enumerate(pcp.constraints):
-            for x, y, z in g.constraint_edges[ci] + [(x, y, y) for x, y in g.constraint_pairs[ci]]:
+            for x, y, z in (list(map(tuple, g.constraint_edges[ci].tolist()))
+                            + [(x, y, y) for x, y in g.constraint_pairs[ci].tolist()]):
                 check_edge(ci, c, x, y, z)
         coverage = "exhaustive"
     else:
@@ -102,7 +104,7 @@ def yes_check_reference(g: dto1.Dto1Gadget, sigma, samples: int = 2000,
     for ci, c in enumerate(pcp.constraints):
         edges, pairs = g.constraint_edges[ci], g.constraint_pairs[ci]
         if edges is not None:
-            for x, y, z in edges + [(x, y, y) for x, y in pairs]:
+            for x, y, z in list(map(tuple, edges.tolist())) + [(x, y, y) for x, y in pairs.tolist()]:
                 check(ci, c, x, y, z)
             continue
         sampled += 1
@@ -138,9 +140,10 @@ def inject(g: games.PcpGadget, sigma, digit: int) -> None:
         jv = sigma[c.from_layer][c.v]
         sy = base ** jv
         other = base ** ((jv + 1) % g.pcp.label_sizes[c.from_layer])
-        g.constraint_edges[ci].append((digit * sx, digit * sy, digit * sy + other))
-        g.constraint_edges[ci].append((0, digit * sy, digit * sy + other))
-        g.constraint_pairs[ci].append((digit * sx, digit * sy))
+        g.constraint_edges[ci] = np.vstack([g.constraint_edges[ci],
+                                            (digit * sx, digit * sy, digit * sy + other),
+                                            (0, digit * sy, digit * sy + other)])
+        g.constraint_pairs[ci] = np.vstack([g.constraint_pairs[ci], (digit * sx, digit * sy)])
 
 
 LONGCODE_CASES = [(2, 2, 3, seed) for seed in range(4)] + [(3, 2, (3, 2, 2), 5),

@@ -237,7 +237,8 @@ class TestBuild:
         g = dto1.build(pcp, 0.25)
         assert g.mode == "enumerate"
         for ci in range(len(pcp.constraints)):
-            members = set(g.constraint_edges[ci]) | {(x, y, y) for x, y in g.constraint_pairs[ci]}
+            members = (set(map(tuple, g.constraint_edges[ci].tolist()))
+                       | {(x, y, y) for x, y in g.constraint_pairs[ci].tolist()})
             for x, y, z in itertools.product(range(4), range(16), range(16)):
                 assert g.edge_exists(ci, x, y, z) == ((x, y, z) in members)
 

@@ -64,6 +64,31 @@ def test_broadcast_rows_match_generator(r, triples, seeds, distinct_blocks):
             assert len(rows) == len(edges)
 
 
+@pytest.mark.parametrize("r, triples, seeds", [(1, 10, range(4)), (2, 3, range(2))])
+def test_block_geometry_built_once_per_key(monkeypatch, r, triples, seeds):
+    keys = []
+
+    def counted(block, picks, inst):
+        keys.append((block.eq_ids, picks.var_ids))
+        return games.block_geometry(block, picks, inst)
+
+    monkeypatch.setattr(hadamard, "block_geometry", counted)
+    for seed in seeds:
+        inst, _ = games.gen_3lin(12, 14, seed)
+        keys.clear()
+        g = hadamard.build(inst, r, triples=triples, seed=seed)
+        assert len(keys) == len(set(keys))
+        assert set(keys) == {(g.blocks[index].block.eq_ids, t.u.var_ids)
+                             for t in g.triples for index in (t.w_index, t.wp_index)}
+        # every geometry is the one a fresh call gives, as when each was built anew
+        for t in g.triples:
+            assert t.geom_w == games.block_geometry(g.blocks[t.w_index].block, t.u, inst)
+            assert t.geom_wp == games.block_geometry(g.blocks[t.wp_index].block, t.u, inst)
+        for gb in g.blocks:
+            first = next(t for t in g.triples if gb.index in (t.w_index, t.wp_index))
+            assert gb.geometry == games.block_geometry(gb.block, first.u, inst)
+
+
 class TestBuild:
     def test_raw_choice_count_r1(self, one_triple):
         raw = list(hadamard._raw_edges(one_triple.blocks, one_triple.r,

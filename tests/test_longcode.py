@@ -110,7 +110,7 @@ class TestBuild:
         # |R_l| = |R_l2| = 1: compare against scanning all 27 digit triples
         pcp = LayeredPcp(2, (1, 1), (1, 1), (PcpConstraint(0, 1, 0, 0, (0,)),))
         g = longcode.build(pcp, Fraction(1, 5))
-        got = set(g.constraint_edges[0])
+        got = set(map(tuple, g.constraint_edges[0].tolist()))
         expect = set()
         for x, y, z in itertools.product(range(3), repeat=3):
             if (x, y, z) in ((1, 1, 1), (2, 2, 2)):
@@ -127,7 +127,8 @@ class TestBuild:
             all_one_big = ternary.point_index([1] * m)
             all_one_small = ternary.point_index([1] * pcp.label_sizes[c.to_layer])
             assert not g.edge_exists(ci, all_one_small, all_one_big, all_one_big)
-            assert (all_one_small, all_one_big, all_one_big) not in set(g.constraint_edges[ci])
+            assert (all_one_small, all_one_big, all_one_big) not in set(
+                map(tuple, g.constraint_edges[ci].tolist()))
 
     def test_size_cap(self):
         pcp = games.gen_toy_mlpcp(2, 500, 10, 0, density=0.01)
