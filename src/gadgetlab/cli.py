@@ -86,10 +86,22 @@ def write_artifact(path: str | Path, payload: dict) -> None:
         raise
 
 
+class _Fields(dict):
+    """A JSON object read from an artifact: reading a field it lacks is a
+    UsageError that names the file and the field."""
+
+    def __init__(self, path, fields: dict):
+        super().__init__(fields)
+        self.path = path
+
+    def __missing__(self, key):
+        raise UsageError(f"{self.path}: missing field {key!r}")
+
+
 def read_artifact(path: str | Path) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh, object_hook=functools.partial(_Fields, path))
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except OSError as exc:
@@ -198,6 +210,8 @@ def cmd_verify(args) -> int:
     if args.mode == "yes":  # the planted colouring, checked on the stored edges
         kind = h.meta.get("kind")
         gadget_cls = {"longcode": longcode.LongCodeGadget, "dto1": dto1.Dto1Gadget}.get(kind)
+        if kind not in (None, "hadamard") and gadget_cls is None:
+            raise UsageError(f"{args.input}: unknown hypergraph kind {kind!r}")
         if kind == "hadamard" and "planted_assignment" in bundle:
             cfg = bundle["config"]
             inst = games.Lin3Instance.from_json_dict(bundle["instance"])
@@ -414,7 +428,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("build-hadamard", help="4-uniform folded-code gadget")
     p.add_argument("--instance", required=True)
-    p.add_argument("--r", type=int, default=1)
+    p.add_argument("--r", type=_int_at_least(1), default=1)
     p.add_argument("--triples", type=_int_at_least(1), default=2)
     p.add_argument("--distinct-blocks", action="store_true")
     p.add_argument("--seed", type=int, default=0)
@@ -487,10 +501,7 @@ def main(argv=None) -> int:
             if value is not None and not Path(value).is_absolute():
                 setattr(args, attr, str(Path(args.out_dir) / value))
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, KeyError, OSError, games.NoLayerPairError,
+    except (UsageError, ValueError, KeyError, OSError, games.NoLayerPairError,
             games.RejectionBudgetError, ternary.WitnessRetryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,7 +19,7 @@ import numpy as np
 
 from .gf2 import Gf2Subspace, Gf2Vector
 from .seeding import as_rng, derive_rng
-from .verify import GenericHypergraph, check_coloring
+from .verify import GenericHypergraph, check_coloring, unique_rows
 
 LABEL_TUPLE_CAP = 10**6
 
@@ -196,10 +196,6 @@ class BlockGeometry:
     h_w: Gf2Vector
     u_positions: tuple[int, ...]
 
-    @property
-    def width(self) -> int:
-        return 3 * self.r + 1
-
     def project_bits(self, x_bits: int) -> int:
         z = 0
         for t, pos in enumerate(self.u_positions):
@@ -211,9 +207,6 @@ class BlockGeometry:
         for t, pos in enumerate(self.u_positions):
             x |= ((z_bits >> t) & 1) << pos
         return x
-
-    def project(self, x: Gf2Vector) -> Gf2Vector:
-        return Gf2Vector(self.r, self.project_bits(x.bits))
 
 
 def block_geometry(block: EquationBlock, picks: VariableBlock, inst: Lin3Instance) -> BlockGeometry:
@@ -520,12 +513,6 @@ def dictator_colors(pcp: LayeredPcp, base: int, sigma, ids: np.ndarray | None = 
     return ((ids - firsts[var]) // steps[var] % base).astype(np.int8)
 
 
-def int_rows(rows, k: int) -> np.ndarray:
-    """A list of rows of k ints as an (n, k) int64 array."""
-    return np.fromiter(itertools.chain.from_iterable(rows), dtype=np.int64,
-                       count=len(rows) * k).reshape(len(rows), k)
-
-
 def heavy_layer_pair(pcp: LayeredPcp, measures: dict[tuple[int, int], float],
                      threshold: float) -> tuple[dict[int, list[int]], dict[int, set[int]], dict]:
     """Heavy variables (measure >= threshold/2) per layer, the layers where
@@ -639,7 +626,7 @@ class PcpGadget:
             block = rows[starts[ci]:starts[ci + 1]]
             if edges is None:
                 hits = list(self.sample_hits(ci, derive_rng(seed, "yes-check", ci), samples))
-                block[:] = int_rows(hits, 3)
+                block[:] = np.array(hits, dtype=np.int64).reshape(-1, 3)
             else:
                 block[:len(edges)] = edges
                 if pairs:
@@ -682,14 +669,9 @@ class PcpGadget:
         weight(layer, var, point) per vertex; meta gains dropped_degenerate."""
         if self.mode != "enumerate":
             raise ValueError("export requires enumerate mode")
-        edges, _ = self.hit_rows(pairs=False)
-        # sorted({tuple(sorted(e)) for e in edges}) by array operations
-        edges.sort(axis=1)
-        edges = edges[np.lexsort(edges.T[::-1])]
-        keep = np.ones(len(edges), dtype=bool)
-        keep[1:] = (edges[1:] != edges[:-1]).any(axis=1)
+        edges = unique_rows(self.hit_rows(pairs=False)[0])
         meta["dropped_degenerate"] = self.dropped_degenerate
-        return GenericHypergraph(3, tuple(range(self.vertex_count)), edges[keep],
+        return GenericHypergraph(3, tuple(range(self.vertex_count)), edges,
                                  dict(enumerate(self.point_weights(weight))), meta)
 
 
@@ -731,12 +713,6 @@ class Dto1Game:
             for v, u, proj in self.constraints:
                 if proj[v_labels[v]] != u_labels[u]:
                     raise ValueError("planted labeling does not satisfy the game")
-
-    def projection(self, v: int, u: int) -> tuple[int, ...] | None:
-        for vv, uu, proj in self.constraints:
-            if vv == v and uu == u:
-                return proj
-        return None
 
     def to_json_dict(self) -> dict:
         d = {

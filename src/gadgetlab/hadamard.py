@@ -18,8 +18,8 @@ import numpy as np
 
 from . import gf2
 from .games import (BlockGeometry, EquationBlock, Lin3Instance, RejectionBudgetError,
-                    VariableBlock, block_geometry, int_rows, repeat_free, sample_round)
-from .verify import GenericHypergraph, check_coloring
+                    VariableBlock, block_geometry, repeat_free, sample_round)
+from .verify import GenericHypergraph, check_coloring, unique_rows
 
 MAX_R = 2
 
@@ -63,15 +63,15 @@ class HadamardGadget:
     r: int
     blocks: list[GadgetBlock]
     triples: list[Triple]
-    edges_per_triple: list[list[tuple[int, int, int, int]]]
+    edges_per_triple: list[np.ndarray]  # per triple, unique_rows of its hyperedges
     dropped_degenerate: int
 
     @property
     def vertex_count(self) -> int:
         return sum(len(b.reps) for b in self.blocks)
 
-    def all_edges(self) -> list[tuple[int, int, int, int]]:
-        return sorted(set().union(*self.edges_per_triple))
+    def all_edges(self) -> np.ndarray:
+        return unique_rows(np.concatenate(self.edges_per_triple))
 
     def to_hypergraph(self) -> GenericHypergraph:
         vertices = tuple(range(self.vertex_count))
@@ -167,11 +167,9 @@ def build(inst: Lin3Instance, r: int, triples: int = 2, seed: int = 0,
             raise RejectionBudgetError(f"could not sample a consistent W' in {budget} attempts")
 
     raw = [_raw_edges(blocks, r, triple) for triple in triple_list]
-    degenerate = [(rows[:, 1:] == rows[:, :-1]).any(axis=1) for rows in raw]
-    edges_per_triple = [sorted(set(map(tuple, rows[~bad].tolist())))
-                        for rows, bad in zip(raw, degenerate)]
-    dropped = sum(int(bad.sum()) for bad in degenerate)
-    return HadamardGadget(inst, r, blocks, triple_list, edges_per_triple, dropped)
+    kept = [rows[(rows[:, 1:] != rows[:, :-1]).all(axis=1)] for rows in raw]
+    dropped = sum(len(rows) - len(rows_kept) for rows, rows_kept in zip(raw, kept))
+    return HadamardGadget(inst, r, blocks, triple_list, list(map(unique_rows, kept)), dropped)
 
 
 @dataclass
@@ -206,7 +204,7 @@ def yes_coloring(g: HadamardGadget, sigma) -> YesColoringResult:
         else:
             colors[span] = [gf2.dot_bits(code, rep) for rep in gb.reps]
 
-    edges = int_rows(g.all_edges(), 4)
+    edges = g.all_edges()
     surviving, violating = check_coloring(edges, colors, removed, parity=True)
     kept = np.flatnonzero(~removed).tolist()
     return YesColoringResult(dict(zip(kept, colors[kept].tolist())),
@@ -281,7 +279,7 @@ def extract_strategies(g: HadamardGadget, indicator, triple_index: int) -> Strat
         lhs += mass * by_proj.get(triple.geom_w.project_bits(a), 0.0)
     rhs = float(spec_a.coeffs[0] ** 2 * spec_b.coeffs[0] ** 2) - 2.0 ** (-g.r)
 
-    independent = not members[int_rows(g.edges_per_triple[triple_index], 4)].all(axis=1).any()
+    independent = not members[g.edges_per_triple[triple_index]].all(axis=1).any()
     return StrategyReport(prover2, prover1, lhs, rhs, lhs >= rhs - 1e-10,
                           independent, spec_a, spec_b)
 

@@ -88,6 +88,18 @@ class GenericHypergraph:
         return "".join(" ".join(map(str, e)) + "\n" for e in self.edges.tolist())
 
 
+def unique_rows(rows: np.ndarray) -> np.ndarray:
+    """sorted({tuple(sorted(e)) for e in rows}) for an (n, k) int64 array,
+    as a read-only array. Each row of rows is sorted in place."""
+    rows.sort(axis=1)
+    rows = rows[np.lexsort(rows.T[::-1])]
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    rows = rows[keep]
+    rows.flags.writeable = False
+    return rows
+
+
 def check_coloring(edges: np.ndarray, colors: np.ndarray, removed: np.ndarray,
                    parity: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Masks over the rows of an (E, k) edge array: the rows with no vertex

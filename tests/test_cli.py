@@ -129,6 +129,13 @@ class TestReadmeArtifacts:
         assert hashlib.sha256((tmp_path / "dto1.json").read_bytes()).hexdigest() == (
             "e45f2e509b961209d1bc5c365b3f0ca496e6078cf1b151046888d5ac69e99690")
 
+    def test_build_hadamard_artifact(self, tmp_path):
+        assert run("gen-3lin", "--n", 9, "--eqs", 9, "--seed", 7, "--out", "lin.json") == 0
+        assert run("build-hadamard", "--instance", "lin.json", "--r", 1, "--triples", 2,
+                   "--out", "had.json") == 0
+        assert hashlib.sha256((tmp_path / "had.json").read_bytes()).hexdigest() == (
+            "1a8939bec784ea5e2497417a5f4ee862eac838fe6907490141468188d90e6362")
+
 
 def longcode_bundle(tmp_path):
     """The README's plain PCP and long-code gadget, and an indicator file
@@ -334,6 +341,42 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: argument --triples: must be at least 1, got {triples}\n")
         assert not out.exists()
+
+    @pytest.mark.parametrize("r", ["0", "-1"])
+    def test_r_below_one_is_one(self, tmp_path, capsys, r):
+        # rejected as the arguments are parsed: the instance file is never opened
+        out = tmp_path / "had.json"
+        assert run("build-hadamard", "--instance", tmp_path / "absent.json", "--r", r,
+                   "--out", out) == 1
+        assert capsys.readouterr().err == f"error: argument --r: must be at least 1, got {r}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("file, field, argv", [
+        ("triangle.json", "hypergraph.k", ["verify", "--input", "{path}", "--mode", "max-is"]),
+        ("had.json", "instance", ["verify", "--input", "{path}", "--mode", "yes"]),
+        ("had.json", "config.r", ["verify", "--input", "{path}", "--mode", "yes"]),
+        ("lc.json", "pcp", ["decode", "--kind", "longcode", "--gadget", "{path}",
+                            "--indicator", "{dir}/ind.json", "--delta", "0.4"]),
+        ("lin.json", "instance.n", ["build-hadamard", "--instance", "{path}",
+                                    "--out", "{dir}/out.json"]),
+    ])
+    def test_missing_field_names_file_and_field(self, tmp_path, capsys, file, field, argv):
+        triangle_bundle(tmp_path)
+        lin = tmp_path / "lin.json"
+        assert run("gen-3lin", "--n", 9, "--eqs", 9, "--seed", 7, "--out", lin) == 0
+        assert run("build-hadamard", "--instance", lin, "--out", tmp_path / "had.json") == 0
+        if file == "lc.json":
+            longcode_bundle(tmp_path)
+        path = tmp_path / file
+        payload = json.loads(path.read_text())
+        *parents, last = field.split(".")
+        del functools.reduce(dict.__getitem__, parents, payload)[last]
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(*[a.format(path=path, dir=tmp_path) for a in argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: missing field {last!r}\n"
+        assert not (tmp_path / "out.json").exists()
 
     def test_build_hadamard_has_no_mode_flag(self, tmp_path, capsys):
         lin = tmp_path / "lin.json"
@@ -545,6 +588,20 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == (
             "error: verify --mode yes needs a bundle with a planted assignment\n")
+
+    def test_yes_names_an_unknown_kind(self, tmp_path, capsys):
+        lin, had = tmp_path / "lin.json", tmp_path / "had.json"
+        assert run("gen-3lin", "--n", 9, "--eqs", 9, "--seed", 7, "--out", lin) == 0
+        assert run("build-hadamard", "--instance", lin, "--out", had) == 0
+        bundle = json.loads(had.read_text())
+        assert "planted_assignment" in bundle
+        bundle["hypergraph"]["meta"]["kind"] = "x"
+        had.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert run("verify", "--input", had, "--mode", "yes") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: {had}: unknown hypergraph kind 'x'\n")
 
     def test_dto1_decode_has_no_smooth_t_flag(self, tmp_path, capsys):
         bundle, ind = dto1_bundle(tmp_path, 0.5)

@@ -43,7 +43,7 @@ def yes_coloring_reference(g: hadamard.HadamardGadget, sigma) -> hadamard.YesCol
         else:
             removed.update(range(gb.vertex_base, gb.vertex_base + len(gb.reps)))
 
-    edges = g.all_edges()
+    edges = list(map(tuple, g.all_edges().tolist()))
     surviving = [e for e in edges if not any(v in removed for v in e)]
     violations = [e for e in surviving
                   if colors[e[0]] ^ colors[e[1]] ^ colors[e[2]] ^ colors[e[3]] != 1]
@@ -202,7 +202,7 @@ def test_yes_coloring_reports_injected_even_edges(r, triples, seed):
     by_color = [[v for v, c in colors.items() if c == k] for k in (0, 1)]
     # even parity: four of one colour, then two of each
     injected = [tuple(sorted(by_color[0][:4])), tuple(sorted(by_color[0][:2] + by_color[1][:2]))]
-    g.edges_per_triple[0] = sorted(set(g.edges_per_triple[0]) | set(injected))
+    g.edges_per_triple[0] = verify.unique_rows(np.vstack([g.edges_per_triple[0], injected]))
     want = yes_coloring_reference(g, sigma)
     assert hadamard.yes_coloring(g, sigma) == want
     assert set(want.violations) == set(injected)

@@ -1,6 +1,7 @@
 """Folded Hadamard-code gadget: build, YES coloring, NO pipeline."""
 import random
 
+import numpy as np
 import pytest
 
 from gadgetlab import games, gf2, hadamard, verify
@@ -54,14 +55,44 @@ def test_broadcast_rows_match_generator(r, triples, seeds, distinct_blocks):
         inst, _ = games.gen_3lin(12, 14, seed)
         g = hadamard.build(inst, r, triples=triples, seed=seed, distinct_blocks=distinct_blocks)
         raw = [list(raw_edges_generator(g.blocks, r, t)) for t in g.triples]
-        assert g.edges_per_triple == [sorted(set(edges) - {None}) for edges in raw]
-        assert all(type(e) is tuple and type(e[0]) is int for edges in g.edges_per_triple
-                   for e in edges)
+        assert ([list(map(tuple, edges.tolist())) for edges in g.edges_per_triple]
+                == [sorted(set(edges) - {None}) for edges in raw])
         assert g.dropped_degenerate == sum(edges.count(None) for edges in raw)
         for t, edges in zip(g.triples, raw):  # row for row, degenerate rows included
             rows = hadamard._raw_edges(g.blocks, r, t).tolist()
             assert [tuple(row) for row, e in zip(rows, edges) if e] == [e for e in edges if e]
             assert len(rows) == len(edges)
+
+
+def edges_per_triple_reference(g):
+    """Reference: hadamard.build's per-triple tuple lists as they were built
+    from the broadcast rows, before the rows stayed arrays."""
+    out = []
+    for t in g.triples:
+        rows = hadamard._raw_edges(g.blocks, g.r, t)
+        bad = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        out.append(sorted(set(map(tuple, rows[~bad].tolist()))))
+    return out
+
+
+def all_edges_reference(edges_per_triple):
+    """Reference: HadamardGadget.all_edges as the union of the tuple sets."""
+    return sorted(set().union(*edges_per_triple))
+
+
+@pytest.mark.parametrize("r, triples, seeds", [(1, 6, range(8)), (2, 3, range(3))])
+@pytest.mark.parametrize("distinct_blocks", [False, True])
+def test_edge_arrays_match_tuple_builders(r, triples, seeds, distinct_blocks):
+    for seed in seeds:
+        inst, _ = games.gen_3lin(12, 14, seed)
+        g = hadamard.build(inst, r, triples=triples, seed=seed, distinct_blocks=distinct_blocks)
+        want = edges_per_triple_reference(g)
+        arrays = [*g.edges_per_triple, g.all_edges()]
+        for got, rows in zip(arrays, [*want, all_edges_reference(want)]):
+            assert got.dtype == np.int64 and got.shape == (len(rows), 4)
+            assert not got.flags.writeable
+            assert list(map(tuple, got.tolist())) == rows
+        assert np.array_equal(g.to_hypergraph().edges, g.all_edges())
 
 
 @pytest.mark.parametrize("r, triples, seeds", [(1, 10, range(4)), (2, 3, range(2))])
@@ -160,7 +191,7 @@ class TestBuild:
         inst, _ = planted
         a = hadamard.build(inst, r=1, triples=2, seed=7)
         b = hadamard.build(inst, r=1, triples=2, seed=7)
-        assert a.all_edges() == b.all_edges()
+        assert a.all_edges().tolist() == b.all_edges().tolist()
 
     def test_shared_block_keeps_per_triple_projections(self):
         # one equation forces every triple onto the same block while the
@@ -185,7 +216,7 @@ class TestBuild:
                                bwp.vertex_id(y), bwp.vertex_id(y ^ shift_wp))
                         if len(set(ids)) == 4:
                             expected.add(tuple(sorted(ids)))
-            assert set(gadget.edges_per_triple[ti]) == expected
+            assert set(map(tuple, gadget.edges_per_triple[ti].tolist())) == expected
 
     def test_export_round_trip(self, gadget):
         h = gadget.to_hypergraph()

@@ -480,6 +480,28 @@ def test_count_arrays_match_list_propagation(case, epsilon, budget):
     assert whole(res) == whole(almost_two_colorable_lists(h, epsilon, candidate, budget))
 
 
+@st.composite
+def int_row_arrays(draw) -> np.ndarray:
+    """An (n, k) int64 array for k in 2..4, n possibly 0, with repeated
+    values, repeated rows and rows that repeat up to order."""
+    k = draw(st.integers(2, 4))
+    rows = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), max_size=30))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), k)
+
+
+@settings(max_examples=300)
+@given(rows=int_row_arrays())
+@example(rows=np.empty((0, 2), dtype=np.int64))
+@example(rows=np.empty((0, 4), dtype=np.int64))
+def test_unique_rows_matches_sorted_tuple_set(rows):
+    want = sorted({tuple(sorted(r)) for r in rows.tolist()})
+    got = verify.unique_rows(rows)
+    assert got.dtype == np.int64 and got.shape == (len(want), rows.shape[1])
+    assert list(map(tuple, got.tolist())) == want
+    assert not got.flags.writeable
+    assert (np.diff(rows, axis=1) >= 0).all()  # the input's rows were sorted in place
+
+
 def dto1_yes_hypergraph() -> GenericHypergraph:
     """The d-to-1 gadget of the dto1-yes benchmark workload at seed 1 (304
     vertices, 98,304 edges), built as its CLI pipeline builds it."""
