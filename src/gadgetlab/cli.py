@@ -10,10 +10,8 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import itertools
 import json
 import os
-import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -39,45 +37,43 @@ class _Parser(argparse.ArgumentParser):
 
 
 ROWS_PER_WRITE = 4096
-_TOKEN = f"int-rows-{os.urandom(8).hex()}-"  # stands in for a cut-out list of int rows
-
-
-def _cut_int_rows(value, level: int, blocks: list):
-    """value with each non-empty list of equal-length non-empty lists of exact
-    ints replaced by _TOKEN + its index in blocks, which gains (rows, level)."""
-    if type(value) is dict:
-        return {k: _cut_int_rows(v, level + 1, blocks) for k, v in value.items()}
-    if (type(value) is list and value and set(map(type, value)) == {list}
-            and len(set(map(len, value))) == 1 and value[0]
-            and set(map(type, itertools.chain.from_iterable(value))) == {int}):
-        blocks.append((value, level))
-        return f"{_TOKEN}{len(blocks) - 1}"
-    return [_cut_int_rows(v, level + 1, blocks) for v in value] if type(value) is list else value
+_TOKEN = f"int-rows-{os.urandom(8).hex()}"  # a JSON string that stands in for one 2-D int array
 
 
 def write_artifact(path: str | Path, payload: dict) -> None:
     """The one artifact writer: atomically, json.dump(payload, indent=2,
-    sort_keys=True) and a newline, except that each int-row list (edges) is
-    rendered in its place from a %d template per row, ROWS_PER_WRITE at a time."""
+    sort_keys=True) and a newline. Its one non-JSON type is np.ndarray, written
+    as its tolist(); a non-empty 2-D integer array (edges) is rendered in its
+    place from a %d template per row, ROWS_PER_WRITE rows at a time."""
     path = Path(path)
     if path.parent and not path.parent.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=str(path.parent) or ".", prefix=path.name, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            blocks: list = []
-            text = json.dumps(_cut_int_rows(payload, 0, blocks), indent=2, sort_keys=True)
-            pieces = re.split(f'"{_TOKEN}(\\d+)"', text)
+            arrays: list = []
+
+            def array(value):
+                if not isinstance(value, np.ndarray):
+                    raise TypeError(f"Object of type {type(value).__name__} "
+                                    "is not JSON serializable")
+                if value.ndim == 2 and value.size and value.dtype.kind in "iu":
+                    arrays.append(value)
+                    return _TOKEN
+                return value.tolist()
+
+            text = json.dumps(payload, indent=2, sort_keys=True, default=array)
+            pieces = text.split(f'"{_TOKEN}"')
             fh.write(pieces[0])
-            for index, after in zip(pieces[1::2], pieces[2::2]):
-                rows, level = blocks[int(index)]
-                outer, inner = "\n" + "  " * (level + 1), "\n" + "  " * (level + 2)
-                row = outer + "[" + ",".join([inner + "%d"] * len(rows[0])) + outer + "]"
+            for rows, before, after in zip(arrays, pieces, pieces[1:]):
+                line = before.rsplit("\n", 1)[-1]
+                pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
+                row = pad + "  [" + ",".join([pad + "    %d"] * rows.shape[1]) + pad + "  ]"
                 for start in range(0, len(rows), ROWS_PER_WRITE):
                     chunk = rows[start:start + ROWS_PER_WRITE]
                     fh.write(("," if start else "[") + ",".join([row] * len(chunk))
-                             % tuple(itertools.chain.from_iterable(chunk)))
-                fh.write("\n" + "  " * level + "]" + after)
+                             % tuple(chunk.ravel().tolist()))
+                fh.write(pad + "]" + after)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
@@ -208,12 +204,16 @@ def cmd_verify(args) -> int:
         raise UsageError(f"{args.input}: the file holds no hypergraph")
     h = verify.GenericHypergraph.from_json_dict(bundle["hypergraph"])
     if args.mode == "yes":  # the planted colouring, checked on the stored edges
-        kind = h.meta.get("kind")
+        kind = bundle["hypergraph"]["meta"]["kind"]
         gadget_cls = {"longcode": longcode.LongCodeGadget, "dto1": dto1.Dto1Gadget}.get(kind)
-        if kind not in (None, "hadamard") and gadget_cls is None:
+        if kind != "hadamard" and gadget_cls is None:
             raise UsageError(f"{args.input}: unknown hypergraph kind {kind!r}")
         if kind == "hadamard" and "planted_assignment" in bundle:
             cfg = bundle["config"]
+            for name in ("r", "triples", "seed"):
+                if type(cfg[name]) is not int:
+                    raise UsageError(f"{args.input}: field {name!r} is not an integer: "
+                                     f"{cfg[name]!r}")
             inst = games.Lin3Instance.from_json_dict(bundle["instance"])
             gadget = hadamard.build(inst, cfg["r"], triples=cfg["triples"],
                                     seed=derive_seed(cfg["seed"], "build-hadamard"),

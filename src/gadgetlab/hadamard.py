@@ -192,6 +192,9 @@ def yes_coloring(g: HadamardGadget, sigma) -> YesColoringResult:
     sigma = list(sigma)
     if len(sigma) != g.source.n:
         raise ValueError("assignment must cover all instance variables")
+    for bit in sigma:
+        if not isinstance(bit, (int, np.integer)) or bit not in (0, 1):
+            raise ValueError(f"assignment entry {bit!r} is not 0 or 1")
     colors = np.zeros(g.vertex_count, dtype=np.int8)
     removed = np.zeros(g.vertex_count, dtype=bool)
     for gb in g.blocks:

@@ -74,7 +74,7 @@ class GenericHypergraph:
                 {"id": v, "weight": [self.weights[v].numerator, self.weights[v].denominator]}
                 for v in self.vertices
             ],
-            "edges": self.edges.tolist(),
+            "edges": self.edges,
             "meta": self.meta,
         }
 

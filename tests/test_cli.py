@@ -10,9 +10,11 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gadgetlab import cli, dto1, games, hadamard, longcode, ternary, verify
 
@@ -205,7 +207,7 @@ def dto1_bundle(tmp_path, value: float):
 def triangle_bundle(tmp_path):
     triangle = verify.GenericHypergraph(2, (0, 1, 2), ((0, 1), (1, 2), (0, 2)))
     bundle = tmp_path / "triangle.json"
-    bundle.write_text(json.dumps({"hypergraph": triangle.to_json_dict()}))
+    cli.write_artifact(bundle, {"hypergraph": triangle.to_json_dict()})
     return bundle
 
 
@@ -296,7 +298,7 @@ class TestExitCodes:
         cycle = verify.GenericHypergraph(
             2, tuple(range(5)), tuple((i, (i + 1) % 5) for i in range(5)))
         bundle = tmp_path / "cycle.json"
-        bundle.write_text(json.dumps({"hypergraph": cycle.to_json_dict()}))
+        cli.write_artifact(bundle, {"hypergraph": cycle.to_json_dict()})
         assert run("verify", "--input", bundle, "--mode", "two-color") == 2
         assert run("verify", "--input", bundle, "--mode", "almost",
                    "--epsilon", "1/5") == 0
@@ -359,6 +361,7 @@ class TestExitCodes:
                             "--indicator", "{dir}/ind.json", "--delta", "0.4"]),
         ("lin.json", "instance.n", ["build-hadamard", "--instance", "{path}",
                                     "--out", "{dir}/out.json"]),
+        ("had.json", "hypergraph.meta.kind", ["verify", "--input", "{path}", "--mode", "yes"]),
     ])
     def test_missing_field_names_file_and_field(self, tmp_path, capsys, file, field, argv):
         triangle_bundle(tmp_path)
@@ -439,7 +442,7 @@ class TestExitCodes:
         path = verify.GenericHypergraph(3, tuple(range(n)),
                                         tuple((i, i + 1, i + 2) for i in range(n - 2)))
         bundle = tmp_path / "path.json"
-        bundle.write_text(json.dumps({"hypergraph": path.to_json_dict()}))
+        cli.write_artifact(bundle, {"hypergraph": path.to_json_dict()})
         assert run("verify", "--input", bundle, "--mode", "two-color") == 0
         captured = capsys.readouterr()
         assert captured.out == "two-colorable: True\n"
@@ -461,7 +464,7 @@ class TestExitCodes:
         cycle = verify.GenericHypergraph(
             2, tuple(range(5)), tuple((i, (i + 1) % 5) for i in range(5)))
         bundle = tmp_path / "cycle.json"
-        bundle.write_text(json.dumps({"hypergraph": cycle.to_json_dict()}))
+        cli.write_artifact(bundle, {"hypergraph": cycle.to_json_dict()})
         out = tmp_path / "tc.json"
         assert run("verify", "--input", bundle, "--mode", "two-color", "--budget", 1,
                    "--out", out) == 2
@@ -474,7 +477,7 @@ class TestExitCodes:
             cycle = verify.GenericHypergraph(
                 2, tuple(range(n)), tuple((i, (i + 1) % n) for i in range(n)))
             bundle = tmp_path / f"cycle{n}.json"
-            bundle.write_text(json.dumps({"hypergraph": cycle.to_json_dict()}))
+            cli.write_artifact(bundle, {"hypergraph": cycle.to_json_dict()})
             out = tmp_path / f"almost{n}.json"
             assert run("verify", "--input", bundle, "--mode", "almost", "--epsilon", "0",
                        "--out", out) == code
@@ -603,6 +606,25 @@ class TestExitCodes:
         assert captured.out == "" and captured.err == (
             f"error: {had}: unknown hypergraph kind 'x'\n")
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("config.r", "1", "{had}: field 'r' is not an integer: '1'"),
+        ("config.triples", 2.0, "{had}: field 'triples' is not an integer: 2.0"),
+        ("config.seed", True, "{had}: field 'seed' is not an integer: True"),
+        ("planted_assignment", [2] * 9, "assignment entry 2 is not 0 or 1"),
+    ])
+    def test_yes_rejects_a_wrong_hadamard_field(self, tmp_path, capsys, field, value, message):
+        lin, had = tmp_path / "lin.json", tmp_path / "had.json"
+        assert run("gen-3lin", "--n", 9, "--eqs", 9, "--seed", 7, "--out", lin) == 0
+        assert run("build-hadamard", "--instance", lin, "--out", had) == 0
+        bundle = json.loads(had.read_text())
+        *parents, last = field.split(".")
+        functools.reduce(dict.__getitem__, parents, bundle)[last] = value
+        had.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert run("verify", "--input", had, "--mode", "yes") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message.format(had=had)}\n"
+
     def test_dto1_decode_has_no_smooth_t_flag(self, tmp_path, capsys):
         bundle, ind = dto1_bundle(tmp_path, 0.5)
         assert run("decode", "--kind", "dto1", "--gadget", bundle, "--indicator", ind,
@@ -684,7 +706,7 @@ class TestRoundTrips:
         h = verify.GenericHypergraph(
             3, tuple(range(5)), tuple(itertools.combinations(range(5), 3)))
         bundle = tmp_path / "h.json"
-        bundle.write_text(json.dumps({"hypergraph": h.to_json_dict()}))
+        cli.write_artifact(bundle, {"hypergraph": h.to_json_dict()})
         out = tmp_path / "is.json"
         assert run("verify", "--input", bundle, "--mode", "max-is", "--out", out) == 0
         report = json.loads(out.read_text())["max_is"]
@@ -734,25 +756,36 @@ def written_bytes(payload) -> bytes:
 
 
 def stdlib_bytes(payload) -> bytes:
-    return (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode()
+    return (json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist)
+            + "\n").encode()
 
 
-# JSON values with int-row lists (edges), near misses, and nesting
+# JSON values with int-row lists, near misses, and nesting, and numpy arrays:
+# (n, k) int64 ones (edges), which the writer renders itself, and the bool,
+# float and 1-D ones it writes as their tolist()
 INTS = st.integers(-2**70, 2**70)
 INT_ROWS = st.integers(0, 4).flatmap(
     lambda k: st.lists(st.lists(INTS, min_size=k, max_size=k), max_size=5))
 NEAR_ROWS = st.lists(st.lists(INTS | st.booleans() | st.floats(allow_nan=False), max_size=3),
                      max_size=4)
+INT64 = np.iinfo(np.int64)
+INT_ARRAYS = hnp.arrays(np.int64, st.tuples(st.integers(0, 6), st.integers(0, 4)),
+                        elements=st.integers(INT64.min, INT64.max))
+OTHER_ARRAYS = (hnp.arrays(np.bool_, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0))
+                | hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0))
+                | hnp.arrays(np.int64, st.tuples(st.integers(0, 5)),
+                             elements=st.integers(INT64.min, INT64.max)))
 VALUES = st.recursive(
     st.none() | st.booleans() | INTS | st.floats(allow_nan=False) | st.text(max_size=4)
-    | INT_ROWS | NEAR_ROWS,
+    | INT_ROWS | NEAR_ROWS | INT_ARRAYS | OTHER_ARRAYS,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
                                                                 max_size=4),
     max_leaves=20)
 
 
 class TestArtifactWriter:
-    """write_artifact renders int rows itself; its bytes must be the stdlib's."""
+    """write_artifact renders 2-D int arrays itself; its bytes must be the
+    stdlib's with every array written as its tolist()."""
 
     @pytest.mark.parametrize("payload", [
         {"empty": [], "empty_rows": [[]], "two_empty_rows": [[], []], "dict": {}},
@@ -763,15 +796,25 @@ class TestArtifactWriter:
         [[1, 2, 3], [4, 5, 6]],
         {"hypergraph": verify.GenericHypergraph(
             3, tuple(range(6)), tuple(itertools.combinations(range(6), 3))).to_json_dict()},
+        {"a": [np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3), dtype=np.int64)],
+         "b": np.array([[True, False]]), "c": np.arange(3), "u": np.ones((1, 2), np.uint8),
+         "d": {"e": np.array([[INT64.max, INT64.min]]), "f": [[np.array([[1]])]]}},
     ])
     def test_matches_stdlib(self, payload):
         assert written_bytes(payload) == stdlib_bytes(payload)
 
     def test_rows_cross_write_chunks(self, monkeypatch):
         monkeypatch.setattr(cli, "ROWS_PER_WRITE", 3)
-        for n in range(1, 8):
-            payload = {"a": [[i, -i] for i in range(n)], "b": {"c": [[i] for i in range(n)]}}
+        for n, form in itertools.product(range(1, 8), (np.ndarray.tolist, np.asarray)):
+            a = np.array([[i, -i] for i in range(n)])
+            payload = {"a": form(a), "b": {"c": form(a[:, :1])}}
             assert written_bytes(payload) == stdlib_bytes(payload)
+
+    def test_other_types_raise_and_leave_no_file(self, tmp_path):
+        with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+            cli.write_artifact(tmp_path / "a.json", {"edges": np.ones((2, 2), dtype=np.int64),
+                                                     "weight": Fraction(1, 3)})
+        assert list(tmp_path.iterdir()) == []
 
     @settings(max_examples=300, deadline=None)
     @given(payload=st.dictionaries(st.text(max_size=6), VALUES, max_size=5))

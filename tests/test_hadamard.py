@@ -273,6 +273,13 @@ class TestYesColoring:
         with pytest.raises(ValueError):
             hadamard.yes_coloring(gadget, [0, 1])
 
+    @pytest.mark.parametrize("entry", [2, -1, "1", 1.0, None])
+    def test_assignment_entries_must_be_bits(self, gadget, planted, entry):
+        # a 2 would shift into the next position of the planted code
+        _, sigma = planted
+        with pytest.raises(ValueError, match=f"^assignment entry {entry!r} is not 0 or 1$"):
+            hadamard.yes_coloring(gadget, [*sigma[:-1], entry])
+
 
 class TestExtractStrategies:
     def test_empty_indicator(self, one_triple):
