@@ -250,50 +250,6 @@ def efron_stein(f: ProductFn) -> EfronSteinParts:
 # ---------------------------------------------------------------------------
 # Gaussian quadrant probabilities
 
-_ACKLAM_A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
-             1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
-_ACKLAM_B = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-             6.680131188771972e+01, -1.328068155288572e+01)
-_ACKLAM_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
-             -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
-_ACKLAM_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-             3.754408661907416e+00)
-
-
-def norm_cdf(x: float) -> float:
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-def norm_pdf(x: float) -> float:
-    return math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-
-
-def inv_norm_cdf(p: float) -> float:
-    """Rational approximation (Acklam) sharpened by one Newton step."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = ((((((_ACKLAM_C[0] * q + _ACKLAM_C[1]) * q + _ACKLAM_C[2]) * q + _ACKLAM_C[3]) * q
-               + _ACKLAM_C[4]) * q + _ACKLAM_C[5])
-             / ((((_ACKLAM_D[0] * q + _ACKLAM_D[1]) * q + _ACKLAM_D[2]) * q + _ACKLAM_D[3]) * q + 1.0))
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = ((((((_ACKLAM_A[0] * r + _ACKLAM_A[1]) * r + _ACKLAM_A[2]) * r + _ACKLAM_A[3]) * r
-               + _ACKLAM_A[4]) * r + _ACKLAM_A[5]) * q
-             / (((((_ACKLAM_B[0] * r + _ACKLAM_B[1]) * r + _ACKLAM_B[2]) * r + _ACKLAM_B[3]) * r
-                 + _ACKLAM_B[4]) * r + 1.0))
-    else:
-        q = math.sqrt(-2.0 * math.log1p(-p))
-        x = -((((((_ACKLAM_C[0] * q + _ACKLAM_C[1]) * q + _ACKLAM_C[2]) * q + _ACKLAM_C[3]) * q
-                + _ACKLAM_C[4]) * q + _ACKLAM_C[5])
-              / ((((_ACKLAM_D[0] * q + _ACKLAM_D[1]) * q + _ACKLAM_D[2]) * q + _ACKLAM_D[3]) * q + 1.0))
-    err = norm_cdf(x) - p
-    x -= err / norm_pdf(x)
-    return x
-
-
 def gamma_bounds(rho: float, mu: float, nu: float) -> tuple[float, float]:
     """Quadrant probabilities of a standard bivariate normal pair with
     covariance rho: lower = Pr[X <= a, Y >= b_bar], upper = Pr[X <= a, Y <= b],
@@ -307,17 +263,21 @@ def gamma_bounds(rho: float, mu: float, nu: float) -> tuple[float, float]:
         lower = 0.0 if (mu == 0.0 or nu == 0.0) else (nu if mu == 1.0 else mu)
         upper = 0.0 if (mu == 0.0 or nu == 0.0) else (nu if mu == 1.0 else mu)
         return lower, upper
-    from scipy import integrate  # imported here: it is most of the CLI's start-up time
+    # imported here: scipy is most of the CLI's start-up time, and statistics adds to its memory
+    from statistics import NormalDist
 
-    a = inv_norm_cdf(mu)
-    b = inv_norm_cdf(nu)
+    from scipy import integrate
+
+    normal = NormalDist()
+    a = normal.inv_cdf(mu)
+    b = normal.inv_cdf(nu)
     denom = math.sqrt(1.0 - rho * rho)
 
     def lower_integrand(x: float) -> float:
-        return norm_pdf(x) * norm_cdf((b + rho * x) / denom)
+        return normal.pdf(x) * normal.cdf((b + rho * x) / denom)
 
     def upper_integrand(x: float) -> float:
-        return norm_pdf(x) * norm_cdf((b - rho * x) / denom)
+        return normal.pdf(x) * normal.cdf((b - rho * x) / denom)
 
     # Pr[X <= a, Y >= Phi^{-1}(1-nu)] = Pr[X <= a, -Y <= Phi^{-1}(nu)] with
     # cov(X, -Y) = -rho, hence the sign flip in the conditional mean.

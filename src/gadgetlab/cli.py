@@ -205,6 +205,8 @@ def cmd_verify(args) -> int:
     h = verify.GenericHypergraph.from_json_dict(bundle["hypergraph"])
     if args.mode == "yes":  # the planted colouring, checked on the stored edges
         kind = bundle["hypergraph"]["meta"]["kind"]
+        if type(kind) is not str:
+            raise UsageError(f"{args.input}: field 'kind' is not a string: {kind!r}")
         gadget_cls = {"longcode": longcode.LongCodeGadget, "dto1": dto1.Dto1Gadget}.get(kind)
         if kind != "hadamard" and gadget_cls is None:
             raise UsageError(f"{args.input}: unknown hypergraph kind {kind!r}")

@@ -23,6 +23,7 @@ from .verify import GenericHypergraph
 
 MAX_TABLE_R = 10
 EDGE_ENUM_BITS = 20
+C_GAMMA = C_TAU = 1.0  # the decoding formulas' unspecified absolute constants
 
 
 def _pm(mask: int, j: int) -> int:
@@ -49,13 +50,8 @@ class DDeltaR:
         return float(self.joint.probs[x_bit, y_mask, z_mask])
 
     def support(self) -> list[tuple[int, int, int]]:
-        out = []
-        for x_bit in range(2):
-            for y in range(1 << self.r):
-                for z in range(1 << self.r):
-                    if self.joint.probs[x_bit, y, z] > 0:
-                        out.append((x_bit, y, z))
-        return out
+        """The atoms (x_bit, y, z) of positive probability, in C order."""
+        return [tuple(atom) for atom in np.argwhere(self.joint.probs > 0).tolist()]
 
     def yz_marginal(self) -> FiniteJointDist:
         return FiniteJointDist(
@@ -65,15 +61,11 @@ class DDeltaR:
 
     def to_csv(self) -> str:
         lines = ["atom,probability"]
-        for x_bit in range(2):
-            for y in range(1 << self.r):
-                for z in range(1 << self.r):
-                    p = float(self.joint.probs[x_bit, y, z])
-                    if p > 0:
-                        xs = "+" if x_bit == 0 else "-"
-                        ys = "".join("-" if (y >> j) & 1 else "+" for j in range(self.r))
-                        zs = "".join("-" if (z >> j) & 1 else "+" for j in range(self.r))
-                        lines.append(f"{xs}|{ys}|{zs},{p!r}")
+        for x_bit, y, z in self.support():
+            xs = "+" if x_bit == 0 else "-"
+            ys = "".join("-" if (y >> j) & 1 else "+" for j in range(self.r))
+            zs = "".join("-" if (z >> j) & 1 else "+" for j in range(self.r))
+            lines.append(f"{xs}|{ys}|{zs},{self.prob(x_bit, y, z)!r}")
         return "\n".join(lines) + "\n"
 
 
@@ -404,13 +396,12 @@ class DecodeParams:
         return 2.0 * self.delta / r
 
 
-def suggest_params(delta: float, eps: float, nu: float, r: int, T: int,
-                   c_gamma: float = 1.0, c_tau: float = 1.0) -> DecodeParams:
-    """The formula values with the unspecified absolute constants set to
-    the caller's choices (1 by default); suggestions only."""
+def suggest_params(delta: float, eps: float, nu: float, r: int, T: int) -> DecodeParams:
+    """The formula values with the unspecified absolute constants in gamma
+    and tau (C_GAMMA, C_TAU) set to 1; suggestions only."""
     xi = delta / (r * 2.0**r)
-    gamma = c_gamma * nu * xi**2 / (2.0 * math.log(1.0 / nu))
-    tau = nu ** (c_tau * math.log(1.0 / xi) * math.log(1.0 / nu) / (nu * (1.0 - delta)))
+    gamma = C_GAMMA * nu * xi**2 / (2.0 * math.log(1.0 / nu))
+    tau = nu ** (C_TAU * math.log(1.0 / xi) * math.log(1.0 / nu) / (nu * (1.0 - delta)))
     s = max(r / xi * math.log(1.0 / nu),
             r / (2.0 * gamma) * math.log(32.0 * r * r / max(tau, 1e-300)))
     return DecodeParams(delta, eps, nu, gamma, tau, s, T)

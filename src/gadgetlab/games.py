@@ -772,21 +772,6 @@ def gen_toy_dto1_game(n_u: int, n_v: int, k: int, d: int, rng: random.Random | i
                     (u_labels, v_labels) if planted else None)
 
 
-def _mixed_radix_encode(digits, radices) -> int:
-    idx = 0
-    for dgt, rad in zip(digits, radices):
-        idx = idx * rad + dgt
-    return idx
-
-
-def _mixed_radix_decode(idx: int, radices) -> list[int]:
-    out = [0] * len(radices)
-    for t in range(len(radices) - 1, -1, -1):
-        out[t] = idx % radices[t]
-        idx //= radices[t]
-    return out
-
-
 def build_smooth_mlpcp(game: Dto1Game, layers: int, T: int,
                        label_cap: int = LABEL_TUPLE_CAP) -> LayeredPcp:
     """Layered PCP over a d-to-1 game with the smoothness parameter T.
@@ -836,6 +821,7 @@ def build_smooth_mlpcp(game: Dto1Game, layers: int, T: int,
             gap = l2 - l
             expected = game.d ** gap
             for vi, (vset, uset) in enumerate(layer_vars[l]):
+                src_digits = np.unravel_index(np.arange(label_sizes[l]), radices(vset, uset))
                 for removed in itertools.combinations(vset, gap):
                     kept_v = tuple(q for q in vset if q not in removed)
                     for added in itertools.permutations(range(game.n_u), gap):
@@ -848,44 +834,31 @@ def build_smooth_mlpcp(game: Dto1Game, layers: int, T: int,
                         ui = var_index[l2].get(target)
                         if ui is None:
                             continue
-                        rad_src = radices(vset, uset)
-                        rad_dst = radices(kept_v, uset2)
-                        dst_slot_of = {q: t for t, q in enumerate(kept_v)}
-                        dst_u_slot = {p: len(kept_v) + t for t, p in enumerate(uset2)}
-                        pair_proj = {q: adjacency[(q, p)] for q, p in zip(removed, added)}
-                        pair_u = dict(zip(removed, added))
-                        proj_table = [0] * label_sizes[l]
-                        for src_label in range(label_sizes[l]):
-                            digits = _mixed_radix_decode(src_label, rad_src)
-                            dst_digits = [0] * len(rad_dst)
-                            for t, q in enumerate(vset):
-                                if q in pair_u:
-                                    p = pair_u[q]
-                                    dst_digits[dst_u_slot[p]] = pair_proj[q][digits[t]]
-                                else:
-                                    dst_digits[dst_slot_of[q]] = digits[t]
-                            for t, p in enumerate(uset):
-                                dst_digits[dst_u_slot[p]] = digits[len(vset) + t]
-                            proj_table[src_label] = _mixed_radix_encode(dst_digits, rad_dst)
-                        counts = np.bincount(np.array(proj_table), minlength=label_sizes[l2])
+                        # V and U variables are both numbered from 0: keep their slots apart
+                        v_digits = dict(zip(vset, src_digits[:len(vset)]))
+                        u_digits = dict(zip(uset, src_digits[len(vset):]))
+                        for q, p in zip(removed, added):
+                            u_digits[p] = np.asarray(adjacency[(q, p)])[v_digits[q]]
+                        proj_table = np.ravel_multi_index(
+                            [v_digits[q] for q in kept_v] + [u_digits[p] for p in uset2],
+                            radices(kept_v, uset2))
+                        counts = np.bincount(proj_table, minlength=label_sizes[l2])
                         if not np.all(counts == expected):
                             raise AssertionError(
                                 f"preimage sizes {sorted(set(counts.tolist()))} != d^gap={expected}"
                             )
-                        key = (l, l2, vi, ui, tuple(proj_table))
+                        key = (l, l2, vi, ui, tuple(proj_table.tolist()))
                         if key not in seen_constraints:
                             seen_constraints.add(key)
-                            constraints.append(PcpConstraint(l, l2, vi, ui, tuple(proj_table)))
+                            constraints.append(PcpConstraint(*key))
 
     planted = None
     if game.planted is not None:
         u_labels, v_labels = game.planted
         planted = tuple(
             tuple(
-                _mixed_radix_encode(
-                    [v_labels[q] for q in vset] + [u_labels[p] for p in uset],
-                    radices(vset, uset),
-                )
+                int(np.ravel_multi_index([v_labels[q] for q in vset] + [u_labels[p] for p in uset],
+                                         radices(vset, uset)))
                 for (vset, uset) in layer_vars[l]
             )
             for l in range(layers)

@@ -70,6 +70,7 @@ class Gf2Vector:
     __add__ = __xor__
 
     def dot(self, other: "Gf2Vector") -> int:
+        """Parity of the coordinatewise product of two equal-width vectors."""
         if self.width != other.width:
             raise ValueError(f"width mismatch: {self.width} != {other.width}")
         return (self.bits & other.bits).bit_count() & 1
@@ -80,11 +81,6 @@ class Gf2Vector:
 
     def __str__(self) -> str:
         return self.to_bitstring()
-
-
-def dot(x: Gf2Vector, y: Gf2Vector) -> int:
-    """Parity of the coordinatewise product of two equal-width vectors."""
-    return x.dot(y)
 
 
 def dot_bits(a: int, b: int) -> int:
@@ -186,11 +182,6 @@ class Gf2Subspace:
                     bits ^= b.bits
             out.append(Gf2Vector(self.ambient_width, bits))
         return out
-
-
-def span_cosets(vectors, width: int | None = None) -> Gf2Subspace:
-    """Reduced basis plus canonical coset representatives for span(vectors)."""
-    return Gf2Subspace.span(vectors, width=width)
 
 
 def _check_values(width: int, values: np.ndarray, what: str) -> np.ndarray:

@@ -246,8 +246,7 @@ class StrategyReport:
 
 
 def _indicator_table(gb: GadgetBlock, members: np.ndarray) -> gf2.RealTable:
-    folded = members[gb.vertex_base:gb.vertex_base + len(gb.reps)].astype(np.float64).tolist()
-    return gf2.unfold(gf2.FoldedTable(gb.geometry.subspace, dict(zip(gb.reps, folded))))
+    return gf2.RealTable(gb.geometry.subspace.ambient_width, members[gb.vertex_ids])
 
 
 def extract_strategies(g: HadamardGadget, indicator, triple_index: int) -> StrategyReport:

@@ -6,6 +6,7 @@ each of 1 and 2, per coordinate.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -18,16 +19,16 @@ from .seeding import as_rng
 MAX_M = 10
 STAR, ONE, TWO = 0, 1, 2
 
-_digit_cache: dict[int, np.ndarray] = {}
+WITNESS_GRID_POINTS = 32
+WITNESS_RETRY_CAP = 10**4
 
 
+@functools.cache
 def digits_matrix(m: int) -> np.ndarray:
     """(3^m, m) int8 matrix of base-3 digits; column j is coordinate j."""
-    if m not in _digit_cache:
-        idx = np.arange(3**m)
-        cols = [(idx // 3**j) % 3 for j in range(m)]
-        _digit_cache[m] = np.stack(cols, axis=1).astype(np.int8)
-    return _digit_cache[m]
+    idx = np.arange(3**m)
+    cols = [(idx // 3**j) % 3 for j in range(m)]
+    return np.stack(cols, axis=1).astype(np.int8)
 
 
 def point_index(digits) -> int:
@@ -275,9 +276,7 @@ class WitnessPair:
 
 def two_element_witness(fam: TernaryFamily, delta: float,
                         rng: random.Random | int,
-                        p: float | None = None,
-                        grid_points: int = 32,
-                        retry_cap: int = 10**4) -> WitnessPair:
+                        p: float | None = None) -> WitnessPair:
     """Two family members that disagree-or-star on every coordinate
     outside a small core.
 
@@ -290,7 +289,7 @@ def two_element_witness(fam: TernaryFamily, delta: float,
     rng = as_rng(rng)
     if measure(fam, p) < delta:
         raise ValueError(f"family measure {measure(fam, p)!r} is below delta={delta}")
-    grid = np.linspace(p, (1.0 + p) / 2.0, grid_points)
+    grid = np.linspace(p, (1.0 + p) / 2.0, WITNESS_GRID_POINTS)
     sensitivities = [average_sensitivity(fam, float(q)) for q in grid]
     p_prime = float(grid[int(np.argmin(sensitivities))])
     core = find_core(fam, delta / 4.0, p_prime)
@@ -298,7 +297,7 @@ def two_element_witness(fam: TernaryFamily, delta: float,
         raise WitnessRetryError("core family is empty; input family too sparse for its measure")
     anchor = core.core_family[0]
     rest = [j for j in range(fam.m) if j not in core.core]
-    for attempt in range(retry_cap):
+    for attempt in range(WITNESS_RETRY_CAP):
         draw_f, draw_g = sample_dp(p_prime, len(rest), rng)
         first = [0] * fam.m
         second = [0] * fam.m
@@ -310,7 +309,7 @@ def two_element_witness(fam: TernaryFamily, delta: float,
             second[j] = draw_g[t]
         if fam.contains(tuple(first)) and fam.contains(tuple(second)):
             return WitnessPair(core.core, tuple(first), tuple(second), p_prime, attempt)
-    raise WitnessRetryError(f"no witness pair found in {retry_cap} draws")
+    raise WitnessRetryError(f"no witness pair found in {WITNESS_RETRY_CAP} draws")
 
 
 def random_monotone_family(m: int, p: float, rng: random.Random | int,

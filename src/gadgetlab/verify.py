@@ -80,9 +80,20 @@ class GenericHypergraph:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "GenericHypergraph":
-        vertices = tuple(v["id"] for v in d["vertices"])
-        weights = {v["id"]: Fraction(v["weight"][0], v["weight"][1]) for v in d["vertices"]}
-        return cls(d["k"], vertices, d["edges"], weights, d.get("meta", {}))
+        entries = d["vertices"]
+        if not isinstance(entries, list):
+            raise ValueError(f"vertices {entries!r} is not a list of vertex objects")
+        weights = {}
+        for v in entries:  # name the first malformed entry; a bool is not an int here
+            if not isinstance(v, dict):
+                raise ValueError(f"vertex entry {v!r} is not an object")
+            w = v["weight"]
+            if type(v["id"]) is not int or type(w) is not list or len(w) != 2 or not (
+                    type(w[0]) is type(w[1]) is int and w[1] > 0):
+                raise ValueError(f"vertex entry {v!r} needs an int id and a weight "
+                                 "[numerator, denominator] of ints with a positive denominator")
+            weights[v["id"]] = Fraction(w[0], w[1])
+        return cls(d["k"], tuple(v["id"] for v in entries), d["edges"], weights, d.get("meta", {}))
 
     def to_edge_list(self) -> str:
         return "".join(" ".join(map(str, e)) + "\n" for e in self.edges.tolist())

@@ -537,6 +537,36 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n" and captured.out == ""
 
+    @pytest.mark.parametrize("field, value", [
+        ("weight", [1, 0]), ("weight", ["a", 1]), ("weight", [1.5, 1]), ("weight", 5),
+        ("weight", [True, 1]), ("weight", [1, 2, 3]), ("id", True), ("id", "1"),
+    ])
+    @pytest.mark.parametrize("mode", ["max-is", "two-color", "almost"])
+    def test_verify_malformed_vertex_is_one(self, tmp_path, capsys, field, value, mode):
+        h = {"k": 3, "vertices": [{"id": v, "weight": [1, 1]} for v in range(3)],
+             "edges": [[0, 1, 2]]}
+        h["vertices"][1][field] = value
+        bundle = tmp_path / "bad.json"
+        bundle.write_text(json.dumps({"hypergraph": h}))
+        assert run("verify", "--input", bundle, "--mode", mode) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: vertex entry {h['vertices'][1]!r} needs an int id and a weight "
+            "[numerator, denominator] of ints with a positive denominator\n")
+
+    @pytest.mark.parametrize("vertices, message", [
+        (7, "vertices 7 is not a list of vertex objects"),
+        ([[0, [1, 1]]], "vertex entry [0, [1, 1]] is not an object"),
+    ])
+    @pytest.mark.parametrize("mode", ["max-is", "two-color", "almost"])
+    def test_verify_malformed_vertex_list_is_one(self, tmp_path, capsys, vertices, message, mode):
+        h = {"k": 3, "vertices": vertices, "edges": [[0, 1, 2]]}
+        bundle = tmp_path / "bad.json"
+        bundle.write_text(json.dumps({"hypergraph": h}))
+        assert run("verify", "--input", bundle, "--mode", mode) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     def test_hadamard_yes_needs_witness_before_rebuilding(self, tmp_path, capsys, monkeypatch):
         lin = tmp_path / "lin.json"
         had = tmp_path / "had.json"
@@ -605,6 +635,19 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == (
             f"error: {had}: unknown hypergraph kind 'x'\n")
+
+    def test_yes_names_a_kind_that_is_not_a_string(self, tmp_path, capsys):
+        lin, had = tmp_path / "lin.json", tmp_path / "had.json"
+        assert run("gen-3lin", "--n", 9, "--eqs", 9, "--seed", 7, "--out", lin) == 0
+        assert run("build-hadamard", "--instance", lin, "--out", had) == 0
+        bundle = json.loads(had.read_text())
+        bundle["hypergraph"]["meta"]["kind"] = ["x"]
+        had.write_text(json.dumps(bundle))
+        capsys.readouterr()
+        assert run("verify", "--input", had, "--mode", "yes") == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: {had}: field 'kind' is not a string: ['x']\n")
 
     @pytest.mark.parametrize("field, value, message", [
         ("config.r", "1", "{had}: field 'r' is not an integer: '1'"),

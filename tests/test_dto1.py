@@ -121,6 +121,25 @@ class TestDistTable:
         with pytest.raises(ValueError, match="full table"):
             dist_table(0.1, 11)
 
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    @pytest.mark.parametrize("delta", [0.0, 0.25, 1.0])
+    def test_support_and_csv_match_the_cube_walk(self, delta, r):
+        dist = dist_table(delta, r)
+        atoms, lines = [], ["atom,probability"]
+        for x_bit in range(2):
+            for y in range(1 << r):
+                for z in range(1 << r):
+                    p = float(dist.joint.probs[x_bit, y, z])
+                    if p > 0:
+                        atoms.append((x_bit, y, z))
+                        xs = "+" if x_bit == 0 else "-"
+                        ys = "".join("-" if (y >> j) & 1 else "+" for j in range(r))
+                        zs = "".join("-" if (z >> j) & 1 else "+" for j in range(r))
+                        lines.append(f"{xs}|{ys}|{zs},{p!r}")
+        support = dist.support()
+        assert support == atoms and all(type(v) is int for atom in support for v in atom)
+        assert dist.to_csv() == "\n".join(lines) + "\n"
+
     def test_csv_has_positive_atoms_only(self):
         dist = dist_table(0.25, 1)
         lines = dist.to_csv().strip().splitlines()

@@ -1,4 +1,6 @@
 """Max-3Lin, block games, layered PCPs, and the smooth construction."""
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -169,6 +171,93 @@ class TestSmoothMlpcp:
         game = games.gen_toy_dto1_game(2, 8, 2, 2, 5)
         with pytest.raises(games.SizeCapError):
             games.build_smooth_mlpcp(game, 2, 2, label_cap=10**3)
+
+
+def _mixed_radix_encode(digits, radices) -> int:
+    idx = 0
+    for dgt, rad in zip(digits, radices):
+        idx = idx * rad + dgt
+    return idx
+
+
+def _mixed_radix_decode(idx: int, radices) -> list[int]:
+    out = [0] * len(radices)
+    for t in range(len(radices) - 1, -1, -1):
+        out[t] = idx % radices[t]
+        idx //= radices[t]
+    return out
+
+
+def reference_smooth_tables(game: Dto1Game, layers: int, T: int):
+    """The per-label mixed-radix build of build_smooth_mlpcp: its
+    constraints in build order and its planted labels."""
+    n_vside = [T * layers + layers - 1 - l for l in range(layers)]
+    adjacency = {(v, u): proj for v, u, proj in game.constraints}
+    layer_vars = [[(vset, uset)
+                   for vset in itertools.combinations(range(game.n_v), n_vside[l])
+                   for uset in itertools.combinations(range(game.n_u), l)]
+                  for l in range(layers)]
+    var_index = [{vu: i for i, vu in enumerate(vs)} for vs in layer_vars]
+
+    def radices(vset, uset):
+        return [game.m] * len(vset) + [game.k] * len(uset)
+
+    constraints = []
+    for l in range(layers):
+        for l2 in range(l + 1, layers):
+            gap = l2 - l
+            for vi, (vset, uset) in enumerate(layer_vars[l]):
+                for removed in itertools.combinations(vset, gap):
+                    kept_v = tuple(q for q in vset if q not in removed)
+                    for added in itertools.permutations(range(game.n_u), gap):
+                        if any(p in uset for p in added):
+                            continue
+                        if any((q, p) not in adjacency for q, p in zip(removed, added)):
+                            continue
+                        uset2 = tuple(sorted(uset + added))
+                        ui = var_index[l2].get((kept_v, uset2))
+                        if ui is None:
+                            continue
+                        rad_src, rad_dst = radices(vset, uset), radices(kept_v, uset2)
+                        dst_slot_of = {q: t for t, q in enumerate(kept_v)}
+                        dst_u_slot = {p: len(kept_v) + t for t, p in enumerate(uset2)}
+                        pair_u = dict(zip(removed, added))
+                        proj_table = []
+                        for src_label in range(math.prod(rad_src)):
+                            digits = _mixed_radix_decode(src_label, rad_src)
+                            dst_digits = [0] * len(rad_dst)
+                            for t, q in enumerate(vset):
+                                if q in pair_u:
+                                    p = pair_u[q]
+                                    dst_digits[dst_u_slot[p]] = adjacency[(q, p)][digits[t]]
+                                else:
+                                    dst_digits[dst_slot_of[q]] = digits[t]
+                            for t, p in enumerate(uset):
+                                dst_digits[dst_u_slot[p]] = digits[len(vset) + t]
+                            proj_table.append(_mixed_radix_encode(dst_digits, rad_dst))
+                        c = PcpConstraint(l, l2, vi, ui, tuple(proj_table))
+                        if c not in constraints:
+                            constraints.append(c)
+    u_labels, v_labels = game.planted
+    planted = tuple(
+        tuple(_mixed_radix_encode([v_labels[q] for q in vset] + [u_labels[p] for p in uset],
+                                  radices(vset, uset))
+              for vset, uset in layer_vars[l])
+        for l in range(layers))
+    return tuple(constraints), planted
+
+
+class TestSmoothTablesReference:
+    @pytest.mark.parametrize("u, v, k, d, layers, T, seed", [
+        (1, 3, 1, 2, 2, 1, 0), (3, 5, 1, 2, 2, 1, 1), (3, 3, 2, 2, 2, 1, 2),
+        (2, 4, 1, 3, 2, 1, 3), (2, 7, 1, 2, 3, 1, 4), (2, 6, 2, 2, 2, 2, 5),
+    ])
+    def test_tables_and_planted_labels_match_the_loop(self, u, v, k, d, layers, T, seed):
+        game = games.gen_toy_dto1_game(u, v, k, d, seed)
+        pcp = games.build_smooth_mlpcp(game, layers, T)
+        constraints, planted = reference_smooth_tables(game, layers, T)
+        assert pcp.constraints == constraints
+        assert pcp.planted_labeling == planted
 
 
 class TestSmoothness:

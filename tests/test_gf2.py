@@ -48,20 +48,20 @@ def random_folded_table(sub: Gf2Subspace, rng: random.Random) -> gf2.RealTable:
 class TestDot:
     def test_zero_vector(self):
         x = Gf2Vector.from_coords([1, 0, 1, 1])
-        assert gf2.dot(Gf2Vector.zero(4), x) == 0
+        assert Gf2Vector.zero(4).dot(x) == 0
 
     def test_standard_basis_reads_coordinate(self):
         x = Gf2Vector.from_coords([1, 0, 1])
         for i in range(3):
-            assert gf2.dot(Gf2Vector.unit(3, i), x) == x.coords[i]
+            assert Gf2Vector.unit(3, i).dot(x) == x.coords[i]
 
     def test_all_ones(self):
         v = Gf2Vector.from_coords([1, 1, 1])
-        assert gf2.dot(v, v) == 1
+        assert v.dot(v) == 1
 
     def test_width_mismatch(self):
         with pytest.raises(ValueError, match="width mismatch"):
-            gf2.dot(Gf2Vector.zero(3), Gf2Vector.zero(4))
+            Gf2Vector.zero(3).dot(Gf2Vector.zero(4))
 
 
 class TestFourier:
@@ -141,22 +141,22 @@ class TestCharacters:
 
 class TestSpan:
     def test_single_vector(self):
-        sub = gf2.span_cosets([Gf2Vector.from_coords([1, 0])])
+        sub = Gf2Subspace.span([Gf2Vector.from_coords([1, 0])])
         assert sub.dim == 1
         assert len(sub.coset_reps()) == 2
 
     def test_empty_input(self):
-        sub = gf2.span_cosets([], width=3)
+        sub = Gf2Subspace.span([], width=3)
         assert sub.dim == 0
         assert len(sub.coset_reps()) == 8
 
     def test_duplicates_collapse(self):
         v = Gf2Vector.from_coords([1, 1])
-        assert gf2.span_cosets([v, v]).dim == 1
+        assert Gf2Subspace.span([v, v]).dim == 1
 
     def test_empty_without_width_rejected(self):
         with pytest.raises(ValueError):
-            gf2.span_cosets([])
+            Gf2Subspace.span([])
 
     @pytest.mark.parametrize("m,dim", [(4, 2), (8, 3), (12, 5)])
     def test_coset_reps_partition_exhaustively(self, m, dim):
@@ -182,13 +182,13 @@ class TestSpan:
 
 class TestFolding:
     def test_trivial_subspace_unfold_is_identity(self):
-        sub = gf2.span_cosets([], width=3)
+        sub = Gf2Subspace.span([], width=3)
         vals = {r.bits: float(r.bits) for r in sub.coset_reps()}
         table = gf2.unfold(gf2.FoldedTable(sub, vals))
         assert np.array_equal(table.values, np.arange(8, dtype=float))
 
     def test_full_space_unfold_is_constant(self):
-        sub = gf2.span_cosets([Gf2Vector(2, 1), Gf2Vector(2, 2)])
+        sub = Gf2Subspace.span([Gf2Vector(2, 1), Gf2Vector(2, 2)])
         table = gf2.unfold(gf2.FoldedTable(sub, {0: 4.25}))
         assert np.all(table.values == 4.25)
 
@@ -200,13 +200,13 @@ class TestFolding:
         assert refolded.values == vals
 
     def test_inconsistent_table_raises_with_pair(self):
-        sub = gf2.span_cosets([Gf2Vector.from_coords([1, 1])])
+        sub = Gf2Subspace.span([Gf2Vector.from_coords([1, 1])])
         bad = gf2.RealTable(2, np.array([0.0, 1.0, 2.0, 3.0]))
         with pytest.raises(gf2.FoldConsistencyError, match="within a coset"):
             gf2.fold(bad, sub)
 
     def test_rep_key_mismatch(self):
-        sub = gf2.span_cosets([Gf2Vector.from_coords([1, 0])])
+        sub = Gf2Subspace.span([Gf2Vector.from_coords([1, 0])])
         with pytest.raises(ValueError, match="rep-key mismatch"):
             gf2.FoldedTable(sub, {1: 0.0, 3: 1.0})
 

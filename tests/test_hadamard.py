@@ -282,6 +282,17 @@ class TestYesColoring:
 
 
 class TestExtractStrategies:
+    @pytest.mark.parametrize("name", ["gadget", "one_triple"])
+    def test_indicator_table_matches_the_folded_route(self, request, name):
+        g = request.getfixturevalue(name)
+        rng = random.Random(len(name))
+        members = np.array([rng.random() < 0.5 for _ in range(g.vertex_count)])
+        for gb in g.blocks:
+            folded = members[gb.vertex_base:gb.vertex_base + len(gb.reps)].astype(np.float64).tolist()
+            ref = gf2.unfold(gf2.FoldedTable(gb.geometry.subspace, dict(zip(gb.reps, folded))))
+            table = hadamard._indicator_table(gb, members)
+            assert table.width == ref.width and np.array_equal(table.values, ref.values)
+
     def test_empty_indicator(self, one_triple):
         rep = hadamard.extract_strategies(one_triple, set(), 0)
         assert rep.lhs == 0.0
