@@ -273,16 +273,20 @@ def gamma_bounds(rho: float, mu: float, nu: float) -> tuple[float, float]:
     b = normal.inv_cdf(nu)
     denom = math.sqrt(1.0 - rho * rho)
 
+    def cdf(x: float) -> float:  # erfc keeps its relative accuracy in the lower tail
+        return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
     def lower_integrand(x: float) -> float:
-        return normal.pdf(x) * normal.cdf((b + rho * x) / denom)
+        return normal.pdf(x) * cdf((b + rho * x) / denom)
 
     def upper_integrand(x: float) -> float:
-        return normal.pdf(x) * normal.cdf((b - rho * x) / denom)
+        return normal.pdf(x) * cdf((b - rho * x) / denom)
 
     # Pr[X <= a, Y >= Phi^{-1}(1-nu)] = Pr[X <= a, -Y <= Phi^{-1}(nu)] with
-    # cov(X, -Y) = -rho, hence the sign flip in the conditional mean.
-    lower, _ = integrate.quad(lower_integrand, -np.inf, a, epsabs=1e-10, limit=200)
-    upper, _ = integrate.quad(upper_integrand, -np.inf, a, epsabs=1e-10, limit=200)
+    # cov(X, -Y) = -rho, hence the sign flip in the conditional mean. The
+    # tolerance is relative only: the tail values reach far below 1e-10.
+    lower, _ = integrate.quad(lower_integrand, -np.inf, a, epsabs=0, epsrel=1e-10, limit=200)
+    upper, _ = integrate.quad(upper_integrand, -np.inf, a, epsabs=0, epsrel=1e-10, limit=200)
     return float(lower), float(upper)
 
 

@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import io
 import json
 import os
+import re
 import sys
 import tempfile
 from fractions import Fraction
@@ -94,9 +96,78 @@ class _Fields(dict):
         raise UsageError(f"{self.path}: missing field {key!r}")
 
 
+_EDGES_KEY = re.compile(rb'"edges"[ \t\n\r]*:[ \t\n\r]*(?=\[)')
+_ROWS_END = re.compile(rb"\][ \t\n\r]*\]")  # "]]" with any whitespace: where an int matrix ends
+
+
+def _int_matrix(data: bytes, start: int, stop: int) -> np.ndarray | None:
+    """data[start:stop], a JSON array of k-element arrays of integers of at
+    most 18 digits, as a read-only (E, k) int64 array; None for any other
+    text (bools, floats, ragged or nested rows, an empty array)."""
+    dense = data[start:stop].translate(None, b" \t\n\r")
+    if dense.translate(None, b"0123456789-,[]"):
+        return None
+    # a number split by whitespace would count as two runs of digits and signs,
+    # which are the bytes from "-" to "9" once the check above has passed
+    number = np.frombuffer(data, dtype=np.uint8, count=stop - start, offset=start) - ord("-") <= 12
+    numbers = np.count_nonzero(number[1:] > number[:-1])
+    del number
+    a = np.frombuffer(dense, dtype=np.uint8)
+    # rows: "[[" row "],[" row ... "]]", each holding width runs of digits,
+    # width - 1 commas between them and at most a sign before each
+    row_open, row_close = np.flatnonzero(a == ord("["))[1:], np.flatnonzero(a == ord("]"))[:-1]
+    digit = a - ord("0") < 10
+    starts = np.flatnonzero(digit[1:] > digit[:-1]) + 1
+    lengths = np.flatnonzero(digit[:-1] > digit[1:]) + 1 - starts
+    signs = np.flatnonzero(a == ord("-"))
+    rows = len(row_open)
+    width = len(starts) // max(rows, 1)
+    if not (rows == len(row_close) > 0 and width > 0 and len(starts) == rows * width == numbers
+            and row_open[0] == 1 and row_close[-1] == len(a) - 2
+            and (row_open[1:] == row_close[:-1] + 2).all()
+            and (row_open < starts[::width]).all() and (starts[width - 1::width] < row_close).all()
+            and np.count_nonzero(a == ord(",")) == rows * width - 1
+            and ((a[signs - 1] == ord("[")) | (a[signs - 1] == ord(","))).all()
+            and digit[signs + 1].all()
+            and lengths.max() <= 18 and not ((a[starts] == ord("0")) & (lengths > 1)).any()):
+        return None
+    values = np.fromstring(dense.translate(None, b"[]"), dtype=np.int64, sep=",")
+    values = values.reshape(rows, width)
+    values.flags.writeable = False
+    return values
+
+
+def _place_edges(path, edges: np.ndarray, placed: list, fields: dict) -> _Fields:
+    """The object hook of a spliced read: a _Fields, with edges in place of
+    the token that stands in for them."""
+    if fields.get("edges") == _TOKEN:
+        fields["edges"] = edges
+        placed.append(True)
+    return _Fields(path, fields)
+
+
 def read_artifact(path: str | Path) -> dict:
+    """The JSON file at path, each object a _Fields. An "edges" array of
+    integer rows (the first "edges" field) is read by numpy straight into
+    a read-only int64 array; any other text takes the json route alone,
+    which gives the same hypergraph or the same error."""
     try:
-        with open(path) as fh:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        key = _EDGES_KEY.search(data)
+        end = _ROWS_END.search(data, key.end()) if key else None
+        edges = _int_matrix(data, key.end(), end.end()) if end else None
+        if edges is not None:  # the block is spliced out as one token, which the hook swaps back
+            rest = data[:key.end()] + f'"{_TOKEN}"'.encode() + data[end.end():]
+            placed: list = []
+            hook = functools.partial(_place_edges, path, edges, placed)
+            try:
+                payload = json.loads(rest.decode(), object_hook=hook) if rest.isascii() else None
+            except json.JSONDecodeError:
+                placed = []
+            if placed:  # else the match was not an "edges" field json keeps: read it all as json
+                return payload
+        with io.TextIOWrapper(io.BytesIO(data)) as fh:  # decoded as open(path) would
             return json.load(fh, object_hook=functools.partial(_Fields, path))
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc

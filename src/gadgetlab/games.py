@@ -666,10 +666,13 @@ class PcpGadget:
 
     def _export(self, weight, meta: dict) -> GenericHypergraph:
         """The 3-uniform hypergraph of the materialised edges, with
-        weight(layer, var, point) per vertex; meta gains dropped_degenerate."""
+        weight(layer, var, point) per vertex; meta gains dropped_degenerate.
+        Both rules are symmetric in y and z, so only the y < z half of the
+        hits is deduplicated: each (x, z, y) is the mirror of an (x, y, z)."""
         if self.mode != "enumerate":
             raise ValueError("export requires enumerate mode")
-        edges = unique_rows(self.hit_rows(pairs=False)[0])
+        rows = self.hit_rows(pairs=False)[0]
+        edges = unique_rows(rows[rows[:, 1] < rows[:, 2]])
         meta["dropped_degenerate"] = self.dropped_degenerate
         return GenericHypergraph(3, tuple(range(self.vertex_count)), edges,
                                  dict(enumerate(self.point_weights(weight))), meta)

@@ -16,39 +16,61 @@ DEFAULT_NODE_BUDGET = 10**7
 @dataclass(frozen=True)
 class GenericHypergraph:
     """k-uniform hypergraph with positive rational vertex weights; the
-    edges are one read-only (E, k) int64 array, each row sorted."""
+    edges are one read-only (E, k) int64 array, each row sorted.
+
+    Construction also maps ids to positions once: ids holds the vertex ids
+    in increasing order, and positions the edges with each id replaced by
+    its index in ids (the edges themselves when the ids are 0..V-1)."""
 
     k: int
     vertices: tuple[int, ...]
     edges: np.ndarray
     weights: dict[int, Fraction] = field(default_factory=dict)
     meta: dict = field(default_factory=dict, compare=False)
+    ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        k = self.k
+        if type(k) is not int or k < 1:
+            raise ValueError(f"k {k!r} is not a positive integer")
+        if not isinstance(self.edges, (list, tuple, np.ndarray)):
+            raise ValueError(f"edges {self.edges!r} is not a list of edges")
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
-        try:
-            edges = np.asarray(self.edges)
-        except ValueError:  # ragged rows
-            edges = np.empty(0)
-        if not (edges.dtype.kind == "i" and edges.ndim == 2 and edges.shape[1] == self.k) or (
-                not isinstance(self.edges, np.ndarray)  # an int64 cast reads True as 1
-                and {bool, np.bool_} & set(map(type, itertools.chain.from_iterable(self.edges)))):
-            for e in self.edges:  # name the first ragged, wrong-arity or non-integer edge
-                if not isinstance(e, (list, tuple, np.ndarray)) or len(e) != self.k:
-                    raise ValueError(f"edge {e} does not have exactly {self.k} vertices")
-                if not all(type(v) is int and -2**63 <= v < 2**63 for v in e):
+        edges = self.edges
+        if not (isinstance(edges, np.ndarray) and edges.dtype.kind == "i"
+                and edges.ndim == 2 and edges.shape[1] == k):
+            rows = [e.tolist() if isinstance(e, np.ndarray) else e for e in edges]
+            for e in rows:  # name the first ragged, wrong-arity or non-integer edge
+                if not isinstance(e, (list, tuple)) or len(e) != k:
+                    raise ValueError(f"edge {e} does not have exactly {k} vertices")
+                if not all(type(v) is int and -2**63 <= v < 2**63 for v in e):  # bools too
                     raise ValueError(f"edge {e} holds a vertex id that is not an int64 integer")
-            edges = np.asarray(self.edges, dtype=np.int64).reshape(0, self.k)  # no edges
-        edges = np.sort(edges.astype(np.int64, copy=False), axis=1)
-        for bad, what in (((edges[:, 1:] == edges[:, :-1]).any(axis=1),
-                           f"does not have exactly {self.k} distinct vertices"),
-                          (~np.isin(edges, np.asarray(self.vertices, dtype=np.int64)).all(axis=1),
-                           "mentions an unknown vertex")):
+            edges = np.array(rows, dtype=np.int64).reshape(len(rows), k)
+        elif edges.dtype != np.int64 or edges.flags.writeable:  # a caller's array stays theirs
+            edges = edges.astype(np.int64)
+        if not (edges[:, 1:] > edges[:, :-1]).all():  # rows not yet sorted and distinct
+            edges = np.sort(edges, axis=1)
+            bad = (edges[:, 1:] == edges[:, :-1]).any(axis=1)
             if bad.any():
-                raise ValueError(f"edge {edges[bad.argmax()].tolist()} {what}")
+                raise ValueError(f"edge {edges[bad.argmax()].tolist()} "
+                                 f"does not have exactly {k} distinct vertices")
         edges.flags.writeable = False
+        ids = tuple(sorted(self.vertices))
+        if ids == tuple(range(len(ids))):  # every gadget: positions are the ids
+            positions = edges
+            bad = (edges[:, 0] < 0) | (edges[:, -1] >= len(ids))  # rows are sorted
+        else:
+            known = np.array(ids, dtype=np.int64)
+            positions = np.searchsorted(known, edges)
+            bad = (known[np.minimum(positions, len(ids) - 1)] != edges).any(axis=1)
+            positions.flags.writeable = False
+        if bad.any():
+            raise ValueError(f"edge {edges[bad.argmax()].tolist()} mentions an unknown vertex")
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "positions", positions)
         weights = {v: Fraction(w) for v, w in self.weights.items()}
         for v in self.vertices:
             weights.setdefault(v, Fraction(1))
@@ -142,13 +164,12 @@ def max_independent_set(h: GenericHypergraph, budget: int = DEFAULT_NODE_BUDGET)
     and the weights are ints over the lcm of their denominators, so the
     search makes the same comparisons as over the Fractions.
     """
-    degree = dict(zip(*np.unique(h.edges, return_counts=True)))
-    order = sorted(h.vertices, key=lambda v: (-degree.get(v, 0), v))
-    pos = {v: i for i, v in enumerate(order)}
+    by_degree = np.argsort(-np.bincount(h.positions.ravel(), minlength=len(h.ids)), kind="stable")
+    order = [h.ids[p] for p in by_degree.tolist()]
     scale = math.lcm(*(w.denominator for w in h.weights.values()))
     weight = [h.weights[v].numerator * (scale // h.weights[v].denominator) for v in order]
     suffix = list(itertools.accumulate(reversed(weight), initial=0))[::-1]
-    edges = [[pos[v] for v in e] for e in h.edges.tolist()]
+    edges = np.argsort(by_degree)[h.positions].tolist()  # each position's index in order
     masks = [sum(1 << i for i in e) for e in edges]
     # per edge, its members' (weight, bit) by weight: the first live one is the lightest
     by_weight = [sorted((weight[i], 1 << i) for i in e) for e in edges]
@@ -257,8 +278,7 @@ def almost_two_colorable(h: GenericHypergraph, epsilon, candidate_removal=None,
     # Vertices are positions 0..V-1 in id order, incident[p] the ids of p's
     # edges. Per edge, counts[s] counts the members in state s and open_sum
     # sums the open members' positions, so it names an edge's last one.
-    ids = sorted(h.vertices)
-    members = np.searchsorted(ids, h.edges)
+    ids, members = h.ids, h.positions
     degree = np.bincount(members.ravel(), minlength=len(ids))
     incident = np.split(np.argsort(members.ravel(), kind="stable") // h.k, np.cumsum(degree)[:-1])
     order = np.argsort(-degree, kind="stable").tolist()
@@ -332,24 +352,3 @@ def almost_two_colorable(h: GenericHypergraph, epsilon, candidate_removal=None,
             if s == _REMOVED:
                 removed_weight -= weights[order[idx]]
         s += 1
-
-
-def min_vertex_cover_exhaustive(h: GenericHypergraph) -> tuple[frozenset[int], Fraction]:
-    """Independent route for the duality cross-check: scan all vertex
-    subsets for the covering property (every edge meets the cover)."""
-    verts = list(h.vertices)
-    n = len(verts)
-    if n > 20:
-        raise ValueError("exhaustive cover scan capped at 20 vertices")
-    vpos = {v: i for i, v in enumerate(verts)}
-    edge_masks = [sum(1 << vpos[v] for v in e) for e in h.edges.tolist()]
-    best_mask = (1 << n) - 1
-    best_weight = h.total_weight
-    for mask in range(1 << n):
-        if all(mask & em for em in edge_masks):
-            w = sum((h.weights[verts[i]] for i in range(n) if (mask >> i) & 1), Fraction(0))
-            if w < best_weight:
-                best_weight = w
-                best_mask = mask
-    cover = frozenset(verts[i] for i in range(n) if (best_mask >> i) & 1)
-    return cover, best_weight

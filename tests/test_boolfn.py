@@ -252,11 +252,24 @@ class TestGammaBounds:
 
     def test_inverse_cdf_accuracy(self):
         # at rho = 0 both quadrants are mu * nu: this checks the normal quantiles where they
-        # are used; the quadrature's own error reaches 1e-5 relative at the 1e-9 tails
+        # are used; test_tails_to_nine_digits checks the quadrature itself
         tails = (1e-9, 1e-6, 0.0101, 0.2, 0.5, 0.81, 0.999, 1 - 1e-8)
         for mu, nu in itertools.product(tails, tails):
             assert boolfn.gamma_bounds(0.0, mu, nu) == pytest.approx((mu * nu, mu * nu),
                                                                      rel=1e-4, abs=0)
+
+    def test_tails_to_nine_digits(self):
+        # an erf-based cdf and an absolute tolerance of 1e-10 gave 8.09992e-10 for
+        # mu * nu = 8.1e-10; the erfc-based cdf at a relative tolerance keeps nine digits
+        tails = (1e-12, 1e-9, 0.5, 0.81, 1 - 1e-9)
+        for mu, nu in itertools.product(tails, tails):
+            assert boolfn.gamma_bounds(0.0, mu, nu) == pytest.approx((mu * nu, mu * nu),
+                                                                     rel=1e-9, abs=0)
+        # lower + upper = mu at every rho, far out in the tail too
+        for rho in (0.3, 0.9):
+            lo, _ = boolfn.gamma_bounds(rho, 1e-9, 1e-9)
+            _, hi = boolfn.gamma_bounds(rho, 1e-9, 1 - 1e-9)
+            assert lo + hi == pytest.approx(1e-9, rel=1e-9)
 
 
 class TestReverseHyper:

@@ -554,6 +554,26 @@ class TestExitCodes:
             f"error: vertex entry {h['vertices'][1]!r} needs an int id and a weight "
             "[numerator, denominator] of ints with a positive denominator\n")
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"edges": 7}, "edges 7 is not a list of edges"),
+        ({"edges": "0 1 2"}, "edges '0 1 2' is not a list of edges"),
+        ({"edges": {"0": [0, 1, 2]}}, "edges {'0': [0, 1, 2]} is not a list of edges"),
+        ({"k": True}, "k True is not a positive integer"),
+        ({"k": "3"}, "k '3' is not a positive integer"),
+        ({"k": 3.0}, "k 3.0 is not a positive integer"),
+        ({"k": 0, "edges": []}, "k 0 is not a positive integer"),
+        ({"k": -1, "edges": []}, "k -1 is not a positive integer"),
+    ])
+    @pytest.mark.parametrize("mode", ["max-is", "two-color", "almost"])
+    def test_verify_malformed_k_or_edges_is_one(self, tmp_path, capsys, fields, message, mode):
+        h = {"k": 3, "vertices": [{"id": v, "weight": [1, 1]} for v in range(3)],
+             "edges": [[0, 1, 2]], **fields}
+        bundle = tmp_path / "bad.json"
+        bundle.write_text(json.dumps({"hypergraph": h}))
+        assert run("verify", "--input", bundle, "--mode", mode) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("vertices, message", [
         (7, "vertices 7 is not a list of vertex objects"),
         ([[0, [1, 1]]], "vertex entry [0, [1, 1]] is not an object"),
@@ -863,3 +883,119 @@ class TestArtifactWriter:
     @given(payload=st.dictionaries(st.text(max_size=6), VALUES, max_size=5))
     def test_matches_stdlib_on_generated_payloads(self, payload):
         assert written_bytes(payload) == stdlib_bytes(payload)
+
+
+def json_route_read(path) -> dict:
+    """read_artifact as it was before the array reader: json.load alone."""
+    try:
+        with open(path) as fh:
+            return json.load(fh, object_hook=functools.partial(cli._Fields, path))
+    except json.JSONDecodeError as exc:
+        raise cli.UsageError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+
+
+def hypergraph_or_error(read, path):
+    try:
+        return verify.GenericHypergraph.from_json_dict(read(path)["hypergraph"])
+    except (cli.UsageError, ValueError) as exc:
+        return f"error: {exc}"
+
+
+# a flaw replaces one number, one row or the whole block with text that
+# json.load reads as something other than a matrix of int64 ids, or rejects
+FLAWS = {"true": "true", "false": "false", "float": "1.5", "exponent": "1e3",
+         "negative zero float": "-0.0", "leading zero": "01", "bare sign": "-",
+         "above int64": str(2**63), "below int64": str(-2**63 - 1), "string": '"1"',
+         "null": "null", "split number": "1 2", "split sign": "- 1"}
+ROW_FLAWS = ("ragged", "nested", "trailing comma", "empty row", "object")
+
+
+@st.composite
+def edge_blocks(draw) -> tuple[str, list, bool]:
+    """The text of an "edges" value, its rows and whether it is a
+    well-formed matrix of integers of at most 18 digits (the case the array
+    reader takes; 19-digit int64 ids take the json route)."""
+    width = draw(st.integers(1, 4))
+    ids = st.integers(-6, 6) | st.integers(-2**63, 2**63 - 1)
+    rows = draw(st.lists(st.lists(ids, min_size=width, max_size=width), min_size=1, max_size=6))
+    cells = [[str(v) for v in row] for row in rows]
+    flaw = draw(st.sampled_from([None] * 6 + sorted(FLAWS) + list(ROW_FLAWS) + ["empty", "comma"]))
+    at = draw(st.integers(0, len(cells) - 1))
+    if flaw in FLAWS:
+        cells[at][draw(st.integers(0, width - 1))] = FLAWS[flaw]
+    elif flaw == "ragged":  # one row longer or shorter than another
+        cells.append(list(cells[at]))
+        cells[at] = cells[at] + ["0"] if draw(st.booleans()) or width == 1 else cells[at][1:]
+    elif flaw == "nested":
+        cells[at][0] = f"[{cells[at][0]}]"
+    elif flaw == "trailing comma":
+        cells[at][-1] += ","
+    elif flaw == "empty row":
+        cells[at] = []
+    elif flaw == "object":
+        cells[at] = None
+    space = st.text(alphabet=" \t\n\r", max_size=3)
+
+    def row_text(row) -> str:
+        if row is None:
+            return "{}"
+        return "[" + draw(space) + ("," + draw(space)).join(
+            c + draw(space) for c in row) + "]" if row else "[" + draw(space) + "]"
+
+    body = "" if flaw == "empty" else ("," + draw(space)).join(row_text(r) + draw(space)
+                                                             for r in cells)
+    text = "[" + draw(space) + body + ("," if flaw == "comma" else "") + "]"
+    return text, rows, flaw is None and all(abs(v) < 10**18 for row in rows for v in row)
+
+
+class TestArtifactReader:
+    """read_artifact parses a well-formed "edges" matrix with numpy and
+    everything else with json.load: both must give the same hypergraph, or
+    the same error line, as json.load alone."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(block=edge_blocks(), k=st.integers(1, 4), extra=st.booleans(), order=st.booleans())
+    def test_matches_the_json_route(self, block, k, extra, order):
+        text, rows, well_formed = block
+        ids = sorted({v for row in rows for v in row} | ({99} if extra else set()))
+        fields = [f'"k": {k}', '"meta": {"kind": "test"}',
+                  '"vertices": ' + json.dumps([{"id": v, "weight": [1, 2]} for v in ids])]
+        fields.insert(3 if order else 0, '"edges": ' + text)
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "h.json"
+            path.write_text('{"config": {}, "hypergraph": {' + ", ".join(fields) + "}}\n")
+            got = hypergraph_or_error(cli.read_artifact, path)
+            assert got == hypergraph_or_error(json_route_read, path)
+            if well_formed:
+                edges = cli.read_artifact(path)["hypergraph"]["edges"]
+                assert isinstance(edges, np.ndarray) and not edges.flags.writeable
+                assert edges.tolist() == rows
+            elif not isinstance(got, str) or not got.startswith(f"error: {path}"):  # parsed
+                assert not isinstance(cli.read_artifact(path)["hypergraph"]["edges"], np.ndarray)
+
+    def test_written_gadget_is_read_as_an_array(self, tmp_path):
+        h = verify.GenericHypergraph(3, tuple(range(6)), tuple(itertools.combinations(range(6), 3)))
+        cli.write_artifact(tmp_path / "h.json", {"hypergraph": h.to_json_dict()})
+        edges = cli.read_artifact(tmp_path / "h.json")["hypergraph"]["edges"]
+        assert isinstance(edges, np.ndarray) and edges.dtype == np.int64
+        assert verify.GenericHypergraph.from_json_dict(
+            cli.read_artifact(tmp_path / "h.json")["hypergraph"]) == h
+
+    @pytest.mark.parametrize("text", [
+        '{"a\\"edges": [[1, 2]], "hypergraph": {"edges": [[0, 1]]}}',  # a key that ends in edges
+        '{"edges": [[1, 2]], "edges": [[3, 4]]}',  # a repeated key: json keeps the last
+        '{"x": "\\"edges\\": [[1, 2]]", "edges": [[5, 6]]}',  # edges text inside a string
+        '{"edges": [[1, 2]]',  # not JSON
+    ])
+    def test_edges_text_elsewhere_reads_as_json_does(self, tmp_path, text):
+        path = tmp_path / "a.json"
+        path.write_text(text)
+        try:
+            want = json_route_read(path)
+        except cli.UsageError as exc:
+            with pytest.raises(cli.UsageError) as err:
+                cli.read_artifact(path)
+            assert str(err.value) == str(exc)
+            return
+        got = cli.read_artifact(path)
+        assert json.loads(json.dumps(got, default=np.ndarray.tolist)) == want

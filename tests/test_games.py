@@ -4,9 +4,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from gadgetlab import dto1, games, longcode
+from gadgetlab import dto1, games, longcode, verify
 from gadgetlab.games import (Dto1Game, EquationBlock, LayeredPcp, Lin3Instance,
                              PcpConstraint, VariableBlock)
 
@@ -455,3 +456,31 @@ class TestPcpGadgetExport:
         gadget = dto1.build(pcp, 0.25)
         h = gadget.to_hypergraph()
         assert [tuple(e) for e in h.edges.tolist()] == reference_export_edges(gadget)
+
+
+def mirror_gadgets():
+    """Long-code gadgets at label sizes 2 and 3 and d-to-1 gadgets on two
+    games (labels 8 and 4: larger d-to-1 labels keep only the rule), each
+    from a planted and a random source."""
+    for sizes, planted in itertools.product(((2, 2), (3, 3)), (True, False)):
+        pcp = games.gen_toy_mlpcp(2, 2, sizes, 5, planted=planted)
+        yield pytest.param(lambda pcp=pcp: longcode.build(pcp, Fraction(1, 10)),
+                           id=f"longcode-{sizes[0]}-{'planted' if planted else 'random'}")
+    for (u, v), planted in itertools.product(((1, 3), (2, 3)), (True, False)):
+        game = games.gen_toy_dto1_game(u, v, 1, 2, 3, planted=planted)
+        yield pytest.param(lambda game=game: dto1.build(games.build_smooth_mlpcp(game, 2, 1), 0.25),
+                           id=f"dto1-{u}x{v}-{'planted' if planted else 'random'}")
+
+
+@pytest.mark.parametrize("build", mirror_gadgets())
+def test_export_keeps_the_y_below_z_half(build):
+    # the export deduplicates only the hits with y < z; that is exact because
+    # every constraint's table holds the y <-> z mirror of each of its rows
+    gadget = build()
+    assert gadget.mode == "enumerate"
+    for table in gadget.constraint_edges:
+        rows = set(map(tuple, table.tolist()))
+        assert rows == {(x, z, y) for x, y, z in rows}
+        assert all(y != z for _, y, z in rows)
+    all_hits = verify.unique_rows(gadget.hit_rows(pairs=False)[0])
+    assert np.array_equal(gadget.to_hypergraph().edges, all_hits)

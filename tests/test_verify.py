@@ -745,6 +745,27 @@ class TestAlmostTwoColorable:
         assert res.colorable is False
 
 
+def min_vertex_cover_exhaustive(h: GenericHypergraph) -> tuple[frozenset[int], Fraction]:
+    """Independent route for the duality cross-check: scan all vertex
+    subsets for the covering property (every edge meets the cover)."""
+    verts = list(h.vertices)
+    n = len(verts)
+    if n > 20:
+        raise ValueError("exhaustive cover scan capped at 20 vertices")
+    vpos = {v: i for i, v in enumerate(verts)}
+    edge_masks = [sum(1 << vpos[v] for v in e) for e in h.edges.tolist()]
+    best_mask = (1 << n) - 1
+    best_weight = h.total_weight
+    for mask in range(1 << n):
+        if all(mask & em for em in edge_masks):
+            w = sum((h.weights[verts[i]] for i in range(n) if (mask >> i) & 1), Fraction(0))
+            if w < best_weight:
+                best_weight = w
+                best_mask = mask
+    cover = frozenset(verts[i] for i in range(n) if (best_mask >> i) & 1)
+    return cover, best_weight
+
+
 class TestDuality:
     @pytest.mark.parametrize("trial", range(10))
     def test_max_is_plus_min_cover_is_total(self, trial):
@@ -753,5 +774,5 @@ class TestDuality:
                               rng.randrange(3, 9))
         is_res = verify.max_independent_set(h)
         assert is_res.optimal
-        _, cover_weight = verify.min_vertex_cover_exhaustive(h)
+        _, cover_weight = min_vertex_cover_exhaustive(h)
         assert is_res.weight + cover_weight == h.total_weight
