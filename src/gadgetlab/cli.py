@@ -85,8 +85,10 @@ def write_artifact(path: str | Path, payload: dict) -> None:
 
 
 class _Fields(dict):
-    """A JSON object read from an artifact: reading a field it lacks is a
-    UsageError that names the file and the field."""
+    """A JSON object read from an artifact: a field it lacks, or one typed
+    reads of the wrong type, is a UsageError that names the file and the field."""
+
+    KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
 
     def __init__(self, path, fields: dict):
         super().__init__(fields)
@@ -94,6 +96,12 @@ class _Fields(dict):
 
     def __missing__(self, key):
         raise UsageError(f"{self.path}: missing field {key!r}")
+
+    def typed(self, key: str, kind: type = dict):
+        value = self[key]
+        if not isinstance(value, kind) or isinstance(value, bool):  # true is no integer
+            raise UsageError(f"{self.path}: field {key!r} is not {self.KINDS[kind]}: {value!r}")
+        return value
 
 
 _EDGES_KEY = re.compile(rb'"edges"[ \t\n\r]*:[ \t\n\r]*(?=\[)')
@@ -244,6 +252,15 @@ def cmd_build_hadamard(args) -> int:
     return EXIT_OK
 
 
+def _config_epsilon(bundle: _Fields) -> Fraction:
+    """The bundle's config.epsilon, 0 when absent, read by the --epsilon rule."""
+    config = bundle.typed("config")
+    try:
+        return Fraction(_epsilon(config.typed("epsilon", str) if "epsilon" in config else "0"))
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"{bundle.path}: field 'epsilon': {exc}") from None
+
+
 def _load_pcp(path: str) -> games.LayeredPcp:
     payload = read_artifact(path)
     return games.LayeredPcp.from_json_dict(payload.get("pcp", payload))
@@ -273,30 +290,27 @@ def cmd_verify(args) -> int:
     bundle = read_artifact(args.input)
     if "hypergraph" not in bundle:
         raise UsageError(f"{args.input}: the file holds no hypergraph")
-    h = verify.GenericHypergraph.from_json_dict(bundle["hypergraph"])
+    h = verify.GenericHypergraph.from_json_dict(bundle.typed("hypergraph"))
     if args.mode == "yes":  # the planted colouring, checked on the stored edges
-        kind = bundle["hypergraph"]["meta"]["kind"]
-        if type(kind) is not str:
-            raise UsageError(f"{args.input}: field 'kind' is not a string: {kind!r}")
+        kind = bundle["hypergraph"].typed("meta").typed("kind", str)
         gadget_cls = {"longcode": longcode.LongCodeGadget, "dto1": dto1.Dto1Gadget}.get(kind)
         if kind != "hadamard" and gadget_cls is None:
             raise UsageError(f"{args.input}: unknown hypergraph kind {kind!r}")
+        eps = _config_epsilon(bundle)  # only the long code removes: its * class
+        pcp_fields = bundle.typed("pcp") if "pcp" in bundle else {}
         if kind == "hadamard" and "planted_assignment" in bundle:
             cfg = bundle["config"]
-            for name in ("r", "triples", "seed"):
-                if type(cfg[name]) is not int:
-                    raise UsageError(f"{args.input}: field {name!r} is not an integer: "
-                                     f"{cfg[name]!r}")
+            r, triples, seed = (cfg.typed(name, int) for name in ("r", "triples", "seed"))
             inst = games.Lin3Instance.from_json_dict(bundle["instance"])
-            gadget = hadamard.build(inst, cfg["r"], triples=cfg["triples"],
-                                    seed=derive_seed(cfg["seed"], "build-hadamard"),
+            gadget = hadamard.build(inst, r, triples=triples, seed=derive_seed(seed, "build-hadamard"),
                                     distinct_blocks=cfg.get("distinct_blocks", False))
             if gadget.to_hypergraph() != h:
                 raise UsageError(f"{args.input}: the stored hypergraph is not the one its config builds")
             result = hadamard.yes_coloring(gadget, bundle["planted_assignment"])
             removed, surviving, violations = result.removed, result.surviving_edges, len(result.violations)
-        elif gadget_cls and bundle.get("pcp", {}).get("planted_labeling"):
-            pcp = games.LayeredPcp.from_json_dict(bundle["pcp"])
+        elif gadget_cls and pcp_fields.get("planted_labeling"):
+            pcp_fields.typed("planted_labeling", list)
+            pcp = games.LayeredPcp.from_json_dict(pcp_fields)
             colors = games.dictator_colors(pcp, gadget_cls.base, pcp.planted_labeling)
             if h.vertices != tuple(range(len(colors))):
                 raise UsageError(f"{args.input}: the stored hypergraph does not fit its PCP's codes")
@@ -312,7 +326,6 @@ def cmd_verify(args) -> int:
             write_artifact(args.out, {"config": _config_dict(args), "yes_certificate": report})
         print(f"yes-case certificate: removed={report['removed']} "
               f"violations={report['violations']} ok={report['ok']}")
-        eps = Fraction(bundle["config"].get("epsilon", 0))  # only the long code removes: its * class
         within = not removed or h.weight_of(removed) <= eps * h.total_weight
         return EXIT_OK if report["ok"] and within else EXIT_CERT
     if args.mode == "max-is":
@@ -385,7 +398,7 @@ def cmd_decode(args) -> int:
     if args.kind == "longcode":
         if "epsilon" not in bundle.get("config", {}):
             raise UsageError(f"{args.gadget}: not a long-code gadget bundle (no config.epsilon)")
-        gadget = longcode.build(pcp, Fraction(bundle["config"]["epsilon"]))
+        gadget = longcode.build(pcp, _config_epsilon(bundle))
         outcome = longcode.decode(gadget, indicator_data["vertices"], args.delta,
                                   seed=derive_seed(args.seed, "decode"))
         report = {
@@ -470,18 +483,18 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("gen-3lin", help="toy Max-3Lin instance")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--eqs", type=int, required=True)
+    p.add_argument("--eqs", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--random", action="store_true", help="random right-hand sides (no witness)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen_3lin)
 
     p = sub.add_parser("gen-game", help="toy bi-regular d-to-1 game")
-    p.add_argument("--u", type=int, required=True)
-    p.add_argument("--v", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--degree", type=int)
+    p.add_argument("--u", type=_int_at_least(1), required=True)
+    p.add_argument("--v", type=_int_at_least(1), required=True)
+    p.add_argument("--k", type=_int_at_least(1), required=True)
+    p.add_argument("--d", type=_int_at_least(1), required=True)
+    p.add_argument("--degree", type=_int_at_least(1))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--random", action="store_true")
     p.add_argument("--out", required=True)
@@ -491,7 +504,7 @@ def build_parser() -> _Parser:
     p.add_argument("--game", help="game artifact for the smooth build")
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--smooth-t", type=int, default=1)
-    p.add_argument("--vars-per-layer", type=int, default=2)
+    p.add_argument("--vars-per-layer", type=_int_at_least(1), default=2)
     p.add_argument("--label-sizes", default="3,3", help="comma list, plain build only")
     p.add_argument("--density", type=float, default=1.0)
     p.add_argument("--random", action="store_true")

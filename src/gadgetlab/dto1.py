@@ -298,7 +298,7 @@ class Dto1Gadget(PcpGadget):
     delta: float
     constraint_r: list[int]
 
-    def vertex_weight(self, layer: int, var: int) -> Fraction:
+    def vertex_weight(self, layer: int, var: int, point: int) -> Fraction:
         return Fraction(1, (1 << self.pcp.label_sizes[layer])
                         * self.pcp.layers * self.pcp.var_counts[layer])
 
@@ -330,8 +330,7 @@ class Dto1Gadget(PcpGadget):
             yield x, y, z
 
     def to_hypergraph(self) -> GenericHypergraph:
-        return self._export(lambda l, v, pt: self.vertex_weight(l, v),
-                            {"kind": "dto1", "delta": self.delta})
+        return self._export({"kind": "dto1", "delta": self.delta})
 
 
 def build(pcp: LayeredPcp, delta: float) -> Dto1Gadget:

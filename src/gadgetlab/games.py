@@ -283,6 +283,10 @@ class LayeredPcp:
     def __post_init__(self) -> None:
         if self.layers != len(self.var_counts) or self.layers != len(self.label_sizes):
             raise ValueError("layer count mismatch")
+        if not all(type(n) is int and n >= 0 for n in self.var_counts) or not all(
+                type(r) is int and r >= 1 for r in self.label_sizes):
+            raise ValueError(f"var_counts {list(self.var_counts)} and label_sizes "
+                             f"{list(self.label_sizes)} need integers >= 0 and >= 1")
         for c in self.constraints:
             if not 0 <= c.from_layer < c.to_layer < self.layers:
                 raise ValueError(f"bad layer pair ({c.from_layer}, {c.to_layer})")
@@ -605,9 +609,9 @@ class PcpGadget:
         """samples random rule hits (x, y, z) of constraint ci."""
         raise NotImplementedError
 
-    def point_weights(self, weight) -> list:
-        """weight(layer, var, point) of every vertex, in vertex id order."""
-        return [weight(l, v, pt) for l, v in self.offsets
+    def point_weights(self) -> list[Fraction]:
+        """vertex_weight(layer, var, point) of every vertex, in vertex id order."""
+        return [self.vertex_weight(l, v, pt) for l, v in self.offsets
                 for pt in range(self.base ** self.pcp.label_sizes[l])]
 
     def hit_rows(self, samples: int = 0, seed: int = 0,
@@ -664,9 +668,9 @@ class PcpGadget:
         return RuleCheck(self.local_hits(rows, starts, np.flatnonzero(violating)), len(rows),
                          int(surviving.sum()), coverage, colors if ids is None else None)
 
-    def _export(self, weight, meta: dict) -> GenericHypergraph:
-        """The 3-uniform hypergraph of the materialised edges, with
-        weight(layer, var, point) per vertex; meta gains dropped_degenerate.
+    def _export(self, meta: dict) -> GenericHypergraph:
+        """The 3-uniform hypergraph of the materialised edges, weighted by
+        vertex_weight; meta gains dropped_degenerate.
         Both rules are symmetric in y and z, so only the y < z half of the
         hits is deduplicated: each (x, z, y) is the mirror of an (x, y, z)."""
         if self.mode != "enumerate":
@@ -675,7 +679,7 @@ class PcpGadget:
         edges = unique_rows(rows[rows[:, 1] < rows[:, 2]])
         meta["dropped_degenerate"] = self.dropped_degenerate
         return GenericHypergraph(3, tuple(range(self.vertex_count)), edges,
-                                 dict(enumerate(self.point_weights(weight))), meta)
+                                 dict(enumerate(self.point_weights())), meta)
 
 
 # ---------------------------------------------------------------------------
@@ -775,8 +779,7 @@ def gen_toy_dto1_game(n_u: int, n_v: int, k: int, d: int, rng: random.Random | i
                     (u_labels, v_labels) if planted else None)
 
 
-def build_smooth_mlpcp(game: Dto1Game, layers: int, T: int,
-                       label_cap: int = LABEL_TUPLE_CAP) -> LayeredPcp:
+def build_smooth_mlpcp(game: Dto1Game, layers: int, T: int) -> LayeredPcp:
     """Layered PCP over a d-to-1 game with the smoothness parameter T.
 
     Layer l (0-based) variables are sets of T*layers + layers - 1 - l
@@ -796,8 +799,8 @@ def build_smooth_mlpcp(game: Dto1Game, layers: int, T: int,
     label_sizes = []
     for l in range(layers):
         size = game.m ** n_vside[l] * game.k ** n_uside[l]
-        if size > label_cap:
-            raise SizeCapError(f"layer {l} needs {size} label tuples, cap is {label_cap}")
+        if size > LABEL_TUPLE_CAP:
+            raise SizeCapError(f"layer {l} needs {size} label tuples, cap is {LABEL_TUPLE_CAP}")
         label_sizes.append(size)
 
     adjacency: dict[tuple[int, int], tuple[int, ...]] = {

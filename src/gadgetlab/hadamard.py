@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 
@@ -74,7 +73,6 @@ class HadamardGadget:
         return unique_rows(np.concatenate(self.edges_per_triple))
 
     def to_hypergraph(self) -> GenericHypergraph:
-        vertices = tuple(range(self.vertex_count))
         meta = {
             "kind": "hadamard",
             "r": self.r,
@@ -85,8 +83,7 @@ class HadamardGadget:
             ],
             "dropped_degenerate": self.dropped_degenerate,
         }
-        return GenericHypergraph(4, vertices, self.all_edges(),
-                                 {v: Fraction(1) for v in vertices}, meta)
+        return GenericHypergraph(4, tuple(range(self.vertex_count)), self.all_edges(), meta=meta)
 
 
 def _raw_edges(blocks: list[GadgetBlock], r: int, triple: Triple) -> np.ndarray:

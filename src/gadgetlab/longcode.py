@@ -57,12 +57,9 @@ class LongCodeGadget(PcpGadget):
         return 1 - self.epsilon
 
     def vertex_weight(self, layer: int, var: int, point: int) -> Fraction:
-        p = self.p
-        digits = ternary.point_digits(point, self.pcp.label_sizes[layer])
-        w = Fraction(1)
-        for d in digits:
-            w *= self.epsilon if d == ternary.STAR else p / 2
-        return w / (self.pcp.layers * self.pcp.var_counts[layer])
+        m = self.pcp.label_sizes[layer]
+        stars = ternary.point_digits(point, m).count(ternary.STAR)
+        return self.epsilon**stars * (self.p / 2) ** (m - stars) / (self.pcp.layers * self.pcp.var_counts[layer])
 
     def edge_exists(self, ci: int, x: int, y: int, z: int) -> bool:
         """Whether (x, y, z) is a rule hit of constraint ci: no matched
@@ -91,8 +88,8 @@ class LongCodeGadget(PcpGadget):
             yield x, y, z
 
     def to_hypergraph(self) -> GenericHypergraph:
-        return self._export(self.vertex_weight, {
-            "kind": "longcode", "epsilon": [self.epsilon.numerator, self.epsilon.denominator]})
+        return self._export({"kind": "longcode",
+                             "epsilon": [self.epsilon.numerator, self.epsilon.denominator]})
 
 
 def build(pcp: LayeredPcp, epsilon) -> LongCodeGadget:
@@ -143,7 +140,7 @@ def yes_partition(g: LongCodeGadget, sigma, samples: int = 2000,
     colors = dictator_colors(g.pcp, g.base, sigma) if res.colors is None else res.colors
     class_of = dict(enumerate(colors.tolist()))
     weights = [Fraction(0)] * 3
-    for digit, w in zip(class_of.values(), g.point_weights(g.vertex_weight)):
+    for digit, w in zip(class_of.values(), g.point_weights()):
         weights[digit] += w
     return PartitionResult(
         class_of, (weights[ternary.ONE], weights[ternary.TWO], weights[ternary.STAR]),
@@ -204,7 +201,7 @@ def decode(g: LongCodeGadget, indicator, delta: float, seed: int = 0) -> DecodeO
     if stray:
         raise ValueError(f"indicator vertex {stray[0]} is not a vertex id in [0, {g.vertex_count})")
     members = np.isin(np.arange(g.vertex_count), list(indicator))
-    weight = sum(itertools.compress(g.point_weights(g.vertex_weight), members), Fraction(0))
+    weight = sum(itertools.compress(g.point_weights(), members), Fraction(0))
     if weight < Fraction(delta).limit_denominator(10**9):
         raise ValueError(f"indicator weight {weight} is below delta={delta}")
     families = {key: ternary.monotone_closure(f)

@@ -1,6 +1,6 @@
 """Exact desk-scale hypergraph oracles: max independent set, 2-coloring,
-and almost-2-coloring, over vertex weights kept as exact rationals. Each
-search takes a node budget and says when it ran out."""
+and almost-2-coloring, over vertex weights kept as integers over one
+denominator. Each search takes a node budget and says when it ran out."""
 from __future__ import annotations
 
 import itertools
@@ -18,15 +18,18 @@ class GenericHypergraph:
     """k-uniform hypergraph with positive rational vertex weights; the
     edges are one read-only (E, k) int64 array, each row sorted.
 
-    Construction also maps ids to positions once: ids holds the vertex ids
-    in increasing order, and positions the edges with each id replaced by
-    its index in ids (the edges themselves when the ids are 0..V-1)."""
+    Construction maps ids to positions once: ids holds the vertex ids in
+    increasing order, and positions the edges with each id replaced by its
+    index in ids (the edges themselves when the ids are 0..V-1). weights,
+    given as {id: rational} (1 for an id left out), is kept as Python ints
+    in ids order over scale, the lcm of the reduced denominators."""
 
     k: int
     vertices: tuple[int, ...]
     edges: np.ndarray
-    weights: dict[int, Fraction] = field(default_factory=dict)
+    weights: tuple[int, ...] = field(default_factory=dict)
     meta: dict = field(default_factory=dict, compare=False)
+    scale: int = field(init=False)
     ids: tuple[int, ...] = field(init=False, repr=False, compare=False)
     positions: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -71,31 +74,39 @@ class GenericHypergraph:
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "positions", positions)
-        weights = {v: Fraction(w) for v, w in self.weights.items()}
-        for v in self.vertices:
-            weights.setdefault(v, Fraction(1))
-        if any(w <= 0 for w in weights.values()):
+        rationals = [Fraction(self.weights.get(v, 1)) for v in ids]
+        if min(rationals, default=1) <= 0:
             raise ValueError("vertex weights must be positive")
-        object.__setattr__(self, "weights", weights)
+        scale = math.lcm(*[w.denominator for w in rationals])
+        object.__setattr__(self, "weights", tuple(w.numerator * (scale // w.denominator) for w in rationals))
+        object.__setattr__(self, "scale", scale)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, GenericHypergraph) and np.array_equal(self.edges, other.edges)
-                and (self.k, self.vertices, self.weights) == (other.k, other.vertices, other.weights))
+                and (self.k, self.vertices, self.weights, self.scale)
+                == (other.k, other.vertices, other.weights, other.scale))
+
+    def position_of(self, vertex_ids, what: str = "vertex set") -> list[int]:
+        """The index in ids of each of vertex_ids; a ValueError names the first unknown one."""
+        index = dict(zip(self.ids, itertools.count()))
+        try:
+            return [index[v] for v in vertex_ids]
+        except KeyError as exc:
+            raise ValueError(f"{what} holds {exc.args[0]!r}, which is not a vertex id") from None
 
     @property
     def total_weight(self) -> Fraction:
-        return sum(self.weights.values(), Fraction(0))
+        return Fraction(sum(self.weights), self.scale)
 
     def weight_of(self, vertex_set) -> Fraction:
-        return sum((self.weights[v] for v in vertex_set), Fraction(0))
+        return Fraction(sum(self.weights[p] for p in self.position_of(vertex_set)), self.scale)
 
     def to_json_dict(self) -> dict:
+        rationals = (Fraction(self.weights[p], self.scale) for p in self.position_of(self.vertices))
         return {
             "k": self.k,
-            "vertices": [
-                {"id": v, "weight": [self.weights[v].numerator, self.weights[v].denominator]}
-                for v in self.vertices
-            ],
+            "vertices": [{"id": v, "weight": [w.numerator, w.denominator]}
+                         for v, w in zip(self.vertices, rationals)],
             "edges": self.edges,
             "meta": self.meta,
         }
@@ -160,14 +171,12 @@ def max_independent_set(h: GenericHypergraph, budget: int = DEFAULT_NODE_BUDGET)
     from a packing of vertex-disjoint live edges. Exceeding the
     node-expansion budget degrades the result to best-found.
 
-    Vertex order[i], by falling degree, then id, is bit i of every mask,
-    and the weights are ints over the lcm of their denominators, so the
-    search makes the same comparisons as over the Fractions.
+    Vertex order[i], by falling degree, then id, is bit i of every mask;
+    the search adds and compares h's integer weights.
     """
-    by_degree = np.argsort(-np.bincount(h.positions.ravel(), minlength=len(h.ids)), kind="stable")
-    order = [h.ids[p] for p in by_degree.tolist()]
-    scale = math.lcm(*(w.denominator for w in h.weights.values()))
-    weight = [h.weights[v].numerator * (scale // h.weights[v].denominator) for v in order]
+    by_degree = np.argsort(-np.bincount(h.positions.ravel(), minlength=len(h.ids)), kind="stable").tolist()
+    order = [h.ids[p] for p in by_degree]
+    weight = [h.weights[p] for p in by_degree]
     suffix = list(itertools.accumulate(reversed(weight), initial=0))[::-1]
     edges = np.argsort(by_degree)[h.positions].tolist()  # each position's index in order
     masks = [sum(1 << i for i in e) for e in edges]
@@ -221,7 +230,7 @@ def max_independent_set(h: GenericHypergraph, budget: int = DEFAULT_NODE_BUDGET)
         if not completes_edge(idx, included):
             stack.append((idx + 1, current + weight[idx], included | 1 << idx))
     return IndependentSetResult(frozenset(v for i, v in enumerate(order) if best_mask >> i & 1),
-                                Fraction(best_weight, scale), nodes <= budget, nodes)
+                                Fraction(best_weight, h.scale), nodes <= budget, nodes)
 
 
 @dataclass
@@ -266,23 +275,21 @@ def almost_two_colorable(h: GenericHypergraph, epsilon, candidate_removal=None,
     vertex can no longer be removed. With a candidate removal supplied,
     the search starts with it removed and allows no further removals.
     """
-    allowance = Fraction(epsilon) * h.total_weight
-    removal = set(candidate_removal or ())
-    if unknown := [v for v in candidate_removal or () if v not in h.weights]:
-        raise ValueError(f"candidate removal holds {unknown[0]!r}, which is not a vertex id")
-    removed_weight = h.weight_of(removal)
+    # Vertices are positions 0..V-1 in id order, incident[p] the ids of p's
+    # edges. Per edge, counts[s] counts the members in state s and open_sum
+    # sums the open members' positions, so it names an edge's last one.
+    # Weights are h's ints: a removal fits epsilon * total iff it fits the floor.
+    ids, members, weights = h.ids, h.positions, h.weights
+    allowance = math.floor(Fraction(epsilon) * sum(weights))
+    removal = set(h.position_of(candidate_removal or (), "candidate removal"))
+    removed_weight = sum(weights[p] for p in removal)
     if removed_weight > allowance:
         return ColoringResult(False, None, 0, 0)
     if candidate_removal is not None:
         allowance = removed_weight
-    # Vertices are positions 0..V-1 in id order, incident[p] the ids of p's
-    # edges. Per edge, counts[s] counts the members in state s and open_sum
-    # sums the open members' positions, so it names an edge's last one.
-    ids, members = h.ids, h.positions
     degree = np.bincount(members.ravel(), minlength=len(ids))
     incident = np.split(np.argsort(members.ravel(), kind="stable") // h.k, np.cumsum(degree)[:-1])
     order = np.argsort(-degree, kind="stable").tolist()
-    weights = [h.weights[v] for v in ids]
     counts = [np.zeros(len(members), dtype=np.min_scalar_type(h.k)) for _ in range(3)]
     open_sum = members.sum(axis=1)
     state: dict[int, int] = {}
@@ -318,7 +325,7 @@ def almost_two_colorable(h: GenericHypergraph, epsilon, candidate_removal=None,
                     assign(u, 1 - c, trail)
         return True
 
-    for p in np.searchsorted(ids, list(removal)).tolist():
+    for p in removal:
         assign(p, _REMOVED, [])
     # Decision trail: (position, state, vertices it decided). A failed
     # state pops decisions until one still has a state left to try.

@@ -354,8 +354,9 @@ def test_criterion_14_oracle_duality():
         for em in edge_masks:
             cover_ok &= (masks & em) != 0
         wvec = np.zeros(1 << n, dtype=np.int64)
+        weight = {v: Fraction(w, h.scale) for v, w in zip(h.ids, h.weights)}
         for i, v in enumerate(verts):
-            wvec[((masks >> i) & 1) == 1] += int(h.weights[v])
+            wvec[((masks >> i) & 1) == 1] += int(weight[v])
         min_cover = Fraction(int(wvec[cover_ok].min()))
         if is_res.weight + min_cover != h.total_weight:
             failures.append((trial, is_res.weight, min_cover, h.total_weight))

@@ -381,6 +381,58 @@ class TestExitCodes:
         assert captured.err == f"error: {path}: missing field {last!r}\n"
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("config", [1], "field 'config' is not an object: [1]"),
+        ("config", {"epsilon": [1, 10]}, "field 'epsilon' is not a string: [1, 10]"),
+        ("config.epsilon", True, "field 'epsilon' is not a string: True"),
+        ("config.epsilon", "3/2", "field 'epsilon': must lie in [0, 1], got 3/2"),
+        ("config.epsilon", "1/x", "field 'epsilon': not a rational: '1/x'"),
+        ("hypergraph", [1], "field 'hypergraph' is not an object: [1]"),
+        ("hypergraph.meta", [1], "field 'meta' is not an object: [1]"),
+        ("pcp", [1], "field 'pcp' is not an object: [1]"),
+        ("pcp.planted_labeling", "ab", "field 'planted_labeling' is not a list: 'ab'"),
+    ])
+    def test_mistyped_yes_field_names_file_and_field(self, tmp_path, capsys, field, value,
+                                                     message):
+        lc, _ = longcode_bundle(tmp_path)
+        payload = json.loads(lc.read_text())
+        *parents, last = field.split(".")
+        functools.reduce(dict.__getitem__, parents, payload)[last] = value
+        lc.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("verify", "--input", lc, "--mode", "yes") == 1
+        assert capsys.readouterr() == ("", f"error: {lc}: {message}\n")
+
+    @pytest.mark.parametrize("argv, flag", [
+        *((["gen-game", "--u", 1, "--v", 3, "--k", 1, "--d", 2, "--degree", 1], flag)
+          for flag in ("--u", "--v", "--k", "--d", "--degree")),
+        (["gen-3lin", "--n", 9, "--eqs", 9], "--eqs"),
+        (["build-mlpcp", "--layers", 2, "--vars-per-layer", 2], "--vars-per-layer"),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_count_below_one_is_one(self, tmp_path, capsys, argv, flag, value):
+        argv = list(argv)
+        argv[argv.index(flag) + 1] = value
+        out = tmp_path / "out.json"
+        assert run(*argv, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: argument {flag}: must be at least 1, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field, value", [("var_counts", [-1, -1]), ("label_sizes", [3, 0])])
+    def test_pcp_file_with_counts_out_of_range_is_one(self, tmp_path, capsys, field, value):
+        pcp, out = tmp_path / "plain.json", tmp_path / "lc.json"
+        assert run("build-mlpcp", "--layers", 2, "--label-sizes", "3,3", "--out", pcp) == 0
+        payload = json.loads(pcp.read_text())
+        payload["pcp"][field] = value
+        pcp.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run("build-longcode", "--pcp", pcp, "--epsilon", "1/10", "--out", out) == 1
+        counts = {"var_counts": [2, 2], "label_sizes": [3, 3], field: value}
+        assert capsys.readouterr().err == (
+            f"error: var_counts {counts['var_counts']} and label_sizes {counts['label_sizes']} "
+            "need integers >= 0 and >= 1\n")
+        assert not out.exists()
+
     def test_build_hadamard_has_no_mode_flag(self, tmp_path, capsys):
         lin = tmp_path / "lin.json"
         assert run("gen-3lin", "--n", 9, "--eqs", 9, "--seed", 7, "--out", lin) == 0

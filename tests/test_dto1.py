@@ -210,11 +210,11 @@ class TestBuild:
         pcp = toy_smooth
         g = dto1.build(pcp, 0.25)
         for l in range(pcp.layers):
-            w = g.vertex_weight(l, 0)
+            w = g.vertex_weight(l, 0, 0)
             assert w == Fraction(1, (1 << pcp.label_sizes[l]) * pcp.layers * pcp.var_counts[l])
             total = sum(
-                g.vertex_weight(l, v) * (1 << pcp.label_sizes[l])
-                for v in range(pcp.var_counts[l])
+                g.vertex_weight(l, v, pt)
+                for v in range(pcp.var_counts[l]) for pt in range(1 << pcp.label_sizes[l])
             )
             assert total == Fraction(1, pcp.layers)
 

@@ -168,10 +168,11 @@ class TestSmoothMlpcp:
         fractions = games.evaluate_pcp_labeling(pcp, pcp.planted_labeling)
         assert fractions and all(f == 1 for f in fractions.values())
 
-    def test_label_cap(self):
+    def test_label_cap(self, monkeypatch):
         game = games.gen_toy_dto1_game(2, 8, 2, 2, 5)
-        with pytest.raises(games.SizeCapError):
-            games.build_smooth_mlpcp(game, 2, 2, label_cap=10**3)
+        monkeypatch.setattr(games, "LABEL_TUPLE_CAP", 10**3)
+        with pytest.raises(games.SizeCapError, match="cap is 1000"):
+            games.build_smooth_mlpcp(game, 2, 2)
 
 
 def _mixed_radix_encode(digits, radices) -> int:
@@ -417,6 +418,21 @@ class TestJsonRoundTrips:
     def test_plain_pcp(self):
         pcp = games.gen_toy_mlpcp(3, 3, 2, 19, density=0.8)
         assert LayeredPcp.from_json_dict(pcp.to_json_dict()) == pcp
+
+
+class TestLayeredPcpChecks:
+    @pytest.mark.parametrize("field, value", [
+        ("var_counts", (-1, 2)), ("var_counts", (2.0, 2)), ("label_sizes", (3, 0)),
+        ("label_sizes", (-3, 3))])
+    def test_counts_out_of_range_are_rejected(self, field, value):
+        d = games.gen_toy_mlpcp(2, 2, 3, 19).to_json_dict()
+        d[field] = value
+        with pytest.raises(ValueError, match=r"var_counts .* and label_sizes .* need integers"):
+            LayeredPcp.from_json_dict(d)
+
+    def test_no_variables_in_a_layer_is_allowed(self):
+        pcp = LayeredPcp(2, (0, 1), (2, 2), ())
+        assert pcp.var_counts == (0, 1)
 
 
 class TestAsRng:

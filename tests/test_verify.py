@@ -1,6 +1,7 @@
 """Exact hypergraph oracles."""
 import itertools
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -25,6 +26,11 @@ def random_hypergraph(rng: random.Random, n: int, k: int, m: int,
     if rational_weights:
         weights = {v: Fraction(rng.randrange(1, 6), rng.randrange(1, 4)) for v in range(n)}
     return GenericHypergraph(k, tuple(range(n)), tuple(edges), weights)
+
+
+def fraction_weights(h: GenericHypergraph) -> dict[int, Fraction]:
+    """Each vertex id's exact weight, for the reference searches."""
+    return {v: Fraction(w, h.scale) for v, w in zip(h.ids, h.weights)}
 
 
 def brute_force_max_is(h: GenericHypergraph) -> Fraction:
@@ -52,6 +58,7 @@ def max_independent_set_recursive(h: GenericHypergraph, budget: int = verify.DEF
                    key=lambda v: (-sum(1 for e in h.edges if v in e), v))
     pos = {v: i for i, v in enumerate(order)}
     edges = [tuple(sorted(e, key=lambda v: pos[v])) for e in h.edges]
+    weights = fraction_weights(h)
 
     greedy: set[int] = set()
     for v in order:
@@ -79,7 +86,7 @@ def max_independent_set_recursive(h: GenericHypergraph, budget: int = verify.DEF
             if any(v in used for v in e):
                 continue
             used.update(e)
-            penalty += min(h.weights[v] for v in live)
+            penalty += min(weights[v] for v in live)
         return optimistic - penalty
 
     def dfs(idx: int, included: set[int], excluded: set[int], current: Fraction) -> None:
@@ -103,7 +110,7 @@ def max_independent_set_recursive(h: GenericHypergraph, budget: int = verify.DEF
         included.add(v)
         conflict = [e for e in edges if v in e and all(u in included for u in e)]
         if not conflict:
-            dfs(idx + 1, included, excluded, current + h.weights[v])
+            dfs(idx + 1, included, excluded, current + weights[v])
         included.remove(v)
         excluded.add(v)
         dfs(idx + 1, included, excluded, current)
@@ -181,7 +188,7 @@ def _induced(h: GenericHypergraph, survivors: set[int]) -> GenericHypergraph:
     return GenericHypergraph(
         h.k, tuple(sorted(survivors)),
         tuple(e for e in h.edges if all(v in survivors for v in e)),
-        {v: h.weights[v] for v in survivors},
+        {v: w for v, w in fraction_weights(h).items() if v in survivors},
     )
 
 
@@ -205,8 +212,9 @@ def almost_two_colorable_enumerate(h: GenericHypergraph, epsilon,
         return AlmostColoringResult(res.colorable, frozenset(removal) if res.colorable else None,
                                     res.coloring, 1, res.max_depth)
 
-    removable = sorted((v for v in h.vertices if h.weights[v] <= allowance),
-                       key=lambda v: (-h.weights[v], v))
+    weights = fraction_weights(h)
+    removable = sorted((v for v in h.vertices if weights[v] <= allowance),
+                       key=lambda v: (-weights[v], v))
     attempts = 0
     best_depth = -1
     for size in range(0, len(removable) + 1):
@@ -262,7 +270,7 @@ def almost_two_colorable_lists(h: GenericHypergraph, epsilon, candidate_removal=
     if candidate_removal is not None:
         allowance = removed_weight
     edges, order, edges_of = _incidence(h)
-    weights = h.weights
+    weights = fraction_weights(h)
     state: dict[int, int] = dict.fromkeys(removal, _REMOVED)
 
     # Only coloured vertices are propagated, so `assigned` holds the
@@ -478,6 +486,73 @@ def test_count_arrays_match_list_propagation(case, epsilon, budget):
     h, candidate = case
     res = verify.almost_two_colorable(h, epsilon, candidate, budget)
     assert whole(res) == whole(almost_two_colorable_lists(h, epsilon, candidate, budget))
+
+
+@st.composite
+def weighted_cases(draw) -> tuple[GenericHypergraph, dict[int, Fraction]]:
+    """A hypergraph on scattered ids listed out of order, some given weights
+    over mixed denominators and the rest left to weigh 1; and each id's
+    exact weight, worked out from what was given."""
+    k = draw(st.sampled_from([2, 3]))
+    ids = draw(st.lists(st.integers(-40, 40), min_size=1, max_size=10, unique=True))
+    combos = list(itertools.combinations(ids, k))
+    edges = draw(st.lists(st.sampled_from(combos), unique=True, max_size=12)) if combos else []
+    given = {v: Fraction(draw(st.integers(1, 30)), draw(st.sampled_from([1, 2, 4, 6, 9, 35])))
+             for v in draw(st.sets(st.sampled_from(ids)))}
+    return GenericHypergraph(k, tuple(ids), tuple(edges), given), {
+        v: given.get(v, Fraction(1)) for v in ids}
+
+
+@settings(max_examples=200)
+@given(case=weighted_cases(), data=st.data())
+def test_integer_weights_are_the_given_rationals(case, data):
+    h, exact = case
+    assert all(type(w) is int for w in h.weights) and len(h.weights) == len(h.ids)
+    assert h.scale == math.lcm(*(w.denominator for w in exact.values()))
+    assert h.total_weight == sum(exact.values(), Fraction(0))
+    chosen = data.draw(st.lists(st.sampled_from(h.vertices), max_size=12))
+    assert h.weight_of(chosen) == sum((exact[v] for v in chosen), Fraction(0))
+    d = h.to_json_dict()
+    assert [(v["id"], Fraction(*v["weight"])) for v in d["vertices"]] == list(exact.items())
+    assert all(math.gcd(*v["weight"]) == 1 for v in d["vertices"])  # reduced pairs
+    again = GenericHypergraph.from_json_dict(d)
+    assert again == h and (again.weights, again.scale) == (h.weights, h.scale)
+
+
+def test_equal_rationals_over_other_denominators_are_equal():
+    h = GenericHypergraph(2, (3, 1, 2), ((1, 3),), {1: Fraction(1, 2), 3: Fraction(5, 6)})
+    d = h.to_json_dict()
+    assert [v["weight"] for v in d["vertices"]] == [[5, 6], [1, 2], [1, 1]]
+    for v, unreduced in zip(d["vertices"], ([10, 12], [3, 6], [4, 4])):
+        v["weight"] = unreduced
+    again = GenericHypergraph.from_json_dict(d)
+    assert again == h and (again.weights, again.scale) == ((3, 6, 5), 6)
+    assert again == GenericHypergraph(2, (3, 1, 2), ((1, 3),), {1: 0.5, 3: "5/6", 2: 1})
+    # the same integers over another scale are other weights
+    assert h != GenericHypergraph(2, (3, 1, 2), ((1, 3),),
+                                  {1: Fraction(3, 12), 2: Fraction(6, 12), 3: Fraction(5, 12)})
+
+
+# Mersenne primes: weights over all three have an lcm near 2**181
+HUGE_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1)
+
+
+@settings(max_examples=60)
+@given(h=small_hypergraphs(max_n=9, min_edges=6), data=st.data())
+def test_weights_past_int64_match_references(h, data):
+    numerators = data.draw(st.lists(st.integers(1, 10**30), min_size=len(h.ids),
+                                    max_size=len(h.ids)))
+    h = GenericHypergraph(h.k, h.vertices, h.edges, {
+        v: Fraction(n, HUGE_PRIMES[v % 3]) for v, n in zip(h.ids, numerators)})
+    if len(h.ids) >= 3:
+        assert h.scale > 2**63
+    res = verify.max_independent_set(h)
+    assert res == max_independent_set_recursive(h)
+    assert res.optimal and res.weight == brute_force_max_is(h)
+    candidate = data.draw(st.none() | st.sets(st.sampled_from(h.ids), max_size=2))
+    for epsilon in (Fraction(0), Fraction(1, 7), Fraction(1, 3), Fraction(1, 2)):
+        assert whole(verify.almost_two_colorable(h, epsilon, candidate)) == whole(
+            almost_two_colorable_lists(h, epsilon, candidate))
 
 
 @st.composite
@@ -756,9 +831,10 @@ def min_vertex_cover_exhaustive(h: GenericHypergraph) -> tuple[frozenset[int], F
     edge_masks = [sum(1 << vpos[v] for v in e) for e in h.edges.tolist()]
     best_mask = (1 << n) - 1
     best_weight = h.total_weight
+    weights = fraction_weights(h)
     for mask in range(1 << n):
         if all(mask & em for em in edge_masks):
-            w = sum((h.weights[verts[i]] for i in range(n) if (mask >> i) & 1), Fraction(0))
+            w = sum((weights[verts[i]] for i in range(n) if (mask >> i) & 1), Fraction(0))
             if w < best_weight:
                 best_weight = w
                 best_mask = mask
