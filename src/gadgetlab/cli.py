@@ -88,8 +88,6 @@ class _Fields(dict):
     """A JSON object read from an artifact: a field it lacks, or one typed
     reads of the wrong type, is a UsageError that names the file and the field."""
 
-    KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
-
     def __init__(self, path, fields: dict):
         super().__init__(fields)
         self.path = path
@@ -98,10 +96,10 @@ class _Fields(dict):
         raise UsageError(f"{self.path}: missing field {key!r}")
 
     def typed(self, key: str, kind: type = dict):
-        value = self[key]
-        if not isinstance(value, kind) or isinstance(value, bool):  # true is no integer
-            raise UsageError(f"{self.path}: field {key!r} is not {self.KINDS[kind]}: {value!r}")
-        return value
+        try:
+            return games.typed_field(self, key, kind)
+        except ValueError as exc:
+            raise UsageError(f"{self.path}: {exc}") from None
 
 
 _EDGES_KEY = re.compile(rb'"edges"[ \t\n\r]*:[ \t\n\r]*(?=\[)')
@@ -261,9 +259,14 @@ def _config_epsilon(bundle: _Fields) -> Fraction:
         raise UsageError(f"{bundle.path}: field 'epsilon': {exc}") from None
 
 
-def _load_pcp(path: str) -> games.LayeredPcp:
-    payload = read_artifact(path)
-    return games.LayeredPcp.from_json_dict(payload.get("pcp", payload))
+def _load_pcp(payload: _Fields, bare: bool = True) -> games.LayeredPcp:
+    """The PCP under a file's "pcp" field, or (if bare) the file itself when
+    it has none; a malformed one is a UsageError that names the file."""
+    fields = payload.typed("pcp") if "pcp" in payload or not bare else payload
+    try:
+        return games.LayeredPcp.from_json_dict(fields)
+    except ValueError as exc:
+        raise UsageError(f"{payload.path}: {exc}") from None
 
 
 def _write_gadget(args, pcp: games.LayeredPcp, gadget: games.PcpGadget, **extra) -> int:
@@ -277,12 +280,12 @@ def _write_gadget(args, pcp: games.LayeredPcp, gadget: games.PcpGadget, **extra)
 
 
 def cmd_build_longcode(args) -> int:
-    pcp = _load_pcp(args.pcp)
+    pcp = _load_pcp(read_artifact(args.pcp))
     return _write_gadget(args, pcp, longcode.build(pcp, Fraction(args.epsilon)))
 
 
 def cmd_build_dto1(args) -> int:
-    pcp = _load_pcp(args.pcp)
+    pcp = _load_pcp(read_artifact(args.pcp))
     return _write_gadget(args, pcp, dto1.build(pcp, args.delta), delta=args.delta)
 
 
@@ -309,8 +312,7 @@ def cmd_verify(args) -> int:
             result = hadamard.yes_coloring(gadget, bundle["planted_assignment"])
             removed, surviving, violations = result.removed, result.surviving_edges, len(result.violations)
         elif gadget_cls and pcp_fields.get("planted_labeling"):
-            pcp_fields.typed("planted_labeling", list)
-            pcp = games.LayeredPcp.from_json_dict(pcp_fields)
+            pcp = _load_pcp(bundle, bare=False)
             colors = games.dictator_colors(pcp, gadget_cls.base, pcp.planted_labeling)
             if h.vertices != tuple(range(len(colors))):
                 raise UsageError(f"{args.input}: the stored hypergraph does not fit its PCP's codes")
@@ -393,7 +395,7 @@ DTO1_DECODE_FLAGS = ("eps", "nu", "gamma", "tau", "s")
 
 def cmd_decode(args) -> int:
     bundle = read_artifact(args.gadget)
-    pcp = games.LayeredPcp.from_json_dict(bundle["pcp"])
+    pcp = _load_pcp(bundle, bare=False)
     indicator_data = read_artifact(args.indicator)
     if args.kind == "longcode":
         if "epsilon" not in bundle.get("config", {}):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .boolfn import FiniteJointDist, maximal_correlation
 from .games import (LayeredPcp, PcpGadget, RuleCheck, code_layout, heavy_layer_pair,
-                    product_rows, satisfied_fractions, split_degenerate)
+                    product_rows, satisfied_fractions)
 from .gf2 import _fwht, popcounts
 from .seeding import as_rng, derive_rng
 from .verify import GenericHypergraph
@@ -340,8 +340,8 @@ def build(pcp: LayeredPcp, delta: float) -> Dto1Gadget:
         raise ValueError("the correlated-test gadget needs a smooth layered PCP")
     d = pcp.params["d"]
     offsets, total = code_layout(pcp, Dto1Gadget.base)
-    constraint_edges, constraint_pairs, constraint_r = [], [], []
-    tables: dict = {}  # (projection, label sizes, r) -> its constraints' shared (edges, pairs)
+    constraint_edges, constraint_r = [], []
+    tables: dict = {}  # (projection, label sizes, r) -> its constraints' shared hit table
     for c in pcp.constraints:
         r = d ** (c.to_layer - c.from_layer)
         constraint_r.append(r)
@@ -355,18 +355,15 @@ def build(pcp: LayeredPcp, delta: float) -> Dto1Gadget:
                 bits = atoms[:, 1:, None] >> np.arange(len(pos)) & 1
                 factors.append(np.column_stack([atoms[:, 0] << i,
                                                 bits @ 2 ** np.array(pos, dtype=np.int64)]))
-            tables[key] = split_degenerate(product_rows(factors))
-        edges, pairs = tables.get(key, (None, None))  # None: over the bit cap, rule only
-        constraint_edges.append(edges)
-        constraint_pairs.append(pairs)
+            tables[key] = product_rows(factors)
+        constraint_edges.append(tables.get(key))  # None: over the bit cap, rule only
     if all(e is not None for e in constraint_edges):
         mode = "enumerate"
     elif all(e is None for e in constraint_edges):
         mode = "rule"
     else:
         mode = "mixed"
-    return Dto1Gadget(pcp, mode, offsets, total, constraint_edges, constraint_pairs,
-                      delta, constraint_r)
+    return Dto1Gadget(pcp, mode, offsets, total, constraint_edges, delta, constraint_r)
 
 
 def yes_check(g: Dto1Gadget, sigma, samples: int = 2000, seed: int = 0) -> RuleCheck:
@@ -462,12 +459,8 @@ def decode(indicators: dict[tuple[int, int], np.ndarray], pcp: LayeredPcp,
         inf_plain = noisy_influences(spectra[(l, c.v)], params.gamma)
         gap = float(np.max(np.abs(inf_bar - inf_plain))) if inf_bar.size else 0.0
         inf_u = noisy_influences(spectra[(l2, c.u)], params.gamma)
-        matched = False
-        for i, positions in enumerate(block_pos):
-            block_sum = float(inf_bar[positions].sum())
-            if min(inf_u[i], 4.0 * r * block_sum) >= params.tau:
-                matched = True
-                break
+        matched = any(min(inf_u[i], 4.0 * r * float(inf_bar[positions].sum())) >= params.tau
+                      for i, positions in enumerate(block_pos))
         diag_pairs.append({
             "v": c.v, "u": c.u, "good": is_good, "f2_norm": f2_norm,
             "pair_expectation": eyz, "pair_floor": pair_floor,
@@ -486,14 +479,8 @@ def decode(indicators: dict[tuple[int, int], np.ndarray], pcp: LayeredPcp,
             continue
         no_influence = False
         rng = derive_rng(seed, "label", layer, var)
-        pick = rng.random() * total
-        acc = 0.0
-        chosen = weights.size - 1
-        for i, w in enumerate(weights):
-            acc += float(w)
-            if pick <= acc:
-                chosen = i
-                break
+        pick = rng.random() * total  # the first label whose running sum reaches pick
+        chosen = min(int(np.searchsorted(np.cumsum(weights), pick)), weights.size - 1)
         (labels_v if layer == l else labels_u)[(layer, var)] = chosen
 
     if no_influence:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -50,7 +51,6 @@ class Lin3Instance:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "equations", tuple(tuple(e) for e in self.equations))
-        counts = [0] * self.n
         for eq in self.equations:
             i, j, k, b = eq
             if not (0 <= i < self.n and 0 <= j < self.n and 0 <= k < self.n):
@@ -59,11 +59,9 @@ class Lin3Instance:
                 raise ValueError(f"equation {eq} repeats a variable")
             if b not in (0, 1):
                 raise ValueError(f"equation {eq} has a non-bit right-hand side")
-            counts[i] += 1
-            counts[j] += 1
-            counts[k] += 1
         if self.declared_degree is not None:
-            bad = [v for v, c in enumerate(counts) if c != self.declared_degree]
+            counts = Counter(v for eq in self.equations for v in eq[:3])
+            bad = [v for v in range(self.n) if counts[v] != self.declared_degree]
             if bad:
                 raise ValueError(
                     f"declared degree {self.declared_degree} violated at variables {bad[:5]}"
@@ -295,8 +293,21 @@ class LayeredPcp:
                 raise ValueError("constraint variable out of range")
             if len(c.projection) != self.label_sizes[c.from_layer]:
                 raise ValueError("projection table has wrong length")
-            if any(not 0 <= t < self.label_sizes[c.to_layer] for t in c.projection):
+            if any(type(t) is not int or not 0 <= t < self.label_sizes[c.to_layer]
+                   for t in c.projection):
                 raise ValueError("projection value out of range")
+        labeling = self.planted_labeling
+        if labeling is not None and (not isinstance(labeling, LIST) or len(labeling) != self.layers):
+            raise ValueError(f"planted_labeling is not one sequence per layer: {labeling!r}")
+        for l, labels in enumerate(labeling or ()):
+            if not isinstance(labels, LIST) or len(labels) != self.var_counts[l]:
+                raise ValueError(f"planted_labeling layer {l} is {labels!r}, "
+                                 f"not a sequence of {self.var_counts[l]} labels")
+            bad = [(v, t) for v, t in enumerate(labels)
+                   if type(t) is not int or not 0 <= t < self.label_sizes[l]]
+            if bad:
+                raise ValueError(f"planted_labeling layer {l} entry {bad[0][0]} is {bad[0][1]!r}, "
+                                 f"not a label in [0, {self.label_sizes[l]})")
 
     def constraints_between(self, l: int, l2: int) -> list[PcpConstraint]:
         return [c for c in self.constraints if c.from_layer == l and c.to_layer == l2]
@@ -325,19 +336,34 @@ class LayeredPcp:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LayeredPcp":
-        return cls(
-            d["layers"],
-            tuple(d["var_counts"]),
-            tuple(d["label_sizes"]),
-            tuple(
-                PcpConstraint(c["from_layer"], c["to_layer"], c["v"], c["u"],
-                              tuple(c["projection"]))
-                for c in d["constraints"]
-            ),
-            d.get("params"),
-            tuple(tuple(x) for x in d["planted_labeling"]) if d.get("planted_labeling") else None,
-            tuple(tuple(x) for x in d["var_names"]) if d.get("var_names") else None,
-        )
+        """The PCP of a to_json_dict object; ValueError names a mistyped field."""
+        layers = typed_field(d, "layers", int)
+        var_counts = tuple(typed_field(d, "var_counts", LIST))
+        label_sizes = tuple(typed_field(d, "label_sizes", LIST))
+        constraints = []
+        for c in typed_field(d, "constraints", LIST):
+            if not isinstance(c, dict):
+                raise ValueError(f"constraint {c!r} is not an object")
+            ends = (typed_field(c, key, int) for key in ("from_layer", "to_layer", "v", "u"))
+            constraints.append(PcpConstraint(*ends, tuple(typed_field(c, "projection", LIST))))
+        # a labeling row that is no list is kept as read, for __post_init__ to name
+        rows = {key: tuple(tuple(x) if isinstance(x, LIST) else x for x in typed_field(d, key, LIST))
+                for key in ("planted_labeling", "var_names") if d.get(key)}
+        return cls(layers, var_counts, label_sizes, tuple(constraints),
+                   None if d.get("params") is None else typed_field(d, "params"),
+                   rows.get("planted_labeling"), rows.get("var_names"))
+
+
+LIST = (list, tuple)  # a JSON array, or the tuple a caller builds in its place
+FIELD_KINDS = {dict: "an object", LIST: "a list", str: "a string", int: "an integer"}
+
+
+def typed_field(d: dict, key: str, kind: type | tuple = dict):
+    """d[key]; ValueError naming the field unless it is of kind (a bool is no int)."""
+    value = d[key]
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"field {key!r} is not {FIELD_KINDS[kind]}: {value!r}")
+    return value
 
 
 def evaluate_pcp_labeling(pcp: LayeredPcp, labeling) -> dict[tuple[int, int], Fraction]:
@@ -465,13 +491,9 @@ def gen_toy_mlpcp(layers: int, vars_per_layer, label_sizes, rng: random.Random |
 def code_layout(pcp: LayeredPcp, base: int) -> tuple[dict[tuple[int, int], int], int]:
     """First vertex id of each variable's code of base ** label_size points,
     in (layer, var) order, and the total vertex count."""
-    offsets = {}
-    acc = 0
-    for l in range(pcp.layers):
-        for v in range(pcp.var_counts[l]):
-            offsets[(l, v)] = acc
-            acc += base ** pcp.label_sizes[l]
-    return offsets, acc
+    keys = [(l, v) for l in range(pcp.layers) for v in range(pcp.var_counts[l])]
+    starts = [0, *itertools.accumulate(base ** pcp.label_sizes[l] for l, _ in keys)]
+    return dict(zip(keys, starts)), starts[-1]
 
 
 def product_rows(factors: list) -> np.ndarray:
@@ -482,16 +504,6 @@ def product_rows(factors: list) -> np.ndarray:
     for factor in factors:
         rows = (rows[:, None] + np.asarray(factor, dtype=np.int64)).reshape(-1, 3)
     return rows
-
-
-def split_degenerate(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One constraint's (x, y, z) rule hits as read-only 3-uniform edges and
-    (x, y) pairs: y == z leaves two distinct vertices, which the rule still
-    forbids together, so those stay out of the 3-uniform edge set."""
-    same = rows[:, 1] == rows[:, 2]
-    edges, pairs = rows[~same], rows[same, :2]
-    edges.flags.writeable = pairs.flags.writeable = False
-    return edges, pairs
 
 
 def check_labeling(pcp: LayeredPcp, sigma) -> list[list[int]]:
@@ -577,9 +589,10 @@ class RuleCheck:
 class PcpGadget:
     """A code of base ** label_size points on every PCP variable, joined per
     constraint by the gadget's local rule on (x, y, z): x a point of u, y and
-    z points of v. A constraint's rule hits are materialised as split_degenerate's
-    read-only edge and pair arrays, which constraints of one rule share, or
-    None when only the rule is kept ("rule" or "mixed" mode).
+    z points of v. A constraint's rule hits are materialised as one read-only
+    (n, 3) int64 table of code points, which constraints of one rule share,
+    or None when only the rule is kept ("rule" or "mixed" mode). A hit with
+    y == z is a pair the rule forbids, not a 3-uniform edge.
     Points whose dictator digit is removed_digit leave the YES colouring;
     None matches no digit, so no point leaves."""
 
@@ -590,12 +603,18 @@ class PcpGadget:
     mode: str
     offsets: dict[tuple[int, int], int]
     vertex_count: int
-    constraint_edges: list[np.ndarray | None]
-    constraint_pairs: list[np.ndarray | None]
+    constraint_edges: list[np.ndarray | None]  # per constraint, its rule hits (y == z ones too)
+
+    def __post_init__(self) -> None:
+        for table in self.constraint_edges:
+            if table is not None:
+                table.flags.writeable = False
 
     @property
     def dropped_degenerate(self) -> int:
-        return sum(len(p) for p in self.constraint_pairs if p is not None)
+        """The y == z hits: pairs, left out of the exported edges."""
+        return sum(int(np.count_nonzero(t[:, 1] == t[:, 2]))
+                   for t in self.constraint_edges if t is not None)
 
     @cached_property
     def code_firsts(self) -> np.ndarray:
@@ -614,30 +633,27 @@ class PcpGadget:
         return [self.vertex_weight(l, v, pt) for l, v in self.offsets
                 for pt in range(self.base ** self.pcp.label_sizes[l])]
 
-    def hit_rows(self, samples: int = 0, seed: int = 0,
-                 pairs: bool = True) -> tuple[np.ndarray, list[int]]:
+    def _stack(self, tables: list[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+        """Each constraint's (n, 3) table of code points as vertex ids, in
+        constraint order, as one (H, 3) int64 array, and the first row of
+        each constraint (then H)."""
+        starts = [0, *itertools.accumulate(map(len, tables))]
+        rows = np.empty((starts[-1], 3), dtype=np.int64)
+        for ci, (c, table) in enumerate(zip(self.pcp.constraints, tables)):
+            u, v = self.offsets[(c.to_layer, c.u)], self.offsets[(c.from_layer, c.v)]
+            np.add(table, (u, v, v), out=rows[starts[ci]:starts[ci + 1]])  # x of u; y, z of v
+        return rows, starts
+
+    def hit_rows(self, samples: int = 0, seed: int = 0) -> tuple[np.ndarray, list[int]]:
         """Every constraint's rule hits as one (H, 3) int64 array of vertex
         ids, in constraint order, and the first row of each constraint (then
-        H). A materialised constraint gives its edges, then (unless pairs is
-        False) its pairs as (x, y, y); a rule-only one gives samples draws
-        from its own seeded stream, none unless samples are asked for."""
-        counts = [samples if edges is None else len(edges) + pairs * len(pair_table)
-                  for edges, pair_table in zip(self.constraint_edges, self.constraint_pairs)]
-        starts = [0, *itertools.accumulate(counts)]
-        rows = np.empty((starts[-1], 3), dtype=np.int64)
-        tables = zip(self.pcp.constraints, self.constraint_edges, self.constraint_pairs)
-        for ci, (c, edges, pair_table) in enumerate(tables):
-            block = rows[starts[ci]:starts[ci + 1]]
-            if edges is None:
-                hits = list(self.sample_hits(ci, derive_rng(seed, "yes-check", ci), samples))
-                block[:] = np.array(hits, dtype=np.int64).reshape(-1, 3)
-            else:
-                block[:len(edges)] = edges
-                if pairs:
-                    block[len(edges):] = pair_table[:, [0, 1, 1]]
-            block[:, 0] += self.offsets[(c.to_layer, c.u)]  # x is a point of u, y and z of v
-            block[:, 1:] += self.offsets[(c.from_layer, c.v)]
-        return rows, starts
+        H). A materialised constraint gives its table; a rule-only one gives
+        samples draws from its own seeded stream, none unless samples are
+        asked for."""
+        return self._stack([
+            np.array(list(self.sample_hits(ci, derive_rng(seed, "yes-check", ci), samples)),
+                     dtype=np.int64).reshape(-1, 3) if table is None else table
+            for ci, table in enumerate(self.constraint_edges)])
 
     def local_hits(self, rows: np.ndarray, starts: list[int],
                    index: np.ndarray) -> list[tuple[int, int, int, int]]:
@@ -671,12 +687,14 @@ class PcpGadget:
     def _export(self, meta: dict) -> GenericHypergraph:
         """The 3-uniform hypergraph of the materialised edges, weighted by
         vertex_weight; meta gains dropped_degenerate.
-        Both rules are symmetric in y and z, so only the y < z half of the
-        hits is deduplicated: each (x, z, y) is the mirror of an (x, y, z)."""
+        Both rules are symmetric in y and z, so only the y < z rows of each
+        distinct table are kept: each (x, z, y) is the mirror of an (x, y, z),
+        and the y == z rows are pairs. No array of all hits is built."""
         if self.mode != "enumerate":
             raise ValueError("export requires enumerate mode")
-        rows = self.hit_rows(pairs=False)[0]
-        edges = unique_rows(rows[rows[:, 1] < rows[:, 2]])
+        distinct = {id(t): t for t in self.constraint_edges}
+        halves = {key: t[t[:, 1] < t[:, 2]] for key, t in distinct.items()}
+        edges = unique_rows(self._stack([halves[id(t)] for t in self.constraint_edges])[0])
         meta["dropped_degenerate"] = self.dropped_degenerate
         return GenericHypergraph(3, tuple(range(self.vertex_count)), edges,
                                  dict(enumerate(self.point_weights())), meta)

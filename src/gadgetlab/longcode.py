@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import ternary
 from .games import (LayeredPcp, PcpGadget, code_layout, dictator_colors, heavy_layer_pair,
-                    product_rows, satisfied_fractions, split_degenerate)
+                    product_rows, satisfied_fractions)
 from .seeding import derive_rng
 from .ternary import TernaryFamily, WitnessPair, two_element_witness
 from .verify import GenericHypergraph
@@ -102,16 +103,14 @@ def build(pcp: LayeredPcp, epsilon) -> LongCodeGadget:
     if total > SIZE_CAP:
         raise ValueError(f"gadget would have {total} vertices, cap is {SIZE_CAP}")
     mode = "enumerate" if max(pcp.label_sizes) <= ENUMERATE_LABEL_CAP else "rule"
-    tables: dict = {}  # (projection, label sizes) -> its constraints' shared (edges, pairs)
-    constraint_edges, constraint_pairs = [], []
+    tables: dict = {}  # (projection, label sizes) -> its constraints' shared hit table
+    constraint_edges = []
     for c in pcp.constraints:
         key = (c.projection, pcp.label_sizes[c.from_layer], pcp.label_sizes[c.to_layer])
         if mode == "enumerate" and key not in tables:
-            tables[key] = split_degenerate(_constraint_rows(*key))
-        edges, pairs = tables.get(key, (None, None))
-        constraint_edges.append(edges)
-        constraint_pairs.append(pairs)
-    return LongCodeGadget(pcp, mode, offsets, total, constraint_edges, constraint_pairs, eps)
+            tables[key] = _constraint_rows(*key)
+        constraint_edges.append(tables.get(key))
+    return LongCodeGadget(pcp, mode, offsets, total, constraint_edges, eps)
 
 
 @dataclass
@@ -230,12 +229,8 @@ def decode(g: LongCodeGadget, indicator, delta: float, seed: int = 0) -> DecodeO
 
     lam: dict[tuple[int, int], int] = {}
     for u in sorted(qualified[l2]):
-        counts: dict[int, int] = {}
-        for c in pcp.constraints_between(l, l2):
-            if c.u != u or (l, c.v) not in rho:
-                continue
-            a = c.projection[rho[(l, c.v)]]
-            counts[a] = counts.get(a, 0) + 1
+        counts = Counter(c.projection[rho[(l, c.v)]] for c in pcp.constraints_between(l, l2)
+                         if c.u == u and (l, c.v) in rho)
         if counts:
             best = max(counts.values())
             lam[(l2, u)] = min(a for a, n in counts.items() if n == best)
@@ -288,10 +283,7 @@ def common_element(collection, T: int, D: int):
     packing = _max_disjoint(sets)
     if len(packing) > D:
         raise DisjointnessError([sorted(sets[i]) for i in packing])
-    counts: dict = {}
-    for s in sets:
-        for e in s:
-            counts[e] = counts.get(e, 0) + 1
+    counts = Counter(e for s in sets for e in s)
     element = max(sorted(counts), key=lambda e: counts[e])
     count = counts[element]
     if count * T * D < len(sets):

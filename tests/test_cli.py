@@ -3,6 +3,7 @@ import functools
 import hashlib
 import itertools
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -391,6 +392,13 @@ class TestExitCodes:
         ("hypergraph.meta", [1], "field 'meta' is not an object: [1]"),
         ("pcp", [1], "field 'pcp' is not an object: [1]"),
         ("pcp.planted_labeling", "ab", "field 'planted_labeling' is not a list: 'ab'"),
+        # a planted labeling is checked against the PCP's shape and label sizes
+        ("pcp.planted_labeling", [[99, 0], [0, 0]],
+         "planted_labeling layer 0 entry 0 is 99, not a label in [0, 3)"),
+        ("pcp.planted_labeling", ["ab", "cd"],
+         "planted_labeling layer 0 is 'ab', not a sequence of 2 labels"),
+        ("pcp.planted_labeling", [[0], [0, 0]],
+         "planted_labeling layer 0 is (0,), not a sequence of 2 labels"),
     ])
     def test_mistyped_yes_field_names_file_and_field(self, tmp_path, capsys, field, value,
                                                      message):
@@ -402,6 +410,31 @@ class TestExitCodes:
         capsys.readouterr()
         assert run("verify", "--input", lc, "--mode", "yes") == 1
         assert capsys.readouterr() == ("", f"error: {lc}: {message}\n")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("pcp", [1], "field 'pcp' is not an object: [1]"),
+        ("pcp.var_counts", 5, "field 'var_counts' is not a list: 5"),
+        ("pcp.constraints", 7, "field 'constraints' is not a list: 7"),
+        ("pcp.constraints.0.projection", 3, "field 'projection' is not a list: 3"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        ["build-longcode", "--pcp", "{path}", "--epsilon", "1/10", "--out", "{dir}/out.json"],
+        ["build-dto1", "--pcp", "{path}", "--delta", "0.25", "--out", "{dir}/out.json"],
+        ["decode", "--kind", "dto1", "--gadget", "{path}", "--indicator", "{dir}/ind.json",
+         "--delta", "0.25", "--out", "{dir}/out.json"],
+    ], ids=["build-longcode", "build-dto1", "decode"])
+    def test_mistyped_pcp_field_names_file_and_field(self, tmp_path, capsys, field, value,
+                                                     message, argv):
+        path = tmp_path / "pcp.json"
+        assert run("build-mlpcp", "--layers", 2, "--label-sizes", "3,3", "--out", path) == 0
+        payload = json.loads(path.read_text())
+        *parents, last = [int(key) if key.isdigit() else key for key in field.split(".")]
+        functools.reduce(operator.getitem, parents, payload)[last] = value
+        path.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert run(*[a.format(path=path, dir=tmp_path) for a in argv]) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("argv, flag", [
         *((["gen-game", "--u", 1, "--v", 3, "--k", 1, "--d", 2, "--degree", 1], flag)
@@ -429,8 +462,8 @@ class TestExitCodes:
         assert run("build-longcode", "--pcp", pcp, "--epsilon", "1/10", "--out", out) == 1
         counts = {"var_counts": [2, 2], "label_sizes": [3, 3], field: value}
         assert capsys.readouterr().err == (
-            f"error: var_counts {counts['var_counts']} and label_sizes {counts['label_sizes']} "
-            "need integers >= 0 and >= 1\n")
+            f"error: {pcp}: var_counts {counts['var_counts']} and label_sizes "
+            f"{counts['label_sizes']} need integers >= 0 and >= 1\n")
         assert not out.exists()
 
     def test_build_hadamard_has_no_mode_flag(self, tmp_path, capsys):

@@ -52,12 +52,12 @@ def yes_coloring_reference(g: hadamard.HadamardGadget, sigma) -> hadamard.YesCol
 
 
 def check_independent_reference(g: longcode.LongCodeGadget, families):
-    """The enumerate branch of longcode.check_independent as it was."""
+    """The enumerate branch of longcode.check_independent as it was, over
+    each constraint's one hit table (y == z rows in place)."""
     for ci, c in enumerate(g.pcp.constraints):
         fu = families[(c.to_layer, c.u)]
         fv = families[(c.from_layer, c.v)]
-        for x, y, z in (list(map(tuple, g.constraint_edges[ci].tolist()))
-                        + [(x, y, y) for x, y in g.constraint_pairs[ci].tolist()]):
+        for x, y, z in g.constraint_edges[ci].tolist():
             if fu.membership[x] and fv.membership[y] and fv.membership[z]:
                 return (ci, x, y, z)
     return None
@@ -119,15 +119,13 @@ def test_dictator_colors_are_the_digit_at_the_label(base, make):
         games.dictator_colors(pcp, base, bad)
 
 
-def test_hit_rows_lay_out_edges_then_pairs_per_constraint():
+def test_hit_rows_lay_out_each_constraints_table():
     pcp = games.gen_toy_mlpcp(2, 2, 3, 1)
     g = longcode.build(pcp, Fraction(1, 10))
     want, starts = [], [0]
     for ci, c in enumerate(pcp.constraints):
         ou, ov = g.offsets[(c.to_layer, c.u)], g.offsets[(c.from_layer, c.v)]
-        hits = (list(map(tuple, g.constraint_edges[ci].tolist()))
-                + [(x, y, y) for x, y in g.constraint_pairs[ci].tolist()])
-        want += [(ou + x, ov + y, ov + z) for x, y, z in hits]
+        want += [(ou + x, ov + y, ov + z) for x, y, z in g.constraint_edges[ci].tolist()]
         starts.append(len(want))
     rows, got_starts = g.hit_rows()
     assert rows.dtype == np.int64 and list(map(tuple, rows.tolist())) == want
@@ -139,9 +137,7 @@ def test_hit_rows_lay_out_edges_then_pairs_per_constraint():
         c = pcp.constraints[ci]
         assert want[i] == (g.vertex_id(c.to_layer, c.u, x), g.vertex_id(c.from_layer, c.v, y),
                            g.vertex_id(c.from_layer, c.v, z))
-    edges_only, edge_starts = g.hit_rows(pairs=False)
-    assert edge_starts == [0, *itertools.accumulate(map(len, g.constraint_edges))]
-    assert list(map(tuple, edges_only.tolist())) == [hit for hit in want if hit[1] != hit[2]]
+    assert any(y == z for _, y, z in want)  # the y == z hits are laid out too
 
 
 def test_hit_rows_draw_rule_constraints_only_when_asked():
@@ -247,7 +243,7 @@ def test_check_independent_finds_an_injected_pair_first():
     g = longcode.build(pcp, Fraction(1, 10))
     c = pcp.constraints[1]
     x, y = 5, 7
-    g.constraint_pairs[1] = np.insert(g.constraint_pairs[1], 0, (x, y), axis=0)
+    g.constraint_edges[1] = np.insert(g.constraint_edges[1], 0, (x, y, y), axis=0)
     families = families_of(g, {g.vertex_id(c.to_layer, c.u, x), g.vertex_id(c.from_layer, c.v, y)})
     assert longcode.check_independent(g, families) == (1, x, y, y)
     assert check_independent_reference(g, families) == (1, x, y, y)

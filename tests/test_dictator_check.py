@@ -52,8 +52,7 @@ def yes_partition_reference(g: longcode.LongCodeGadget, sigma, samples: int = 20
 
     if g.mode == "enumerate":
         for ci, c in enumerate(pcp.constraints):
-            for x, y, z in (list(map(tuple, g.constraint_edges[ci].tolist()))
-                            + [(x, y, y) for x, y in g.constraint_pairs[ci].tolist()]):
+            for x, y, z in g.constraint_edges[ci].tolist():
                 check_edge(ci, c, x, y, z)
         coverage = "exhaustive"
     else:
@@ -102,9 +101,8 @@ def yes_check_reference(g: dto1.Dto1Gadget, sigma, samples: int = 2000,
 
     sampled = 0
     for ci, c in enumerate(pcp.constraints):
-        edges, pairs = g.constraint_edges[ci], g.constraint_pairs[ci]
-        if edges is not None:
-            for x, y, z in list(map(tuple, edges.tolist())) + [(x, y, y) for x, y in pairs.tolist()]:
+        if g.constraint_edges[ci] is not None:
+            for x, y, z in g.constraint_edges[ci].tolist():
                 check(ci, c, x, y, z)
             continue
         sampled += 1
@@ -142,8 +140,8 @@ def inject(g: games.PcpGadget, sigma, digit: int) -> None:
         other = base ** ((jv + 1) % g.pcp.label_sizes[c.from_layer])
         g.constraint_edges[ci] = np.vstack([g.constraint_edges[ci],
                                             (digit * sx, digit * sy, digit * sy + other),
-                                            (0, digit * sy, digit * sy + other)])
-        g.constraint_pairs[ci] = np.vstack([g.constraint_pairs[ci], (digit * sx, digit * sy)])
+                                            (0, digit * sy, digit * sy + other),
+                                            (digit * sx, digit * sy, digit * sy)])
 
 
 LONGCODE_CASES = [(2, 2, 3, seed) for seed in range(4)] + [(3, 2, (3, 2, 2), 5),

@@ -202,8 +202,7 @@ class TestBuild:
                                params={"d": 1, "T": 1})
         g = dto1.build(pcp, 0.25)
         dist = dist_table(0.25, 1)
-        got = {(x, y, z) for x, y, z in g.constraint_edges[0]}
-        got |= {(x, y, y) for x, y in g.constraint_pairs[0]}
+        got = set(map(tuple, g.constraint_edges[0].tolist()))
         assert got == set(dist.support())
 
     def test_vertex_weights(self, toy_smooth):
@@ -225,8 +224,7 @@ class TestBuild:
         res = dto1.yes_check(g, pcp.planted_labeling)
         assert res.ok
         assert res.coverage == "exhaustive"
-        assert res.checked == sum(len(e) + len(p) for e, p in
-                                  zip(g.constraint_edges, g.constraint_pairs))
+        assert res.checked == sum(map(len, g.constraint_edges))
 
     def test_unsatisfying_labeling_rejected(self, toy_smooth):
         pcp = toy_smooth
@@ -256,8 +254,7 @@ class TestBuild:
         g = dto1.build(pcp, 0.25)
         assert g.mode == "enumerate"
         for ci in range(len(pcp.constraints)):
-            members = (set(map(tuple, g.constraint_edges[ci].tolist()))
-                       | {(x, y, y) for x, y in g.constraint_pairs[ci].tolist()})
+            members = set(map(tuple, g.constraint_edges[ci].tolist()))
             for x, y, z in itertools.product(range(4), range(16), range(16)):
                 assert g.edge_exists(ci, x, y, z) == ((x, y, z) in members)
 

@@ -1,6 +1,9 @@
 """The label-cover gadgets' per-constraint rule tables: one broadcast product
 per rule, diff-tested row for row against the tuple builders it replaced,
-and shared read-only between the constraints of one rule."""
+shared read-only between the constraints of one rule, and exported as the
+deduplicated y < z half of the full hit array."""
+import dataclasses
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gadgetlab import dto1, games, longcode, ternary
+from gadgetlab import dto1, games, longcode, ternary, verify
 
 
 # ---------------------------------------------------------------------------
@@ -51,19 +54,12 @@ def dto1_table_reference(proj: tuple[int, ...], big: int, small: int, delta: flo
     return partial
 
 
-def split_reference(triples):
-    """split_degenerate as it was, on tuple lists."""
-    return ([t for t in triples if t[1] != t[2]],
-            [(x, y) for x, y, z in triples if y == z])
-
-
 def assert_tables_match(g: games.PcpGadget, ci: int, triples) -> None:
-    edges, pairs = split_reference(triples)
-    got_edges, got_pairs = g.constraint_edges[ci], g.constraint_pairs[ci]
-    assert got_edges.dtype == got_pairs.dtype == np.int64
-    assert got_edges.shape == (len(edges), 3) and got_pairs.shape == (len(pairs), 2)
-    assert list(map(tuple, got_edges.tolist())) == edges
-    assert list(map(tuple, got_pairs.tolist())) == pairs
+    """The constraint's one table holds the triples in their order, the
+    y == z ones among them."""
+    table = g.constraint_edges[ci]
+    assert table.dtype == np.int64 and table.shape == (len(triples), 3)
+    assert list(map(tuple, table.tolist())) == triples
 
 
 def pcp_of(sizes, constraints, params=None) -> games.LayeredPcp:
@@ -117,9 +113,8 @@ def shared_gadgets():
 @pytest.mark.parametrize("g", shared_gadgets(), ids=["longcode", "dto1"])
 def test_equal_keys_share_one_read_only_table(g):
     assert g.constraint_edges[0] is g.constraint_edges[1]
-    assert g.constraint_pairs[0] is g.constraint_pairs[1]
     assert g.constraint_edges[2] is not g.constraint_edges[0]
-    for table in (g.constraint_edges[0], g.constraint_pairs[0]):
+    for table in (g.constraint_edges[0], g.constraint_edges[2]):
         with pytest.raises(ValueError):
             table[0, 0] = 1
 
@@ -135,6 +130,70 @@ def test_hit_rows_of_shared_tables_add_each_constraints_offsets(g):
     assert min(shift) > 0
     assert np.array_equal(blocks[1], blocks[0] + shift)
     for ci, c in enumerate(g.pcp.constraints):
-        table = np.vstack([g.constraint_edges[ci], g.constraint_pairs[ci][:, [0, 1, 1]]])
         local = blocks[ci] - [g.offsets[(c.to_layer, c.u)], *2 * [g.offsets[(c.from_layer, c.v)]]]
-        assert np.array_equal(local, table)
+        assert np.array_equal(local, g.constraint_edges[ci])
+
+
+# ---------------------------------------------------------------------------
+# The export against the full hit array
+
+
+def mixed_dto1(seed: int) -> dto1.Dto1Gadget:
+    """A three-layer d = 3 gadget: its 0 -> 1 constraints (labels 9 -> 3) keep
+    only the rule, its 1 -> 2 constraints (3 -> 1) are materialised."""
+    rng = random.Random(seed)
+
+    def proj(small):  # exactly 3-to-1
+        table = [t for t in range(small) for _ in range(3)]
+        rng.shuffle(table)
+        return tuple(table)
+
+    constraints = [games.PcpConstraint(l, l + 1, v, u, proj(small))
+                   for l, small in ((0, 3), (1, 1)) for v in range(2) for u in range(2)]
+    return dto1.build(games.LayeredPcp(3, (2, 2, 2), (9, 3, 1), tuple(constraints),
+                                       params={"d": 3, "T": 1}), 0.25)
+
+
+def export_gadgets():
+    for seed in range(3):
+        planted = seed != 1
+        yield pytest.param(lambda seed=seed, planted=planted: longcode.build(
+            games.gen_toy_mlpcp(2, 2, (3, 2), seed, planted=planted), Fraction(1, 10)),
+            id=f"longcode-{seed}")
+        yield pytest.param(lambda seed=seed, planted=planted: dto1.build(games.build_smooth_mlpcp(
+            games.gen_toy_dto1_game(1 + seed % 2, 3, 1, 2, seed, planted=planted), 2, 1), 0.25),
+            id=f"dto1-{seed}")
+        yield pytest.param(lambda seed=seed: mixed_dto1(seed), id=f"dto1-mixed-{seed}")
+
+
+@pytest.mark.parametrize("build", export_gadgets())
+def test_export_is_the_y_below_z_half_of_all_hits(build):
+    g = build()
+    tables = list(g.constraint_edges)
+    copies = [None if t is None else t.copy() for t in tables]
+    rows = g.hit_rows()[0]
+    degenerate = int(np.count_nonzero(rows[:, 1] == rows[:, 2]))
+    assert g.dropped_degenerate == degenerate
+    if g.mode == "mixed":
+        assert any(t is None for t in tables) and any(t is not None for t in tables)
+        with pytest.raises(ValueError, match="enumerate mode"):
+            g.to_hypergraph()
+    else:
+        h = g.to_hypergraph()
+        assert np.array_equal(h.edges, verify.unique_rows(rows[rows[:, 1] < rows[:, 2]]))
+        assert h.meta["dropped_degenerate"] == degenerate
+    # the export reads the shared tables and leaves them as they were
+    assert all(t is u for t, u in zip(g.constraint_edges, tables))
+    for t, copy in zip(tables, copies):
+        assert t is None or (not t.flags.writeable and np.array_equal(t, copy))
+
+
+@pytest.mark.parametrize("build", [
+    lambda pcp: longcode.build(pcp, Fraction(1, 10)),
+    lambda pcp: dto1.build(dataclasses.replace(pcp, params={"d": 2, "T": 1}), 0.25),
+], ids=["longcode", "dto1"])
+def test_pcp_with_no_constraints_exports_no_edges(build):
+    g = build(games.gen_toy_mlpcp(2, 2, 3, 1, density=0))
+    h = g.to_hypergraph()
+    assert h.edges.shape == (0, 3) and h.meta["dropped_degenerate"] == 0
+    assert h.vertices == tuple(range(g.vertex_count))
