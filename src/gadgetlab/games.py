@@ -308,6 +308,10 @@ class LayeredPcp:
             if bad:
                 raise ValueError(f"planted_labeling layer {l} entry {bad[0][0]} is {bad[0][1]!r}, "
                                  f"not a label in [0, {self.label_sizes[l]})")
+        names = self.var_names
+        if names is not None and [len(row) if isinstance(row, LIST) and all(type(s) is str for s in row)
+                                  else None for row in names] != list(self.var_counts):
+            raise ValueError(f"var_names {names!r} is not one sequence of var_counts[l] strings per layer l")
 
     def constraints_between(self, l: int, l2: int) -> list[PcpConstraint]:
         return [c for c in self.constraints if c.from_layer == l and c.to_layer == l2]
@@ -349,8 +353,10 @@ class LayeredPcp:
         # a labeling row that is no list is kept as read, for __post_init__ to name
         rows = {key: tuple(tuple(x) if isinstance(x, LIST) else x for x in typed_field(d, key, LIST))
                 for key in ("planted_labeling", "var_names") if d.get(key)}
-        return cls(layers, var_counts, label_sizes, tuple(constraints),
-                   None if d.get("params") is None else typed_field(d, "params"),
+        params = None if d.get("params") is None else typed_field(d, "params")
+        if any(typed_field(params, key, int) < 1 for key in ("d", "T") if key in (params or {})):
+            raise ValueError(f"params {params!r} need integers d and T >= 1")
+        return cls(layers, var_counts, label_sizes, tuple(constraints), params,
                    rows.get("planted_labeling"), rows.get("var_names"))
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from . import gf2
 from .games import (BlockGeometry, EquationBlock, Lin3Instance, RejectionBudgetError,
                     VariableBlock, block_geometry, repeat_free, sample_round)
-from .verify import GenericHypergraph, check_coloring, unique_rows
+from .verify import GenericHypergraph, check_coloring, rows_inside, unique_rows
 
 MAX_R = 2
 
@@ -86,17 +86,21 @@ class HadamardGadget:
         return GenericHypergraph(4, tuple(range(self.vertex_count)), self.all_edges(), meta=meta)
 
 
-def _raw_edges(blocks: list[GadgetBlock], r: int, triple: Triple) -> np.ndarray:
-    """Each raw choice's folded 4-tuple as a sorted row, in (z, x, y) order."""
-    w, wp = blocks[triple.w_index].vertex_ids, blocks[triple.wp_index].vertex_ids
-    points = np.arange(len(w))
-    hw = triple.geom_w.h_w.bits
-    rows = []
-    for z in range(1, 1 << r):
-        xs = np.stack([w, w[points ^ triple.geom_w.lift_bits(z) ^ hw]], axis=1)
-        ys = np.stack([wp, wp[points ^ triple.geom_wp.lift_bits(z)]], axis=1)
-        rows.append(np.concatenate(np.broadcast_arrays(xs[:, None], ys[None, :]), axis=2))
-    return np.sort(np.concatenate(rows).reshape(-1, 4), axis=1)
+def _raw_edges(blocks: list[GadgetBlock], r: int, triples: list[Triple]) -> np.ndarray:
+    """Per triple, each raw choice's folded 4-tuple as a sorted row, in
+    (z, x, y) order: a (triples, choices, 4) array."""
+    w = np.stack([blocks[t.w_index].vertex_ids for t in triples])[:, None]
+    wp = np.stack([blocks[t.wp_index].vertex_ids for t in triples])[:, None]
+    zs = range(1, 1 << r)
+    shift_w = np.array([[t.geom_w.lift_bits(z) ^ t.geom_w.h_w.bits for z in zs] for t in triples])
+    shift_wp = np.array([[t.geom_wp.lift_bits(z) for z in zs] for t in triples])
+    points, each = np.arange(w.shape[-1]), np.arange(len(triples))[:, None, None]
+    xs = np.stack(np.broadcast_arrays(w, w[each, 0, points ^ shift_w[..., None]]), axis=-1)
+    ys = np.stack(np.broadcast_arrays(wp, wp[each, 0, points ^ shift_wp[..., None]]), axis=-1)
+    rows = np.concatenate(np.broadcast_arrays(xs[:, :, :, None], ys[:, :, None, :]), axis=-1)
+    rows = rows.reshape(len(triples), -1, 4)
+    rows.sort(axis=-1)
+    return rows
 
 
 def build(inst: Lin3Instance, r: int, triples: int = 2, seed: int = 0,
@@ -109,8 +113,8 @@ def build(inst: Lin3Instance, r: int, triples: int = 2, seed: int = 0,
     dropped and counted. r is capped at MAX_R, so checking up front that
     some r equations share no variable is one O(E^2) scan.
     """
-    if r > MAX_R:
-        raise ValueError(f"the gadget caps r at {MAX_R}, got {r}")
+    if r > MAX_R or triples < 1:
+        raise ValueError(f"the gadget caps r at {MAX_R} and needs a triple, got r={r}, triples={triples}")
     if not any(repeat_free(inst, ids) for ids in combinations(range(len(inst.equations)), r)):
         raise ValueError(f"no repeat-free block of {r} equations exists among the "
                          f"{len(inst.equations)} equations; instance too small")
@@ -163,10 +167,17 @@ def build(inst: Lin3Instance, r: int, triples: int = 2, seed: int = 0,
         else:
             raise RejectionBudgetError(f"could not sample a consistent W' in {budget} attempts")
 
-    raw = [_raw_edges(blocks, r, triple) for triple in triple_list]
-    kept = [rows[(rows[:, 1:] != rows[:, :-1]).all(axis=1)] for rows in raw]
-    dropped = sum(len(rows) - len(rows_kept) for rows, rows_kept in zip(raw, kept))
-    return HadamardGadget(inst, r, blocks, triple_list, list(map(unique_rows, kept)), dropped)
+    # triple t's ids shifted by t * V: t leads unique_rows' key, so one call dedupes each apart
+    vertices = sum(len(b.reps) for b in blocks)
+    raw = _raw_edges(blocks, r, triple_list) + (np.arange(len(triple_list)) * vertices)[:, None, None]
+    rows = raw.reshape(-1, 4)
+    kept = rows[(rows[:, 0] < rows[:, 1]) & (rows[:, 1] < rows[:, 2]) & (rows[:, 2] < rows[:, 3])]
+    edges = unique_rows(kept)
+    triple = edges[:, 0] // vertices
+    edges = edges - (triple * vertices)[:, None]
+    edges.flags.writeable = False
+    per_triple = np.split(edges, np.cumsum(np.bincount(triple, minlength=len(triple_list)))[:-1])
+    return HadamardGadget(inst, r, blocks, triple_list, per_triple, len(rows) - len(kept))
 
 
 @dataclass
@@ -278,7 +289,7 @@ def extract_strategies(g: HadamardGadget, indicator, triple_index: int) -> Strat
         lhs += mass * by_proj.get(triple.geom_w.project_bits(a), 0.0)
     rhs = float(spec_a.coeffs[0] ** 2 * spec_b.coeffs[0] ** 2) - 2.0 ** (-g.r)
 
-    independent = not members[g.edges_per_triple[triple_index]].all(axis=1).any()
+    independent = not rows_inside(members, g.edges_per_triple[triple_index]).any()
     return StrategyReport(prover2, prover1, lhs, rhs, lhs >= rhs - 1e-10,
                           independent, spec_a, spec_b)
 

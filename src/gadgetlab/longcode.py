@@ -20,7 +20,7 @@ from .games import (LayeredPcp, PcpGadget, code_layout, dictator_colors, heavy_l
                     product_rows, satisfied_fractions)
 from .seeding import derive_rng
 from .ternary import TernaryFamily, WitnessPair, two_element_witness
-from .verify import GenericHypergraph
+from .verify import GenericHypergraph, rows_inside
 
 SIZE_CAP = 10**7
 ENUMERATE_LABEL_CAP = 4
@@ -173,7 +173,7 @@ def check_independent(g: LongCodeGadget, families: dict[tuple[int, int], Ternary
     if g.mode == "enumerate":
         members = np.concatenate([families[key].membership for key in g.offsets])
         rows, starts = g.hit_rows()
-        inside = g.local_hits(rows, starts, np.flatnonzero(members[rows].all(axis=1))[:1])
+        inside = g.local_hits(rows, starts, np.flatnonzero(rows_inside(members, rows))[:1])
         return inside[0] if inside else None
     rng = random.Random(seed)
     for ci, c in enumerate(g.pcp.constraints):

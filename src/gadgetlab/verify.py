@@ -3,6 +3,7 @@ and almost-2-coloring, over vertex weights kept as integers over one
 denominator. Each search takes a node budget and says when it ran out."""
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -53,9 +54,9 @@ class GenericHypergraph:
             edges = np.array(rows, dtype=np.int64).reshape(len(rows), k)
         elif edges.dtype != np.int64 or edges.flags.writeable:  # a caller's array stays theirs
             edges = edges.astype(np.int64)
-        if not (edges[:, 1:] > edges[:, :-1]).all():  # rows not yet sorted and distinct
+        if not all((a < b).all() for a, b in zip(edges.T, edges.T[1:])):  # not sorted and distinct
             edges = np.sort(edges, axis=1)
-            bad = (edges[:, 1:] == edges[:, :-1]).any(axis=1)
+            bad = functools.reduce(np.logical_or, [a == b for a, b in zip(edges.T, edges.T[1:])])
             if bad.any():
                 raise ValueError(f"edge {edges[bad.argmax()].tolist()} "
                                  f"does not have exactly {k} distinct vertices")
@@ -67,14 +68,15 @@ class GenericHypergraph:
         else:
             known = np.array(ids, dtype=np.int64)
             positions = np.searchsorted(known, edges)
-            bad = (known[np.minimum(positions, len(ids) - 1)] != edges).any(axis=1)
+            bad = functools.reduce(np.logical_or, (known[np.minimum(positions, len(ids) - 1)] != edges).T)
             positions.flags.writeable = False
         if bad.any():
             raise ValueError(f"edge {edges[bad.argmax()].tolist()} mentions an unknown vertex")
         object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "positions", positions)
-        rationals = [Fraction(self.weights.get(v, 1)) for v in ids]
+        given = (self.weights.get(v, 1) for v in ids)  # converted only if not an int or a Fraction
+        rationals = [w if type(w) in (int, Fraction) else Fraction(w) for w in given]
         if min(rationals, default=1) <= 0:
             raise ValueError("vertex weights must be positive")
         scale = math.lcm(*[w.denominator for w in rationals])
@@ -125,7 +127,7 @@ class GenericHypergraph:
                     type(w[0]) is type(w[1]) is int and w[1] > 0):
                 raise ValueError(f"vertex entry {v!r} needs an int id and a weight "
                                  "[numerator, denominator] of ints with a positive denominator")
-            weights[v["id"]] = Fraction(w[0], w[1])
+            weights[v["id"]] = w[0] if w[1] == 1 else Fraction(w[0], w[1])
         return cls(d["k"], tuple(v["id"] for v in entries), d["edges"], weights, d.get("meta", {}))
 
     def to_edge_list(self) -> str:
@@ -134,14 +136,32 @@ class GenericHypergraph:
 
 def unique_rows(rows: np.ndarray) -> np.ndarray:
     """sorted({tuple(sorted(e)) for e in rows}) for an (n, k) int64 array,
-    as a read-only array. Each row of rows is sorted in place."""
+    as a read-only array. Each row of rows is sorted in place, then ranked by
+    a uint64 key: its values less the least one as digits in the radix of the
+    span of values (as few keys as fit, lexsorted, when span**k does not)."""
     rows.sort(axis=1)
-    rows = rows[np.lexsort(rows.T[::-1])]
-    keep = np.ones(len(rows), dtype=bool)
-    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    rows = rows[keep]
+    lo, hi = (int(rows[:, 0].min()), int(rows[:, -1].max())) if len(rows) else (0, 0)
+    per_key = max(d for d in range(1, rows.shape[1] + 1) if (hi - lo + 1) ** d <= 2**64)
+    keys: list[np.ndarray] = []
+    for j, column in enumerate(rows.T):  # built in place, modulo 2**64: exact, as each key is below it
+        if j % per_key:
+            keys[-1] *= hi - lo + 1
+            keys[-1] += column.view(np.uint64)
+            keys[-1] -= lo % 2**64
+        else:
+            keys.append(column.view(np.uint64) - lo % 2**64)
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    keep = np.ones(len(rows), dtype=bool)  # a row is kept when it differs from the one before
+    keep[1:] = functools.reduce(np.logical_or, [key[1:] != key[:-1] for key in (k[order] for k in keys)])
+    order, keys = order[keep], None  # what the gather below does not need is freed first
+    rows = rows.take(order, axis=0)
     rows.flags.writeable = False
     return rows
+
+
+def rows_inside(members: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """members[edges].all(axis=1), reduced column by column: numpy reduces rows k wide slowly."""
+    return functools.reduce(np.logical_and, (members[column] for column in edges.T))
 
 
 def check_coloring(edges: np.ndarray, colors: np.ndarray, removed: np.ndarray,
@@ -149,9 +169,10 @@ def check_coloring(edges: np.ndarray, colors: np.ndarray, removed: np.ndarray,
     """Masks over the rows of an (E, k) edge array: the rows with no vertex
     in the removed mask, and those of them the colours violate: monochromatic
     rows, or with parity (the Hadamard rule) rows of even colour sum."""
-    gathered = colors[edges]
-    surviving = ~removed[edges].any(axis=1)
-    violated = gathered.sum(axis=1) % 2 == 0 if parity else (gathered == gathered[:, :1]).all(axis=1)
+    surviving = rows_inside(~removed, edges)
+    first, *rest = (colors[column] for column in edges.T)
+    violated = (functools.reduce(np.bitwise_xor, rest, first) & 1 == 0 if parity  # a sum's low bit
+                else functools.reduce(np.logical_and, [c == first for c in rest], np.ones_like(first, bool)))
     return surviving, surviving & violated
 
 
@@ -276,8 +297,9 @@ def almost_two_colorable(h: GenericHypergraph, epsilon, candidate_removal=None,
     the search starts with it removed and allows no further removals.
     """
     # Vertices are positions 0..V-1 in id order, incident[p] the ids of p's
-    # edges. Per edge, counts[s] counts the members in state s and open_sum
-    # sums the open members' positions, so it names an edge's last one.
+    # edges (a stable sort of positions as the smallest uint, so a radix sort).
+    # Per edge, counts[s] counts the members in state s and open_sum sums the
+    # open members' positions, so it names an edge's last one.
     # Weights are h's ints: a removal fits epsilon * total iff it fits the floor.
     ids, members, weights = h.ids, h.positions, h.weights
     allowance = math.floor(Fraction(epsilon) * sum(weights))
@@ -288,10 +310,11 @@ def almost_two_colorable(h: GenericHypergraph, epsilon, candidate_removal=None,
     if candidate_removal is not None:
         allowance = removed_weight
     degree = np.bincount(members.ravel(), minlength=len(ids))
-    incident = np.split(np.argsort(members.ravel(), kind="stable") // h.k, np.cumsum(degree)[:-1])
+    incident = np.argsort(members.ravel().astype(np.min_scalar_type(len(ids) - 1)), kind="stable")
+    incident = np.split(incident // h.k, np.cumsum(degree)[:-1])
     order = np.argsort(-degree, kind="stable").tolist()
     counts = [np.zeros(len(members), dtype=np.min_scalar_type(h.k)) for _ in range(3)]
-    open_sum = members.sum(axis=1)
+    open_sum = sum(members.T[1:], members[:, 0].copy())
     state: dict[int, int] = {}
 
     def assign(p: int, s: int, trail: list[int]) -> None:

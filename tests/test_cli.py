@@ -416,17 +416,28 @@ class TestExitCodes:
         ("pcp.var_counts", 5, "field 'var_counts' is not a list: 5"),
         ("pcp.constraints", 7, "field 'constraints' is not a list: 7"),
         ("pcp.constraints.0.projection", 3, "field 'projection' is not a list: 3"),
+        ("pcp.params.d", "2", "field 'd' is not an integer: '2'"),
+        ("pcp.params.T", 1.5, "field 'T' is not an integer: 1.5"),
+        ("pcp.params.d", 0, "params {'T': 1, 'd': 0} need integers d and T >= 1"),
+        ("pcp.var_names", [5, 6], "var_names (5, 6) is not one sequence of var_counts[l] strings per layer l"),
     ])
     @pytest.mark.parametrize("argv", [
         ["build-longcode", "--pcp", "{path}", "--epsilon", "1/10", "--out", "{dir}/out.json"],
         ["build-dto1", "--pcp", "{path}", "--delta", "0.25", "--out", "{dir}/out.json"],
         ["decode", "--kind", "dto1", "--gadget", "{path}", "--indicator", "{dir}/ind.json",
          "--delta", "0.25", "--out", "{dir}/out.json"],
-    ], ids=["build-longcode", "build-dto1", "decode"])
+        ["verify", "--input", "{path}", "--mode", "yes", "--out", "{dir}/out.json"],
+    ], ids=["build-longcode", "build-dto1", "decode", "verify-yes"])
     def test_mistyped_pcp_field_names_file_and_field(self, tmp_path, capsys, field, value,
                                                      message, argv):
-        path = tmp_path / "pcp.json"
-        assert run("build-mlpcp", "--layers", 2, "--label-sizes", "3,3", "--out", path) == 0
+        """Every PCP reader on a build-dto1 bundle of a one-constraint smooth
+        PCP, with a planted labeling and variable names, one field mistyped."""
+        pcp = games.LayeredPcp(2, (1, 1), (4, 2), (games.PcpConstraint(0, 1, 0, 0, (0, 0, 1, 1)),),
+                               params={"d": 2, "T": 1}, planted_labeling=((2,), (1,)),
+                               var_names=(("V[0]",), ("U[0]",)))
+        path = tmp_path / "bundle.json"
+        (tmp_path / "pcp.json").write_text(json.dumps({"pcp": pcp.to_json_dict()}))
+        assert run("build-dto1", "--pcp", tmp_path / "pcp.json", "--delta", "0.25", "--out", path) == 0
         payload = json.loads(path.read_text())
         *parents, last = [int(key) if key.isdigit() else key for key in field.split(".")]
         functools.reduce(operator.getitem, parents, payload)[last] = value

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gadgetlab import games, gf2, hadamard, verify
 
@@ -58,21 +60,55 @@ def test_broadcast_rows_match_generator(r, triples, seeds, distinct_blocks):
         assert ([list(map(tuple, edges.tolist())) for edges in g.edges_per_triple]
                 == [sorted(set(edges) - {None}) for edges in raw])
         assert g.dropped_degenerate == sum(edges.count(None) for edges in raw)
-        for t, edges in zip(g.triples, raw):  # row for row, degenerate rows included
-            rows = hadamard._raw_edges(g.blocks, r, t).tolist()
+        batched = hadamard._raw_edges(g.blocks, r, g.triples).tolist()
+        for rows, edges in zip(batched, raw, strict=True):  # row for row, degenerate rows included
             assert [tuple(row) for row, e in zip(rows, edges) if e] == [e for e in edges if e]
             assert len(rows) == len(edges)
 
 
 def edges_per_triple_reference(g):
-    """Reference: hadamard.build's per-triple tuple lists as they were built
-    from the broadcast rows, before the rows stayed arrays."""
-    out = []
-    for t in g.triples:
-        rows = hadamard._raw_edges(g.blocks, g.r, t)
-        bad = (rows[:, 1:] == rows[:, :-1]).any(axis=1)
-        out.append(sorted(set(map(tuple, rows[~bad].tolist()))))
-    return out
+    """Reference: hadamard.build's per-triple tuple lists, from the per-choice
+    generator."""
+    return [sorted(set(raw_edges_generator(g.blocks, g.r, t)) - {None}) for t in g.triples]
+
+
+def raw_edges_per_triple(blocks, r, triple):
+    """Reference: one triple's broadcast rows, as hadamard.build made them
+    before the triples were batched."""
+    w, wp = blocks[triple.w_index].vertex_ids, blocks[triple.wp_index].vertex_ids
+    points = np.arange(len(w))
+    hw = triple.geom_w.h_w.bits
+    rows = []
+    for z in range(1, 1 << r):
+        xs = np.stack([w, w[points ^ triple.geom_w.lift_bits(z) ^ hw]], axis=1)
+        ys = np.stack([wp, wp[points ^ triple.geom_wp.lift_bits(z)]], axis=1)
+        rows.append(np.concatenate(np.broadcast_arrays(xs[:, None], ys[None, :]), axis=2))
+    return np.sort(np.concatenate(rows).reshape(-1, 4), axis=1)
+
+
+def per_triple_build_reference(g):
+    """Reference: edges_per_triple and dropped_degenerate as the per-triple
+    loop computed them: each triple's rows, its degenerate filter and its
+    own unique_rows."""
+    raw = [raw_edges_per_triple(g.blocks, g.r, t) for t in g.triples]
+    kept = [rows[(rows[:, 1:] != rows[:, :-1]).all(axis=1)] for rows in raw]
+    dropped = sum(len(rows) - len(rows_kept) for rows, rows_kept in zip(raw, kept))
+    return list(map(verify.unique_rows, kept)), dropped
+
+
+@settings(max_examples=40, deadline=None)
+@given(r=st.sampled_from([1, 2]), triples=st.sampled_from([1, 3, 10]),
+       seed=st.integers(0, 10**6), distinct_blocks=st.booleans())
+def test_batched_build_matches_per_triple_loop(r, triples, seed, distinct_blocks):
+    inst, _ = games.gen_3lin(12, 14, seed % 97)
+    g = hadamard.build(inst, r, triples=triples, seed=seed, distinct_blocks=distinct_blocks)
+    edges, dropped = per_triple_build_reference(g)
+    assert g.dropped_degenerate == dropped
+    assert len(g.edges_per_triple) == len(edges) == triples
+    for got, want in zip(g.edges_per_triple, edges):
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, want)
+    assert np.array_equal(g.all_edges(), verify.unique_rows(np.concatenate(edges)))
 
 
 def all_edges_reference(edges_per_triple):
@@ -122,8 +158,7 @@ def test_block_geometry_built_once_per_key(monkeypatch, r, triples, seeds):
 
 class TestBuild:
     def test_raw_choice_count_r1(self, one_triple):
-        raw = list(hadamard._raw_edges(one_triple.blocks, one_triple.r,
-                                       one_triple.triples[0]))
+        raw = list(hadamard._raw_edges(one_triple.blocks, one_triple.r, one_triple.triples)[0])
         assert len(raw) == 16 * 16 * 1
 
     def test_vertices_per_block(self, gadget):

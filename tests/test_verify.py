@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gadgetlab import cli, dto1, games, verify
+from gadgetlab import cli, dto1, games, hadamard, verify
 from gadgetlab.seeding import derive_rng
 from gadgetlab.verify import DEFAULT_NODE_BUDGET, ColoringResult, GenericHypergraph
 
@@ -564,17 +564,92 @@ def int_row_arrays(draw) -> np.ndarray:
     return np.array(rows, dtype=np.int64).reshape(len(rows), k)
 
 
-@settings(max_examples=300)
-@given(rows=int_row_arrays())
+@st.composite
+def wide_span_row_arrays(draw) -> np.ndarray:
+    """An (n, k) int64 array for k in 2..5 whose values span so much of
+    int64 that span**k overflows it: ids near -2**62 and 2**62, at the ends
+    of int64 or up to 2**36, with repeated rows and rows that repeat up to
+    order."""
+    k = draw(st.integers(2, 5))
+    near = st.sampled_from([-2**62, 2**62, -2**63, 2**63 - 8]).flatmap(
+        lambda base: st.integers(base, base + 7))
+    values = draw(st.sampled_from([near | st.integers(-2, 2) | st.integers(-2**63, 2**63 - 1),
+                                   st.integers(0, 2**36)]))
+    rows = draw(st.lists(st.lists(values, min_size=k, max_size=k), max_size=30))
+    rows += draw(st.lists(st.sampled_from(rows), max_size=5)) if rows else []
+    rows = [draw(st.permutations(row)) for row in rows]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), k)
+
+
+@settings(max_examples=400)
+@given(rows=int_row_arrays() | wide_span_row_arrays())
 @example(rows=np.empty((0, 2), dtype=np.int64))
 @example(rows=np.empty((0, 4), dtype=np.int64))
+@example(rows=np.array([[-2**63, 2**63 - 1], [2**63 - 1, -2**63], [0, 0]], dtype=np.int64))
+@example(rows=np.array([[2**62, -2**62, 1, 0, 2**62 + 1]] * 2, dtype=np.int64))
+@example(rows=np.array([[65315367868, 9906573152, 65190693613], [21428894211, 29090772061, 56879289140],
+                        [28119950532, 37767790634, 1893847841]], dtype=np.int64))
 def test_unique_rows_matches_sorted_tuple_set(rows):
     want = sorted({tuple(sorted(r)) for r in rows.tolist()})
     got = verify.unique_rows(rows)
     assert got.dtype == np.int64 and got.shape == (len(want), rows.shape[1])
     assert list(map(tuple, got.tolist())) == want
     assert not got.flags.writeable
-    assert (np.diff(rows, axis=1) >= 0).all()  # the input's rows were sorted in place
+    assert (rows[:, 1:] >= rows[:, :-1]).all()  # the input's rows were sorted in place
+
+
+def check_coloring_rows(edges, colors, removed, parity):
+    """Reference: check_coloring's two masks, one row at a time."""
+    surviving, violating = [], []
+    for row in edges.tolist():
+        kept = not any(removed[v] for v in row)
+        gathered = [int(colors[v]) for v in row]
+        bad = sum(gathered) % 2 == 0 if parity else len(set(gathered)) == 1
+        surviving.append(kept)
+        violating.append(kept and bad)
+    return surviving, violating
+
+
+@settings(max_examples=300)
+@given(data=st.data(), k=st.integers(1, 5), n=st.integers(1, 9), parity=st.booleans())
+def test_check_coloring_matches_a_row_loop(data, k, n, parity):
+    edges = np.array(data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=k, max_size=k),
+                                        max_size=20)), dtype=np.int64).reshape(-1, k)
+    colors = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)),
+                      dtype=np.int8)
+    removed = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    surviving, violating = verify.check_coloring(edges, colors, removed, parity=parity)
+    assert surviving.dtype == violating.dtype == bool
+    assert (surviving.tolist(), violating.tolist()) == check_coloring_rows(
+        edges, colors, removed, parity)
+
+
+@pytest.mark.parametrize("r, triples, seed", [(1, 1, 0), (1, 2, 1), (1, 3, 2), (1, 3, 5)])
+def test_colouring_searches_on_small_hadamard_gadgets_match_the_list_reference(r, triples, seed):
+    """The incidence lists come from a radix sort of small ints: node counts
+    and colourings are the reference search's."""
+    inst, _ = games.gen_3lin(10, 10, seed)
+    h = hadamard.build(inst, r, triples=triples, seed=seed).to_hypergraph()
+    for epsilon, budget in ((0, 3000), (Fraction(1, 10), 300)):
+        assert whole(verify.almost_two_colorable(h, epsilon, budget=budget)) == whole(
+            almost_two_colorable_lists(h, epsilon, budget=budget))
+
+
+def test_int_weights_build_no_fraction(monkeypatch):
+    made = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args):
+            made.append(args)
+            return super().__new__(cls, *args)
+
+    monkeypatch.setattr(verify, "Fraction", Counted)
+    h = GenericHypergraph.from_json_dict({"k": 2, "edges": [[0, 1]], "vertices": [
+        {"id": 0, "weight": [3, 1]}, {"id": 1, "weight": [1, 2]}, {"id": 2, "weight": [4, 2]}]})
+    assert made == [(1, 2), (4, 2)] and (h.weights, h.scale) == ((6, 1, 4), 2)
+    made.clear()
+    h = GenericHypergraph(2, (0, 1, 2), ((0, 1),), {0: 5, 1: True})
+    assert made == [(True,)] and (h.weights, h.scale) == ((5, 1, 1), 1)  # a bool is no int
 
 
 def dto1_yes_hypergraph() -> GenericHypergraph:
