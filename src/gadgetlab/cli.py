@@ -46,7 +46,7 @@ def write_artifact(path: str | Path, payload: dict) -> None:
     """The one artifact writer: atomically, json.dump(payload, indent=2,
     sort_keys=True) and a newline. Its one non-JSON type is np.ndarray, written
     as its tolist(); a non-empty 2-D integer array (edges) is rendered in its
-    place from a %d template per row, ROWS_PER_WRITE rows at a time."""
+    place, ROWS_PER_WRITE rows at a time, from per-column tables of its cells."""
     path = Path(path)
     if path.parent and not path.parent.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -70,12 +70,22 @@ def write_artifact(path: str | Path, payload: dict) -> None:
             for rows, before, after in zip(arrays, pieces, pieces[1:]):
                 line = before.rsplit("\n", 1)[-1]
                 pad = "\n" + " " * (len(line) - len(line.lstrip(" ")))
-                row = pad + "  [" + ",".join([pad + "    %d"] * rows.shape[1]) + pad + "  ]"
+                k, lo, hi = rows.shape[1], rows.min(), rows.max()
+                heads = [pad + "  ]," + pad + "  [" + pad + "    "] + ["," + pad + "    "] * (k - 1)
+                tables = ([np.array([h + str(v) for v in range(int(lo), int(hi) + 1)], dtype=object)
+                           for h in heads] if int(hi) - int(lo) < ROWS_PER_WRITE else None)
                 for start in range(0, len(rows), ROWS_PER_WRITE):
                     chunk = rows[start:start + ROWS_PER_WRITE]
-                    fh.write(("," if start else "[") + ",".join([row] * len(chunk))
-                             % tuple(chunk.ravel().tolist()))
-                fh.write(pad + "]" + after)
+                    cells = np.empty(chunk.shape, dtype=object)
+                    for j, column in enumerate(chunk.T):
+                        if tables:  # column - lo wraps at most once: its unsigned view is exact
+                            cells[:, j] = tables[j][(column - lo).view(f"u{rows.itemsize}")]
+                        else:
+                            values, at = np.unique(column, return_inverse=True)
+                            cells[:, j] = np.array([heads[j] + str(v) for v in values.tolist()], dtype=object)[at]
+                    text = "".join(cells.ravel().tolist())  # each row's first cell closes the row before
+                    fh.write(text if start else "[" + text[len(pad) + 4:])
+                fh.write(pad + "  ]" + pad + "]" + after)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
@@ -467,6 +477,12 @@ def _epsilon(text: str) -> str:
     raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
 
 
+def _density(text: str) -> float:
+    if not 0 <= float(text) <= 1:  # NaN fails the comparison
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
+    return float(text)
+
+
 def _int_at_least(low: int):
     def parse(text: str) -> int:
         if int(text) < low:
@@ -508,7 +524,7 @@ def build_parser() -> _Parser:
     p.add_argument("--smooth-t", type=int, default=1)
     p.add_argument("--vars-per-layer", type=_int_at_least(1), default=2)
     p.add_argument("--label-sizes", default="3,3", help="comma list, plain build only")
-    p.add_argument("--density", type=float, default=1.0)
+    p.add_argument("--density", type=_density, default=1.0)
     p.add_argument("--random", action="store_true")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)

@@ -18,7 +18,7 @@ import numpy as np
 from . import gf2
 from .games import (BlockGeometry, EquationBlock, Lin3Instance, RejectionBudgetError,
                     VariableBlock, block_geometry, repeat_free, sample_round)
-from .verify import GenericHypergraph, check_coloring, rows_inside, unique_rows
+from .verify import GenericHypergraph, check_coloring, rows_inside, sort_rows, unique_rows
 
 MAX_R = 2
 
@@ -98,9 +98,8 @@ def _raw_edges(blocks: list[GadgetBlock], r: int, triples: list[Triple]) -> np.n
     xs = np.stack(np.broadcast_arrays(w, w[each, 0, points ^ shift_w[..., None]]), axis=-1)
     ys = np.stack(np.broadcast_arrays(wp, wp[each, 0, points ^ shift_wp[..., None]]), axis=-1)
     rows = np.concatenate(np.broadcast_arrays(xs[:, :, :, None], ys[:, :, None, :]), axis=-1)
-    rows = rows.reshape(len(triples), -1, 4)
-    rows.sort(axis=-1)
-    return rows
+    sort_rows(rows)
+    return rows.reshape(len(triples), -1, 4)
 
 
 def build(inst: Lin3Instance, r: int, triples: int = 2, seed: int = 0,

@@ -134,12 +134,22 @@ class GenericHypergraph:
         return "".join(" ".join(map(str, e)) + "\n" for e in self.edges.tolist())
 
 
+def sort_rows(rows: np.ndarray) -> None:
+    """rows.sort(axis=-1) in place, faster: an insertion network on its columns, 2**14 rows at a time."""
+    for block in (rows[s:s + 2**14] for s in range(0, len(rows), 2**14)):  # temporaries stay in cache
+        for i in range(1, rows.shape[-1]):
+            for j in range(i, 0, -1):
+                low = np.minimum(block[..., j - 1], block[..., j])
+                np.maximum(block[..., j - 1], block[..., j], out=block[..., j])
+                block[..., j - 1] = low
+
+
 def unique_rows(rows: np.ndarray) -> np.ndarray:
     """sorted({tuple(sorted(e)) for e in rows}) for an (n, k) int64 array,
     as a read-only array. Each row of rows is sorted in place, then ranked by
     a uint64 key: its values less the least one as digits in the radix of the
     span of values (as few keys as fit, lexsorted, when span**k does not)."""
-    rows.sort(axis=1)
+    sort_rows(rows)
     lo, hi = (int(rows[:, 0].min()), int(rows[:, -1].max())) if len(rows) else (0, 0)
     per_key = max(d for d in range(1, rows.shape[1] + 1) if (hi - lo + 1) ** d <= 2**64)
     keys: list[np.ndarray] = []
@@ -217,27 +227,30 @@ def max_independent_set(h: GenericHypergraph, budget: int = DEFAULT_NODE_BUDGET)
             greedy |= 1 << i
     best_mask, best_weight = greedy, sum(w for i, w in enumerate(weight) if greedy >> i & 1)
 
-    def bound(idx: int, included: int, current: int) -> int:
+    def bound(idx: int, included: int, current: int, live: list[int]) -> tuple[int, list[int]]:
         excluded = included ^ ((1 << idx) - 1)
         undecided = -1 << idx
-        used = penalty = 0
-        for m, members in zip(masks, by_weight):
-            if m & excluded or not m & undecided or m & used:
+        kept, used, penalty = [], 0, 0
+        for e in live:
+            m = masks[e]
+            if m & excluded or not m & undecided:
                 continue
-            used |= m
-            for w, b in members:  # the lightest live member
-                if b & undecided:
-                    penalty += w
-                    break
-        return current + suffix[idx] - penalty
+            kept.append(e)
+            if not m & used:
+                used |= m
+                for w, b in by_weight[e]:  # the lightest live member
+                    if b & undecided:
+                        penalty += w
+                        break
+        return current + suffix[idx] - penalty, kept
 
-    # Depth-first over (position, weight so far, mask of the vertices taken);
-    # every earlier vertex not taken is excluded. The include branch is
-    # pushed last so it is searched first.
-    stack = [(0, 0, 0)]
+    # Depth-first over (position, weight so far, mask of the vertices taken, the parent's live
+    # edges: one with an excluded member, or no undecided one, stays dead below); every earlier
+    # vertex not taken is excluded. The include branch is pushed last so it is searched first.
+    stack = [(0, 0, 0, range(len(masks)))]
     nodes = 0
     while stack:
-        idx, current, included = stack.pop()
+        idx, current, included, live = stack.pop()
         nodes += 1
         if nodes > budget:
             break
@@ -245,11 +258,12 @@ def max_independent_set(h: GenericHypergraph, budget: int = DEFAULT_NODE_BUDGET)
             if current > best_weight:
                 best_mask, best_weight = included, current
             continue
-        if bound(idx, included, current) <= best_weight:
+        limit, live = bound(idx, included, current, live)
+        if limit <= best_weight:
             continue
-        stack.append((idx + 1, current, included))
+        stack.append((idx + 1, current, included, live))
         if not completes_edge(idx, included):
-            stack.append((idx + 1, current + weight[idx], included | 1 << idx))
+            stack.append((idx + 1, current + weight[idx], included | 1 << idx, live))
     return IndependentSetResult(frozenset(v for i, v in enumerate(order) if best_mask >> i & 1),
                                 Fraction(best_weight, h.scale), nodes <= budget, nodes)
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -460,6 +460,14 @@ class TestExitCodes:
         out = tmp_path / "out.json"
         assert run(*argv, "--out", out) == 1
         assert capsys.readouterr().err == f"error: argument {flag}: must be at least 1, got {value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-0.5", "2", "inf"])
+    def test_density_outside_the_unit_interval_is_one(self, tmp_path, capsys, value):
+        out = tmp_path / "pcp.json"
+        assert run("build-mlpcp", "--layers", 2, "--density", value, "--out", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: argument --density: must lie in [0, 1], got {value}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [("var_counts", [-1, -1]), ("label_sizes", [3, 0])])
@@ -942,6 +950,24 @@ VALUES = st.recursive(
     max_leaves=20)
 
 
+@st.composite
+def spanned_int_arrays(draw) -> tuple[np.ndarray, int]:
+    """An (n, k) array of any integer dtype for k in 1..5, and a chunk size:
+    its values span just less than, exactly or just more than the chunk
+    size (one cell table for the array, or one per chunk) or up to 300 ids
+    (int8 spans above 127 wrap in column - lo)."""
+    dtype = draw(st.sampled_from([np.int8, np.int16, np.int32, np.int64,
+                                  np.uint8, np.uint16, np.uint32, np.uint64]))
+    info, per_write = np.iinfo(dtype), draw(st.sampled_from([3, cli.ROWS_PER_WRITE]))
+    span = draw(st.sampled_from([per_write - 1, per_write, per_write + 1]) | st.integers(2, 300))
+    lo = draw(st.integers(int(info.min), max(int(info.min), int(info.max) - span + 1)))
+    hi = min(lo + span - 1, int(info.max))
+    rows = draw(hnp.arrays(dtype, st.tuples(st.integers(1, 10), st.integers(1, 5)),
+                           elements=st.integers(lo, hi)))
+    rows.flat[0], rows.flat[-1] = lo, hi  # the span is as drawn when rows has two cells
+    return rows, per_write
+
+
 class TestArtifactWriter:
     """write_artifact renders 2-D int arrays itself; its bytes must be the
     stdlib's with every array written as its tolist()."""
@@ -967,6 +993,19 @@ class TestArtifactWriter:
         for n, form in itertools.product(range(1, 8), (np.ndarray.tolist, np.asarray)):
             a = np.array([[i, -i] for i in range(n)])
             payload = {"a": form(a), "b": {"c": form(a[:, :1])}}
+            assert written_bytes(payload) == stdlib_bytes(payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=spanned_int_arrays(), depth=st.integers(0, 3))
+    @example(case=(np.array([[-100, 0], [99, 5]], dtype=np.int8), cli.ROWS_PER_WRITE), depth=0)
+    def test_cell_tables_match_stdlib(self, case, depth):
+        """Arrays of every integer dtype, over several chunks, at several indents."""
+        rows, per_write = case
+        payload = rows
+        for level in range(depth):
+            payload = {"rows": [payload, level], "z": rows[:, ::-1]}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "ROWS_PER_WRITE", per_write)
             assert written_bytes(payload) == stdlib_bytes(payload)
 
     def test_other_types_raise_and_leave_no_file(self, tmp_path):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gadgetlab import cli, dto1, games, hadamard, verify
 from gadgetlab.seeding import derive_rng
@@ -409,9 +410,19 @@ SCATTERED = GenericHypergraph(3, (7, -3, 12, 0, -20, 5), ((-3, 0, 7), (0, 7, 12)
                                0: Fraction(1, 7), -20: Fraction(5, 7), 5: Fraction(4, 3)})
 
 
+@pytest.mark.parametrize("triples, seed, budget", [
+    (4, 1, 1), (4, 1, 200), (4, 1, verify.DEFAULT_NODE_BUDGET), (4, 2, 200), (6, 2, 200)])
+def test_max_is_on_small_hadamard_gadgets_matches_the_recursive_reference(triples, seed, budget):
+    """Each node scans only the edges its parent left live: bounds, node
+    counts and best sets are the reference search's, cut off or not."""
+    inst, _ = games.gen_3lin(10, 10, seed)
+    h = hadamard.build(inst, 1, triples=triples, seed=seed).to_hypergraph()
+    assert verify.max_independent_set(h, budget) == max_independent_set_recursive(h, budget)
+
+
 @settings(max_examples=200)
 @given(h=st.one_of(small_hypergraphs(), scattered_hypergraphs()),
-       budget=st.one_of(st.integers(0, 60), st.just(verify.DEFAULT_NODE_BUDGET)))
+       budget=st.one_of(st.integers(0, 60), st.sampled_from([200, verify.DEFAULT_NODE_BUDGET])))
 @example(h=SCATTERED, budget=0)
 @example(h=SCATTERED, budget=verify.DEFAULT_NODE_BUDGET)
 # unsatisfiable only below the first decision: a star, then a triangle
@@ -596,6 +607,28 @@ def test_unique_rows_matches_sorted_tuple_set(rows):
     assert list(map(tuple, got.tolist())) == want
     assert not got.flags.writeable
     assert (rows[:, 1:] >= rows[:, :-1]).all()  # the input's rows were sorted in place
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@st.composite
+def short_row_arrays(draw) -> np.ndarray:
+    """A 2-D (n, k) or 3-D (m, n, k) int64 array for k in 1..5, with small
+    values, the ends of int64 and anything between."""
+    shape = draw(st.lists(st.integers(0, 20), min_size=1, max_size=2)) + [draw(st.integers(1, 5))]
+    ends = st.sampled_from([INT64.min, INT64.min + 1, INT64.max - 1, INT64.max])
+    return draw(hnp.arrays(np.int64, tuple(shape),
+                           elements=st.integers(-3, 3) | ends | st.integers(INT64.min, INT64.max)))
+
+
+@settings(max_examples=300)
+@given(rows=short_row_arrays())
+@example(rows=np.random.default_rng(0).integers(-5, 5, size=(2**15 + 3, 3)))  # several blocks
+def test_sort_rows_matches_np_sort(rows):
+    want = np.sort(rows, axis=-1)
+    verify.sort_rows(rows)
+    assert rows.tolist() == want.tolist()
 
 
 def check_coloring_rows(edges, colors, removed, parity):
