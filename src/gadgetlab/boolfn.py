@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import _fwht, popcounts
+from .gf2 import popcounts, walsh_hadamard
 
 PRODUCT_SIZE_CAP = 10**6
 EFRON_STEIN_CAP = 10**5
@@ -307,9 +307,7 @@ def reverse_hyper_check(a_set, b_set, n: int, rho: float) -> tuple[float, float,
     b_ind[list(b_set)] = 1.0
     if a_ind.sum() == 0 or b_ind.sum() == 0:
         raise ValueError("empty set")
-    fa = _fwht(a_ind) / a_ind.size
-    fb = _fwht(b_ind) / b_ind.size
-    lhs = float(np.sum(fa * fb * rho**popcounts(n)))
+    lhs = float(np.sum(walsh_hadamard(a_ind) * walsh_hadamard(b_ind) * rho**popcounts(n)))
     dens_a = a_ind.mean()
     dens_b = b_ind.mean()
     aa = math.sqrt(-2.0 * math.log(dens_a)) if dens_a < 1.0 else 0.0

@@ -111,6 +111,16 @@ class _Fields(dict):
         except ValueError as exc:
             raise UsageError(f"{self.path}: {exc}") from None
 
+    def numbers(self, key: str, kinds: tuple = (int, float), count: int | None = None) -> list:
+        """The list at key, each item of one of kinds (a bool is no number),
+        and count of them if count is given."""
+        values = self.typed(key, games.LIST)
+        if not {type(v) for v in values} <= set(kinds) or count not in (None, len(values)):
+            what = "integers" if kinds == (int,) else "numbers"
+            raise UsageError(f"{self.path}: field {key!r} is not a list of "
+                             f"{what if count is None else f'{count} {what}'}")
+        return values
+
 
 _EDGES_KEY = re.compile(rb'"edges"[ \t\n\r]*:[ \t\n\r]*(?=\[)')
 _ROWS_END = re.compile(rb"\][ \t\n\r]*\]")  # "]]" with any whitespace: where an int matrix ends
@@ -162,10 +172,10 @@ def _place_edges(path, edges: np.ndarray, placed: list, fields: dict) -> _Fields
     return _Fields(path, fields)
 
 
-def read_artifact(path: str | Path) -> dict:
-    """The JSON file at path, each object a _Fields. An "edges" array of
-    integer rows (the first "edges" field) is read by numpy straight into
-    a read-only int64 array; any other text takes the json route alone,
+def read_artifact(path: str | Path) -> _Fields:
+    """The JSON object in the file at path, each object a _Fields. An "edges"
+    array of integer rows (the first "edges" field) is read by numpy straight
+    into a read-only int64 array; any other text takes the json route alone,
     which gives the same hypergraph or the same error."""
     try:
         with open(path, "rb") as fh:
@@ -173,22 +183,24 @@ def read_artifact(path: str | Path) -> dict:
         key = _EDGES_KEY.search(data)
         end = _ROWS_END.search(data, key.end()) if key else None
         edges = _int_matrix(data, key.end(), end.end()) if end else None
+        placed: list = []
         if edges is not None:  # the block is spliced out as one token, which the hook swaps back
             rest = data[:key.end()] + f'"{_TOKEN}"'.encode() + data[end.end():]
-            placed: list = []
             hook = functools.partial(_place_edges, path, edges, placed)
             try:
                 payload = json.loads(rest.decode(), object_hook=hook) if rest.isascii() else None
             except json.JSONDecodeError:
                 placed = []
-            if placed:  # else the match was not an "edges" field json keeps: read it all as json
-                return payload
-        with io.TextIOWrapper(io.BytesIO(data)) as fh:  # decoded as open(path) would
-            return json.load(fh, object_hook=functools.partial(_Fields, path))
+        if not placed:  # the match was no "edges" field json keeps: read it all as json
+            with io.TextIOWrapper(io.BytesIO(data)) as fh:  # decoded as open(path) would
+                payload = json.load(fh, object_hook=functools.partial(_Fields, path))
     except json.JSONDecodeError as exc:
         raise UsageError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except OSError as exc:
         raise UsageError(f"{path}: {exc.strerror}") from exc
+    if not isinstance(payload, _Fields):
+        raise UsageError(f"{path}: the file holds no JSON object")
+    return payload
 
 
 def _config_dict(args: argparse.Namespace) -> dict:
@@ -217,8 +229,7 @@ def cmd_gen_game(args) -> int:
 
 def cmd_build_mlpcp(args) -> int:
     if args.game:
-        payload = read_artifact(args.game)
-        game = games.Dto1Game.from_json_dict(payload.get("game", payload))
+        game = _load(read_artifact(args.game), "game", games.Dto1Game)
         pcp = games.build_smooth_mlpcp(game, args.layers, args.smooth_t)
         smooth = games.check_smoothness(pcp)
         payload = {"config": _config_dict(args), "pcp": pcp.to_json_dict(),
@@ -240,7 +251,7 @@ def cmd_build_mlpcp(args) -> int:
 
 def cmd_build_hadamard(args) -> int:
     bundle = read_artifact(args.instance)
-    inst = games.Lin3Instance.from_json_dict(bundle.get("instance", bundle))
+    inst = _load(bundle, "instance", games.Lin3Instance)
     gadget = hadamard.build(inst, args.r, triples=args.triples,
                             seed=derive_seed(args.seed, "build-hadamard"),
                             distinct_blocks=args.distinct_blocks)
@@ -269,12 +280,12 @@ def _config_epsilon(bundle: _Fields) -> Fraction:
         raise UsageError(f"{bundle.path}: field 'epsilon': {exc}") from None
 
 
-def _load_pcp(payload: _Fields, bare: bool = True) -> games.LayeredPcp:
-    """The PCP under a file's "pcp" field, or (if bare) the file itself when
-    it has none; a malformed one is a UsageError that names the file."""
-    fields = payload.typed("pcp") if "pcp" in payload or not bare else payload
+def _load(payload: _Fields, key: str, cls, bare: bool = True):
+    """cls.from_json_dict of a file's key field, or (if bare) of the file
+    itself when it has none; a malformed one is a UsageError that names the file."""
+    fields = payload.typed(key) if key in payload or not bare else payload
     try:
-        return games.LayeredPcp.from_json_dict(fields)
+        return cls.from_json_dict(fields)
     except ValueError as exc:
         raise UsageError(f"{payload.path}: {exc}") from None
 
@@ -290,12 +301,12 @@ def _write_gadget(args, pcp: games.LayeredPcp, gadget: games.PcpGadget, **extra)
 
 
 def cmd_build_longcode(args) -> int:
-    pcp = _load_pcp(read_artifact(args.pcp))
+    pcp = _load(read_artifact(args.pcp), "pcp", games.LayeredPcp)
     return _write_gadget(args, pcp, longcode.build(pcp, Fraction(args.epsilon)))
 
 
 def cmd_build_dto1(args) -> int:
-    pcp = _load_pcp(read_artifact(args.pcp))
+    pcp = _load(read_artifact(args.pcp), "pcp", games.LayeredPcp)
     return _write_gadget(args, pcp, dto1.build(pcp, args.delta), delta=args.delta)
 
 
@@ -314,7 +325,7 @@ def cmd_verify(args) -> int:
         if kind == "hadamard" and "planted_assignment" in bundle:
             cfg = bundle["config"]
             r, triples, seed = (cfg.typed(name, int) for name in ("r", "triples", "seed"))
-            inst = games.Lin3Instance.from_json_dict(bundle["instance"])
+            inst = _load(bundle, "instance", games.Lin3Instance, bare=False)
             gadget = hadamard.build(inst, r, triples=triples, seed=derive_seed(seed, "build-hadamard"),
                                     distinct_blocks=cfg.get("distinct_blocks", False))
             if gadget.to_hypergraph() != h:
@@ -322,7 +333,7 @@ def cmd_verify(args) -> int:
             result = hadamard.yes_coloring(gadget, bundle["planted_assignment"])
             removed, surviving, violations = result.removed, result.surviving_edges, len(result.violations)
         elif gadget_cls and pcp_fields.get("planted_labeling"):
-            pcp = _load_pcp(bundle, bare=False)
+            pcp = _load(bundle, "pcp", games.LayeredPcp, bare=False)
             colors = games.dictator_colors(pcp, gadget_cls.base, pcp.planted_labeling)
             if h.vertices != tuple(range(len(colors))):
                 raise UsageError(f"{args.input}: the stored hypergraph does not fit its PCP's codes")
@@ -375,8 +386,10 @@ def cmd_analyze(args) -> int:
             Path(args.csv).write_text(dist.to_csv())
     if args.spectra:
         table = read_artifact(args.spectra)
-        values = np.array(table["values"], dtype=np.float64)
-        m = int(round(np.log2(values.size)))
+        values = np.array(table.numbers("values"), dtype=np.float64)
+        m = max(values.size, 1).bit_length() - 1
+        if values.size != 1 << m:
+            raise UsageError(f"{args.spectra}: field 'values' does not hold 2**m numbers")
         from . import gf2
         spec = gf2.fourier_transform(gf2.RealTable(m, values))
         report["spectrum_csv"] = gf2.spectrum_to_csv(spec)
@@ -405,13 +418,13 @@ DTO1_DECODE_FLAGS = ("eps", "nu", "gamma", "tau", "s")
 
 def cmd_decode(args) -> int:
     bundle = read_artifact(args.gadget)
-    pcp = _load_pcp(bundle, bare=False)
+    pcp = _load(bundle, "pcp", games.LayeredPcp, bare=False)
     indicator_data = read_artifact(args.indicator)
     if args.kind == "longcode":
         if "epsilon" not in bundle.get("config", {}):
             raise UsageError(f"{args.gadget}: not a long-code gadget bundle (no config.epsilon)")
         gadget = longcode.build(pcp, _config_epsilon(bundle))
-        outcome = longcode.decode(gadget, indicator_data["vertices"], args.delta,
+        outcome = longcode.decode(gadget, indicator_data.numbers("vertices", (int,)), args.delta,
                                   seed=derive_seed(args.seed, "decode"))
         report = {
             "labels_v": {f"{k[0]},{k[1]}": v for k, v in outcome.rho.items()},
@@ -422,10 +435,15 @@ def cmd_decode(args) -> int:
         if T is None:
             raise UsageError("decode --kind dto1 needs a smooth PCP, whose params carry T")
         params = dto1.DecodeParams(args.delta, args.eps, args.nu, args.gamma, args.tau, args.s, T)
-        indicators = {
-            (int(key.split(",")[0]), int(key.split(",")[1])): np.array(vals, dtype=np.float64)
-            for key, vals in indicator_data["indicators"].items()
-        }
+        variables = {f"{l},{v}": (l, v) for l in range(pcp.layers) for v in range(pcp.var_counts[l])}
+        fields = indicator_data.typed("indicators")
+        indicators = {}
+        for key in fields:  # one "layer,var" key per PCP variable, 2**label_size numbers each
+            if key not in variables:
+                raise UsageError(f"{args.indicator}: field {key!r} names no PCP variable 'layer,var'")
+            layer, var = variables[key]
+            values = fields.numbers(key, count=1 << pcp.label_sizes[layer])
+            indicators[layer, var] = np.array(values, dtype=np.float64)
         outcome = dto1.decode(indicators, pcp, params, seed=derive_seed(args.seed, "decode"))
         report = {"outcome": outcome.outcome}
     report.update(layer_pair=list(outcome.layer_pair),

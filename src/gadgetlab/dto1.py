@@ -17,7 +17,7 @@ import numpy as np
 from .boolfn import FiniteJointDist, maximal_correlation
 from .games import (LayeredPcp, PcpGadget, RuleCheck, code_layout, heavy_layer_pair,
                     product_rows, satisfied_fractions)
-from .gf2 import _fwht, popcounts
+from .gf2 import popcounts, walsh_hadamard
 from .seeding import as_rng, derive_rng
 from .verify import GenericHypergraph
 
@@ -160,8 +160,7 @@ def correlation_suite(delta: float, r: int) -> dict:
 # Cube spectra (masks; bit j set means coordinate j is -1)
 
 def cube_spectrum(values: np.ndarray) -> np.ndarray:
-    out = _fwht(values)
-    return out / out.size
+    return walsh_hadamard(values)
 
 
 def blocks_of(projection: tuple[int, ...], target_size: int) -> list[int]:
@@ -426,7 +425,7 @@ def decode(indicators: dict[tuple[int, int], np.ndarray], pcp: LayeredPcp,
     d = pcp.params["d"]
     for key, f in indicators.items():
         f = np.asarray(f)
-        if f.min() < -1e-12 or f.max() > 1.0 + 1e-12:
+        if not np.all((f >= -1e-12) & (f <= 1.0 + 1e-12)):  # a NaN fails both
             raise ValueError(f"indicator {key} is not [0, 1]-valued")
 
     _, qualified, density = heavy_layer_pair(
@@ -439,6 +438,7 @@ def decode(indicators: dict[tuple[int, int], np.ndarray], pcp: LayeredPcp,
 
     spectra = {(layer, var): cube_spectrum(np.asarray(indicators[(layer, var)], dtype=np.float64))
                for layer in (l, l2) for var in qualified[layer]}
+    influences = {key: noisy_influences(spec, params.gamma) for key, spec in spectra.items()}
 
     good: dict[tuple[int, int], bool] = {}
     pair_floor = (params.eps / 2.0) ** (4.0 / eta)
@@ -456,9 +456,8 @@ def decode(indicators: dict[tuple[int, int], np.ndarray], pcp: LayeredPcp,
         good[(c.v, c.u)] = is_good
         eyz = cross_expectation(spectra[(l, c.v)], spectra[(l, c.v)], blocks, M)
         inf_bar = block_noisy_influences(spectra[(l, c.v)], params.gamma, blocks)
-        inf_plain = noisy_influences(spectra[(l, c.v)], params.gamma)
-        gap = float(np.max(np.abs(inf_bar - inf_plain))) if inf_bar.size else 0.0
-        inf_u = noisy_influences(spectra[(l2, c.u)], params.gamma)
+        gap = float(np.max(np.abs(inf_bar - influences[(l, c.v)]))) if inf_bar.size else 0.0
+        inf_u = influences[(l2, c.u)]
         matched = any(min(inf_u[i], 4.0 * r * float(inf_bar[positions].sum())) >= params.tau
                       for i, positions in enumerate(block_pos))
         diag_pairs.append({
@@ -473,7 +472,7 @@ def decode(indicators: dict[tuple[int, int], np.ndarray], pcp: LayeredPcp,
     labels_u: dict[tuple[int, int], int] = {}
     no_influence = True
     for (layer, var) in sorted(spectra):
-        weights = noisy_influences(spectra[(layer, var)], params.gamma)
+        weights = influences[(layer, var)]
         total = float(weights.sum())
         if total <= 0.0:
             continue

@@ -18,7 +18,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .gf2 import Gf2Subspace, Gf2Vector
+from .gf2 import Gf2Subspace
 from .seeding import as_rng, derive_rng
 from .verify import GenericHypergraph, check_coloring, unique_rows
 
@@ -50,8 +50,11 @@ class Lin3Instance:
     declared_degree: int | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "equations", tuple(tuple(e) for e in self.equations))
+        object.__setattr__(self, "equations",
+                           tuple(tuple(e) if isinstance(e, LIST) else e for e in self.equations))
         for eq in self.equations:
+            if not isinstance(eq, tuple) or len(eq) != 4 or any(type(x) is not int for x in eq):
+                raise ValueError(f"equation {eq!r} is not four integers i, j, k, b")
             i, j, k, b = eq
             if not (0 <= i < self.n and 0 <= j < self.n and 0 <= k < self.n):
                 raise ValueError(f"equation {eq} has a variable out of range [0, {self.n})")
@@ -75,7 +78,9 @@ class Lin3Instance:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Lin3Instance":
-        return cls(d["n"], tuple(tuple(e) for e in d["equations"]), d.get("declared_degree"))
+        """The instance of a to_json_dict object; ValueError names a mistyped field."""
+        degree = None if d.get("declared_degree") is None else typed_field(d, "declared_degree", int)
+        return cls(typed_field(d, "n", int), tuple(typed_field(d, "equations", LIST)), degree)
 
 
 def gen_3lin(n: int, eqs: int, rng: random.Random | int, planted: bool = True) -> tuple[Lin3Instance, tuple[int, ...] | None]:
@@ -189,9 +194,9 @@ class BlockGeometry:
     """
 
     r: int
-    h: tuple[Gf2Vector, ...]
+    h: tuple[int, ...]
     subspace: Gf2Subspace
-    h_w: Gf2Vector
+    h_w: int
     u_positions: tuple[int, ...]
 
     def project_bits(self, x_bits: int) -> int:
@@ -221,14 +226,11 @@ def block_geometry(block: EquationBlock, picks: VariableBlock, inst: Lin3Instanc
                 f"variable {picks.var_ids[t]} is not in equation {block.eq_ids[t]} of the block"
             )
         u_positions.append(3 * t + triple.index(picks.var_ids[t]))
-    hs = []
-    for t in range(r):
-        bits = (0b111 << (3 * t)) | (block.rhs[t] << (3 * r))
-        hs.append(Gf2Vector(width, bits))
-    sub = Gf2Subspace.span(hs)
+    hs = tuple((0b111 << (3 * t)) | (block.rhs[t] << (3 * r)) for t in range(r))
+    sub = Gf2Subspace.span(hs, width)
     if sub.dim != r:
         raise AssertionError("h vectors are dependent despite distinct variables")
-    return BlockGeometry(r, tuple(hs), sub, Gf2Vector.unit(width, 3 * r), tuple(u_positions))
+    return BlockGeometry(r, hs, sub, 1 << (3 * r), tuple(u_positions))
 
 
 def verifier_accepts(block: EquationBlock, picks: VariableBlock,
@@ -727,20 +729,24 @@ class Dto1Game:
             raise ValueError(f"exact-d games need m = d*k, got m={self.m}, d={self.d}, k={self.k}")
         u_deg = [0] * self.n_u
         v_deg = [0] * self.n_v
+        d_to_1 = [t for t in range(self.k) for _ in range(self.d)]  # a d-to-1 projection, sorted
         for v, u, proj in self.constraints:
-            if len(proj) != self.m:
-                raise ValueError("projection table has wrong length")
-            counts = [0] * self.k
-            for t in proj:
-                counts[t] += 1
-            if any(c != self.d for c in counts):
-                raise ValueError(f"projection of constraint ({v},{u}) is not exactly d-to-1")
+            if not (type(v) is type(u) is int and 0 <= v < self.n_v and 0 <= u < self.n_u):
+                raise ValueError(f"constraint ({v!r}, {u!r}) is not a pair of variables (v, u)")
+            if any(type(t) is not int for t in proj) or sorted(proj) != d_to_1:
+                raise ValueError(f"projection of constraint ({v},{u}) "
+                                 f"is not exactly d-to-1 onto [0, {self.k})")
             u_deg[u] += 1
             v_deg[v] += 1
         if len(set(u_deg)) > 1 or len(set(v_deg)) > 1:
             raise ValueError("game is not bi-regular")
         if self.planted is not None:
             u_labels, v_labels = self.planted
+            if [len(u_labels), len(v_labels)] != [self.n_u, self.n_v] or not all(
+                    type(t) is int and 0 <= t < size
+                    for labels, size in ((u_labels, self.k), (v_labels, self.m)) for t in labels):
+                raise ValueError(f"planted labels are not one label in [0, {self.k}) per U variable "
+                                 f"and one in [0, {self.m}) per V variable")
             for v, u, proj in self.constraints:
                 if proj[v_labels[v]] != u_labels[u]:
                     raise ValueError("planted labeling does not satisfy the game")
@@ -757,11 +763,16 @@ class Dto1Game:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Dto1Game":
+        """The game of a to_json_dict object; ValueError names a mistyped field."""
+        sizes = [typed_field(d, key, int) for key in ("d", "k", "m", "u_count", "v_count")]
+        constraints = typed_field(d, "constraints", LIST)
+        if not all(isinstance(c, LIST) and len(c) == 3 and isinstance(c[2], LIST) for c in constraints):
+            raise ValueError("field 'constraints' is not a list of [v, u, projection] lists")
         planted = None
         if d.get("planted"):
-            planted = (tuple(d["planted"]["u_labels"]), tuple(d["planted"]["v_labels"]))
-        return cls(d["d"], d["k"], d["m"], d["u_count"], d["v_count"],
-                   tuple((v, u, tuple(p)) for v, u, p in d["constraints"]), planted)
+            labels = typed_field(d, "planted")
+            planted = tuple(tuple(typed_field(labels, key, LIST)) for key in ("u_labels", "v_labels"))
+        return cls(*sizes, tuple((v, u, tuple(p)) for v, u, p in constraints), planted)
 
 
 def _random_dto1_projection(k: int, d: int, rng: random.Random,

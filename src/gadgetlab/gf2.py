@@ -24,65 +24,6 @@ def _lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-@dataclass(frozen=True)
-class Gf2Vector:
-    """A vector in F2^m, packed into a machine integer."""
-
-    width: int
-    bits: int
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.width <= MAX_VECTOR_WIDTH:
-            raise ValueError(f"width must be in [1, {MAX_VECTOR_WIDTH}], got {self.width}")
-        if self.bits >> self.width:
-            raise ValueError("bits above position width-1 must be zero")
-
-    @classmethod
-    def zero(cls, width: int) -> "Gf2Vector":
-        return cls(width, 0)
-
-    @classmethod
-    def unit(cls, width: int, i: int) -> "Gf2Vector":
-        """Standard basis vector e_i (0-based coordinate)."""
-        if not 0 <= i < width:
-            raise ValueError(f"coordinate {i} out of range for width {width}")
-        return cls(width, 1 << i)
-
-    @classmethod
-    def from_coords(cls, coords) -> "Gf2Vector":
-        coords = list(coords)
-        bits = 0
-        for i, c in enumerate(coords):
-            if c not in (0, 1):
-                raise ValueError(f"coordinate {i} is {c}, expected 0 or 1")
-            bits |= c << i
-        return cls(len(coords), bits)
-
-    @property
-    def coords(self) -> tuple[int, ...]:
-        return tuple((self.bits >> i) & 1 for i in range(self.width))
-
-    def __xor__(self, other: "Gf2Vector") -> "Gf2Vector":
-        if self.width != other.width:
-            raise ValueError(f"width mismatch: {self.width} != {other.width}")
-        return Gf2Vector(self.width, self.bits ^ other.bits)
-
-    __add__ = __xor__
-
-    def dot(self, other: "Gf2Vector") -> int:
-        """Parity of the coordinatewise product of two equal-width vectors."""
-        if self.width != other.width:
-            raise ValueError(f"width mismatch: {self.width} != {other.width}")
-        return (self.bits & other.bits).bit_count() & 1
-
-    def to_bitstring(self) -> str:
-        """Big-endian rendering of the packed integer, zero-padded to width."""
-        return format(self.bits, f"0{self.width}b")
-
-    def __str__(self) -> str:
-        return self.to_bitstring()
-
-
 def dot_bits(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
 
@@ -117,70 +58,50 @@ class Gf2Subspace:
     """A subspace of F2^m held as a reduced basis with ascending pivots."""
 
     ambient_width: int
-    basis: tuple[Gf2Vector, ...]
+    basis: tuple[int, ...]
     pivots: tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.ambient_width <= MAX_VECTOR_WIDTH:
             raise ValueError("empty or oversized ambient width")
-        pivots = tuple(_lowest_bit(b.bits) for b in self.basis)
+        pivots = tuple(_lowest_bit(b) for b in self.basis)
         object.__setattr__(self, "pivots", pivots)
         if len(set(pivots)) != len(pivots):
             raise ValueError("basis is not in reduced form")
 
     @classmethod
-    def span(cls, vectors, width: int | None = None) -> "Gf2Subspace":
+    def span(cls, vectors, width: int) -> "Gf2Subspace":
         vectors = list(vectors)
-        if width is None:
-            if not vectors:
-                raise ValueError("ambient width required for an empty generating set")
-            width = vectors[0].width
         for v in vectors:
-            if v.width != width:
-                raise ValueError(f"width mismatch: {v.width} != {width}")
-        basis = tuple(Gf2Vector(width, b) for b in _rref([v.bits for v in vectors]))
-        return cls(width, basis)
+            if not isinstance(v, int) or not 0 <= v < 1 << width:
+                raise ValueError(f"generator {v!r} is not a vector of F2^{width}")
+        return cls(width, tuple(_rref(vectors)))
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def reduce_bits(self, x: int) -> int:
-        """Canonical (lexicographic-minimum) representative of x's coset."""
+    def reduce_bits(self, x):
+        """Canonical (lexicographic-minimum) representative of x's coset, for
+        one int or elementwise over an integer array."""
         for p, b in zip(self.pivots, self.basis):
-            if (x >> p) & 1:
-                x ^= b.bits
+            x = x ^ ((x >> p) & 1) * b
         return x
 
-    def reduce(self, v: Gf2Vector) -> Gf2Vector:
-        if v.width != self.ambient_width:
-            raise ValueError(f"width mismatch: {v.width} != {self.ambient_width}")
-        return Gf2Vector(self.ambient_width, self.reduce_bits(v.bits))
-
-    def contains(self, v: Gf2Vector) -> bool:
-        return self.reduce(v).bits == 0
-
-    def coset_reps(self) -> list[Gf2Vector]:
-        """All canonical representatives, one per coset."""
-        free = [i for i in range(self.ambient_width) if i not in self.pivots]
-        reps = []
-        for counter in range(1 << len(free)):
-            bits = 0
-            for t, pos in enumerate(free):
-                if (counter >> t) & 1:
-                    bits |= 1 << pos
-            reps.append(Gf2Vector(self.ambient_width, bits))
+    def coset_reps(self) -> list[int]:
+        """All canonical representatives, one per coset, in increasing order:
+        the vectors that are zero at every pivot."""
+        reps = [0]
+        for pos in range(self.ambient_width):
+            if pos not in self.pivots:
+                reps += [x | 1 << pos for x in reps]
         return reps
 
-    def elements(self) -> list[Gf2Vector]:
+    def elements(self) -> list[int]:
         """All 2^dim members of the subspace."""
-        out = []
-        for counter in range(1 << self.dim):
-            bits = 0
-            for t, b in enumerate(self.basis):
-                if (counter >> t) & 1:
-                    bits ^= b.bits
-            out.append(Gf2Vector(self.ambient_width, bits))
+        out = [0]
+        for b in self.basis:
+            out += [x ^ b for x in out]
         return out
 
 
@@ -233,8 +154,7 @@ class FourierSpectrum:
 
 
 def _fwht(vec: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard butterfly, O(m 2^m), on one working copy
-    (also the +-1-cube transform when bit j set means coordinate j is -1)."""
+    """Unnormalized Walsh-Hadamard butterfly, O(m 2^m), on one working copy."""
     out = np.array(vec, dtype=np.float64)
     h = 1
     while h < out.size:
@@ -256,9 +176,15 @@ def popcounts(n_bits: int) -> np.ndarray:
     return out
 
 
+def walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """The average of values[x] * (-1)^(alpha . x) over x, for every alpha
+    (also the +-1-cube transform when bit j set means coordinate j is -1)."""
+    out = _fwht(values)
+    return out / out.size
+
+
 def fourier_transform(table: RealTable) -> FourierSpectrum:
-    coeffs = _fwht(table.values) / table.values.size
-    spectrum = FourierSpectrum(table.width, coeffs)
+    spectrum = FourierSpectrum(table.width, walsh_hadamard(table.values))
     power = float(np.mean(table.values**2))
     mass = float(np.sum(spectrum.coeffs**2))
     if abs(power - mass) > PARSEVAL_TOL * max(1.0, power):
@@ -278,7 +204,7 @@ class FoldedTable:
     values: dict[int, float]
 
     def __post_init__(self) -> None:
-        reps = {r.bits for r in self.subspace.coset_reps()}
+        reps = set(self.subspace.coset_reps())
         if set(self.values) != reps:
             missing = sorted(reps - set(self.values))[:3]
             extra = sorted(set(self.values) - reps)[:3]

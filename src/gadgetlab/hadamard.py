@@ -9,7 +9,7 @@ inequality they certify.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
@@ -29,16 +29,15 @@ class GadgetBlock:
     block: EquationBlock
     geometry: BlockGeometry
     vertex_base: int
-    reps: tuple[int, ...]
-    rep_pos: dict[int, int] = field(compare=False, default_factory=dict)
-
-    def vertex_id(self, x_bits: int) -> int:
-        return self.vertex_base + self.rep_pos[self.geometry.subspace.reduce_bits(x_bits)]
+    reps: tuple[int, ...]  # the subspace's coset_reps, in increasing order
 
     @cached_property
     def vertex_ids(self) -> np.ndarray:
-        """vertex_id of every point, indexed by the point's bits."""
-        return np.array([self.vertex_id(x) for x in range(1 << self.geometry.subspace.ambient_width)])
+        """The vertex of every point, indexed by the point's bits: vertex_base
+        plus the place of the point's coset representative in reps."""
+        sub = self.geometry.subspace
+        points = np.arange(1 << sub.ambient_width)
+        return self.vertex_base + np.searchsorted(self.reps, sub.reduce_bits(points))
 
 
 @dataclass(frozen=True)
@@ -61,13 +60,10 @@ class HadamardGadget:
     source: Lin3Instance
     r: int
     blocks: list[GadgetBlock]
+    vertex_count: int
     triples: list[Triple]
     edges_per_triple: list[np.ndarray]  # per triple, unique_rows of its hyperedges
     dropped_degenerate: int
-
-    @property
-    def vertex_count(self) -> int:
-        return sum(len(b.reps) for b in self.blocks)
 
     def all_edges(self) -> np.ndarray:
         return unique_rows(np.concatenate(self.edges_per_triple))
@@ -92,7 +88,7 @@ def _raw_edges(blocks: list[GadgetBlock], r: int, triples: list[Triple]) -> np.n
     w = np.stack([blocks[t.w_index].vertex_ids for t in triples])[:, None]
     wp = np.stack([blocks[t.wp_index].vertex_ids for t in triples])[:, None]
     zs = range(1, 1 << r)
-    shift_w = np.array([[t.geom_w.lift_bits(z) ^ t.geom_w.h_w.bits for z in zs] for t in triples])
+    shift_w = np.array([[t.geom_w.lift_bits(z) ^ t.geom_w.h_w for z in zs] for t in triples])
     shift_wp = np.array([[t.geom_wp.lift_bits(z) for z in zs] for t in triples])
     points, each = np.arange(w.shape[-1]), np.arange(len(triples))[:, None, None]
     xs = np.stack(np.broadcast_arrays(w, w[each, 0, points ^ shift_w[..., None]]), axis=-1)
@@ -125,6 +121,7 @@ def build(inst: Lin3Instance, r: int, triples: int = 2, seed: int = 0,
 
     blocks: list[GadgetBlock] = []
     block_index: dict[tuple[int, ...], int] = {}
+    vertices = 0
     geometries: dict = {}  # (eq_ids, var_ids) -> the block_geometry of W and U's picks
 
     def geometry(block: EquationBlock, picks: VariableBlock) -> BlockGeometry:
@@ -134,17 +131,14 @@ def build(inst: Lin3Instance, r: int, triples: int = 2, seed: int = 0,
         return geometries[key]
 
     def register(block: EquationBlock, picks: VariableBlock) -> int:
-        key = block.eq_ids
-        if key in block_index:
-            return block_index[key]
-        geom = geometry(block, picks)
-        base = sum(len(b.reps) for b in blocks)
-        reps = tuple(v.bits for v in geom.subspace.coset_reps())
-        gb = GadgetBlock(len(blocks), block, geom, base, reps,
-                         {rep: t for t, rep in enumerate(reps)})
-        blocks.append(gb)
-        block_index[key] = gb.index
-        return gb.index
+        nonlocal vertices
+        if block.eq_ids not in block_index:
+            geom = geometry(block, picks)
+            reps = tuple(geom.subspace.coset_reps())
+            block_index[block.eq_ids] = len(blocks)
+            blocks.append(GadgetBlock(len(blocks), block, geom, vertices, reps))
+            vertices += len(reps)
+        return block_index[block.eq_ids]
 
     # one budget of draws for all triples; a draw is one W and, if W is repeat-free, one W'
     triple_list: list[Triple] = []
@@ -159,15 +153,13 @@ def build(inst: Lin3Instance, r: int, triples: int = 2, seed: int = 0,
             if not repeat_free(inst, wp_ids) or (distinct_blocks and wp_ids == w_block.eq_ids):
                 continue
             wp_block = EquationBlock.from_instance(inst, wp_ids)
-            wp_picks = VariableBlock(r, picks.var_ids)
-            triple_list.append(Triple(picks, register(w_block, picks), register(wp_block, wp_picks),
-                                      geometry(w_block, picks), geometry(wp_block, wp_picks)))
+            triple_list.append(Triple(picks, register(w_block, picks), register(wp_block, picks),
+                                      geometry(w_block, picks), geometry(wp_block, picks)))
             break
         else:
             raise RejectionBudgetError(f"could not sample a consistent W' in {budget} attempts")
 
     # triple t's ids shifted by t * V: t leads unique_rows' key, so one call dedupes each apart
-    vertices = sum(len(b.reps) for b in blocks)
     raw = _raw_edges(blocks, r, triple_list) + (np.arange(len(triple_list)) * vertices)[:, None, None]
     rows = raw.reshape(-1, 4)
     kept = rows[(rows[:, 0] < rows[:, 1]) & (rows[:, 1] < rows[:, 2]) & (rows[:, 2] < rows[:, 3])]
@@ -176,7 +168,7 @@ def build(inst: Lin3Instance, r: int, triples: int = 2, seed: int = 0,
     edges = edges - (triple * vertices)[:, None]
     edges.flags.writeable = False
     per_triple = np.split(edges, np.cumsum(np.bincount(triple, minlength=len(triple_list)))[:-1])
-    return HadamardGadget(inst, r, blocks, triple_list, per_triple, len(rows) - len(kept))
+    return HadamardGadget(inst, r, blocks, vertices, triple_list, per_triple, len(rows) - len(kept))
 
 
 @dataclass
@@ -209,7 +201,7 @@ def yes_coloring(g: HadamardGadget, sigma) -> YesColoringResult:
         code = 1 << (3 * g.r)
         for pos, var in enumerate(gb.block.var_order):
             code |= sigma[var] << pos
-        if any(gf2.dot_bits(code, h.bits) for h in gb.geometry.h):  # an equation fails
+        if any(gf2.dot_bits(code, h) for h in gb.geometry.h):  # an equation fails
             removed[span] = True
         else:
             colors[span] = [gf2.dot_bits(code, rep) for rep in gb.reps]
@@ -266,7 +258,7 @@ def extract_strategies(g: HadamardGadget, indicator, triple_index: int) -> Strat
     table_b = _indicator_table(g.blocks[triple.wp_index], members)
     spec_a = gf2.fourier_transform(table_a)
     spec_b = gf2.fourier_transform(table_b)
-    hw = triple.geom_w.h_w.bits
+    hw = triple.geom_w.h_w
 
     support2 = {
         a: float(spec_a.coeffs[a] ** 2)
@@ -301,7 +293,7 @@ def z_average_identity(spec_a: gf2.FourierSpectrum, spec_b: gf2.FourierSpectrum,
     """
     table_a = gf2.inverse_fourier_transform(spec_a)
     table_b = gf2.inverse_fourier_transform(spec_b)
-    hw = geom_w.h_w.bits
+    hw = geom_w.h_w
     r = geom_w.r
     spectral = 0.0
     by_proj: dict[int, float] = {}

@@ -14,7 +14,7 @@ import numpy as np
 
 from gadgetlab import boolfn, dto1, games, gf2, hadamard, longcode, ternary, verify
 from gadgetlab.boolfn import CoordSpace, ProductFn
-from gadgetlab.gf2 import Gf2Subspace, Gf2Vector
+from gadgetlab.gf2 import Gf2Subspace
 
 
 def _verdict(criterion: str, failures: list) -> None:
@@ -29,14 +29,13 @@ def test_criterion_01_folding_lemma():
     for trial in range(200):
         m = rng.randrange(2, 13)
         dim_cap = max(1, m // 2)
-        sub = Gf2Subspace.span(
-            [Gf2Vector(m, rng.randrange(1, 1 << m)) for _ in range(dim_cap)], width=m)
-        folded = {r.bits: rng.uniform(-1, 1) for r in sub.coset_reps()}
+        sub = Gf2Subspace.span([rng.randrange(1, 1 << m) for _ in range(dim_cap)], m)
+        folded = {r: rng.uniform(-1, 1) for r in sub.coset_reps()}
         table = gf2.unfold(gf2.FoldedTable(sub, folded))
         spec = gf2.fourier_transform(table)
         for alpha in spec.support(tol=1e-12):
             for b in sub.basis:
-                if gf2.dot_bits(alpha, b.bits) != 0:
+                if gf2.dot_bits(alpha, b) != 0:
                     failures.append((trial, m, alpha))
     _verdict("criterion 1 (folding lemma, 200 random folded tables)", failures)
 

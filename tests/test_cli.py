@@ -823,6 +823,183 @@ class TestExitCodes:
         assert seen == [3]
 
 
+def decode_pcp_and_indicators(tmp_path):
+    """The seed-1 smooth PCP of a 3 x 3 game (label sizes 8 and 4 on 1 + 9
+    variables) and noisy dictator indicators of its planted labeling."""
+    game, pcp_path = tmp_path / "game.json", tmp_path / "pcp.json"
+    assert run("gen-game", "--u", 3, "--v", 3, "--k", 1, "--d", 2, "--seed", 1, "--out", game) == 0
+    assert run("build-mlpcp", "--game", game, "--layers", 2, "--smooth-t", 1, "--out", pcp_path) == 0
+    pcp = json.loads(pcp_path.read_text())["pcp"]
+    assert (pcp["label_sizes"], pcp["var_counts"]) == ([8, 4], [1, 9])
+    rng = np.random.default_rng(1)
+    indicators = {}
+    for layer, size in enumerate(pcp["label_sizes"]):
+        for var, label in enumerate(pcp["planted_labeling"][layer]):
+            dictator = (np.arange(1 << size) >> label) & 1
+            indicators[f"{layer},{var}"] = (0.7 * dictator + 0.3 * rng.random(1 << size)).tolist()
+    return pcp_path, indicators
+
+
+def renamed(d: dict, old: str, new: str) -> dict:
+    return {(new if k == old else k): v for k, v in d.items()}
+
+
+class TestFileReaders:
+    """A malformed input file is exit 1 with one line naming the file and the field."""
+
+    def run_error(self, capsys, *argv) -> str:
+        capsys.readouterr()
+        assert run(*argv) == 1
+        return capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda ind: {"indicators": renamed(ind, "0,0", "0")},
+         "field '0' names no PCP variable 'layer,var'"),
+        (lambda ind: {"indicators": {**ind, "5,0": ind["0,0"]}},
+         "field '5,0' names no PCP variable 'layer,var'"),
+        (lambda ind: {"indicators": renamed(ind, "1,0", "1,9")},
+         "field '1,9' names no PCP variable 'layer,var'"),
+        (lambda ind: {"indicators": renamed(ind, "1,0", "01,0")},
+         "field '01,0' names no PCP variable 'layer,var'"),
+        (lambda ind: {"indicators": [1, 2]}, "field 'indicators' is not an object: [1, 2]"),
+        (lambda ind: {"values": ind}, "missing field 'indicators'"),
+        (lambda ind: {"indicators": {k: v * 2 if k.startswith("1,") else v for k, v in ind.items()}},
+         "field '1,0' is not a list of 16 numbers"),
+        (lambda ind: {"indicators": {**ind, "1,4": [0.1, 0.2, 0.3]}},
+         "field '1,4' is not a list of 16 numbers"),
+        (lambda ind: {"indicators": {**ind, "0,0": ind["0,0"][:-1] + [True]}},
+         "field '0,0' is not a list of 256 numbers"),
+        (lambda ind: {"indicators": {**ind, "1,2": ["0.5"] * 16}},
+         "field '1,2' is not a list of 16 numbers"),
+        (lambda ind: {"indicators": {**ind, "1,2": 0.5}}, "field '1,2' is not a list: 0.5"),
+    ])
+    def test_dto1_indicators(self, tmp_path, capsys, change, message):
+        pcp, indicators = decode_pcp_and_indicators(tmp_path)
+        ind = tmp_path / "ind.json"
+        decode = ("decode", "--kind", "dto1", "--gadget", pcp, "--indicator", ind, "--delta", "0.25",
+                  "--gamma", "0.05", "--seed", 1)
+        ind.write_text(json.dumps({"indicators": indicators}))
+        assert run(*decode) == 0
+        ind.write_text(json.dumps(change(indicators)))
+        assert self.run_error(capsys, *decode) == f"error: {ind}: {message}\n"
+
+    def test_dto1_nan_indicator(self, tmp_path, capsys):
+        pcp, indicators = decode_pcp_and_indicators(tmp_path)
+        indicators["1,3"][0] = float("nan")
+        ind = tmp_path / "ind.json"
+        ind.write_text(json.dumps({"indicators": indicators}))
+        assert self.run_error(capsys, "decode", "--kind", "dto1", "--gadget", pcp, "--indicator", ind,
+                              "--delta", "0.25") == "error: indicator (1, 3) is not [0, 1]-valued\n"
+
+    @pytest.mark.parametrize("vertices, message", [
+        (5, "field 'vertices' is not a list: 5"),
+        (["a"], "field 'vertices' is not a list of integers"),
+        ([0.5, 1, 2], "field 'vertices' is not a list of integers"),
+        ([True, 1, 2], "field 'vertices' is not a list of integers"),
+    ])
+    def test_longcode_vertices(self, tmp_path, capsys, vertices, message):
+        lc, ind = longcode_bundle(tmp_path)
+        ind.write_text(json.dumps({"vertices": vertices}))
+        assert self.run_error(capsys, "decode", "--kind", "longcode", "--gadget", lc,
+                              "--indicator", ind, "--delta", "0.2") == f"error: {ind}: {message}\n"
+
+    @pytest.mark.parametrize("flags", [
+        ("analyze", "--spectra", "{f}"),
+        ("report", "{f}", "--out", "{out}"),
+        ("build-mlpcp", "--game", "{f}", "--layers", 2, "--out", "{out}"),
+        ("build-hadamard", "--instance", "{f}", "--out", "{out}"),
+        ("build-dto1", "--pcp", "{f}", "--delta", "0.25", "--out", "{out}"),
+        ("verify", "--input", "{f}", "--mode", "two-color"),
+    ])
+    @pytest.mark.parametrize("top", [[1], [1, 2], 5, None, "text"])
+    def test_top_level_is_not_an_object(self, tmp_path, capsys, flags, top):
+        f, out = tmp_path / "top.json", tmp_path / "out.json"
+        f.write_text(json.dumps(top))
+        argv = [str(a).format(f=f, out=out) for a in flags]
+        assert self.run_error(capsys, *argv) == f"error: {f}: the file holds no JSON object\n"
+        assert not out.exists()
+
+    def test_decode_files_are_objects(self, tmp_path, capsys):
+        lc, ind = longcode_bundle(tmp_path)
+        top = tmp_path / "top.json"
+        top.write_text("[1]")
+        for gadget, indicator in ((top, ind), (lc, top)):
+            assert self.run_error(capsys, "decode", "--kind", "longcode", "--gadget", gadget,
+                                  "--indicator", indicator, "--delta", "0.2") == (
+                f"error: {top}: the file holds no JSON object\n")
+
+    @pytest.mark.parametrize("instance, message", [
+        ({"n": 9, "equations": 5}, "field 'equations' is not a list: 5"),
+        ({"n": "9", "equations": []}, "field 'n' is not an integer: '9'"),
+        ({"n": 9, "equations": [5]}, "equation 5 is not four integers i, j, k, b"),
+        ({"n": 9, "equations": [[0, 1, "2", 0]]}, "equation (0, 1, '2', 0) is not four integers i, j, k, b"),
+        ({"n": 9, "equations": [[0, 1, 2]]}, "equation (0, 1, 2) is not four integers i, j, k, b"),
+        ({"n": 9, "equations": [[0, 1, 2, True]]},
+         "equation (0, 1, 2, True) is not four integers i, j, k, b"),
+        ({"n": 9, "equations": [[0, 1, 9, 0]]}, "equation (0, 1, 9, 0) has a variable out of range [0, 9)"),
+        ({"n": 3, "equations": [[0, 1, 2, 0]], "declared_degree": "1"},
+         "field 'declared_degree' is not an integer: '1'"),
+    ])
+    def test_instance_fields(self, tmp_path, capsys, instance, message):
+        f = tmp_path / "lin.json"
+        f.write_text(json.dumps({"instance": instance}))
+        assert self.run_error(capsys, "build-hadamard", "--instance", f,
+                              "--out", tmp_path / "had.json") == f"error: {f}: {message}\n"
+
+    def test_instance_that_is_no_object(self, tmp_path, capsys):
+        f = tmp_path / "lin.json"
+        f.write_text(json.dumps({"instance": [1]}))
+        assert self.run_error(capsys, "build-hadamard", "--instance", f, "--out", tmp_path / "had.json") == (
+            f"error: {f}: field 'instance' is not an object: [1]\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda g: g.update(d="2"), "field 'd' is not an integer: '2'"),
+        (lambda g: g.update(u_count=True), "field 'u_count' is not an integer: True"),
+        (lambda g: g.update(constraints=5), "field 'constraints' is not a list: 5"),
+        (lambda g: g.update(constraints=[[0, 0]]),
+         "field 'constraints' is not a list of [v, u, projection] lists"),
+        (lambda g: g["constraints"][0].__setitem__(1, 7), "constraint (0, 7) is not a pair of variables (v, u)"),
+        (lambda g: g["constraints"][0].__setitem__(0, -1), "constraint (-1, 0) is not a pair of variables (v, u)"),
+        (lambda g: g["constraints"][0][2].__setitem__(0, 5),
+         "projection of constraint (0,0) is not exactly d-to-1 onto [0, 1)"),
+        (lambda g: g["constraints"][0][2].__setitem__(0, "0"),
+         "projection of constraint (0,0) is not exactly d-to-1 onto [0, 1)"),
+        (lambda g: g.update(planted=[1]), "field 'planted' is not an object: [1]"),
+        (lambda g: g["planted"].update(u_labels=5), "field 'u_labels' is not a list: 5"),
+        (lambda g: g["planted"].update(v_labels=[0]),
+         "planted labels are not one label in [0, 1) per U variable and one in [0, 2) per V variable"),
+        (lambda g: g["planted"].update(u_labels=[0, 3, 0]),
+         "planted labels are not one label in [0, 1) per U variable and one in [0, 2) per V variable"),
+    ])
+    def test_game_fields(self, tmp_path, capsys, edit, message):
+        f = tmp_path / "game.json"
+        assert run("gen-game", "--u", 3, "--v", 3, "--k", 1, "--d", 2, "--seed", 1, "--out", f) == 0
+        payload = json.loads(f.read_text())
+        edit(payload["game"])
+        f.write_text(json.dumps(payload))
+        assert self.run_error(capsys, "build-mlpcp", "--game", f, "--layers", 2,
+                              "--out", tmp_path / "pcp.json") == f"error: {f}: {message}\n"
+
+    @pytest.mark.parametrize("values, message", [
+        ([], "field 'values' does not hold 2**m numbers"),
+        ([1, 2, 3], "field 'values' does not hold 2**m numbers"),
+        ([1, "2"], "field 'values' is not a list of numbers"),
+        ([True, 0], "field 'values' is not a list of numbers"),
+        ("1, 2", "field 'values' is not a list: '1, 2'"),
+    ])
+    def test_spectra_values(self, tmp_path, capsys, values, message):
+        f = tmp_path / "table.json"
+        f.write_text(json.dumps({"values": values}))
+        assert self.run_error(capsys, "analyze", "--spectra", f) == f"error: {f}: {message}\n"
+
+    def test_spectra_of_a_table(self, tmp_path, capsys):
+        f = tmp_path / "table.json"
+        f.write_text(json.dumps({"values": [1, 0, 0.5, 0]}))
+        assert run("analyze", "--spectra", f) == 0
+        csv = json.loads(capsys.readouterr().out)["spectrum_csv"]
+        assert csv.splitlines()[:2] == ["alpha,coeff", "00,0.375"]
+
+
 class TestSharedParser:
     """main parses with one parser per process, but reads GADGETLAB_OUT per call."""
 

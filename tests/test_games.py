@@ -76,20 +76,20 @@ class TestBlockGeometry:
         inst = Lin3Instance(3, ((0, 1, 2, 1),))
         block = EquationBlock.from_instance(inst, (0,))
         geom = games.block_geometry(block, VariableBlock(1, (0,)), inst)
-        assert geom.h[0].coords == (1, 1, 1, 1)
+        assert geom.h[0] == 0b1111
 
     def test_r1_homogeneous(self):
         inst = Lin3Instance(3, ((0, 1, 2, 0),))
         block = EquationBlock.from_instance(inst, (0,))
         geom = games.block_geometry(block, VariableBlock(1, (1,)), inst)
-        assert geom.h[0].coords == (1, 1, 1, 0)
+        assert geom.h[0] == 0b0111
 
     def test_h_w_is_extra_coordinate(self):
         inst, _ = games.gen_3lin(12, 12, 5)
         for r in (1, 2, 3):
             block, picks = games.sample_round(inst, r, r)
             geom = games.block_geometry(block, picks, inst)
-            assert geom.h_w.bits == 1 << (3 * r)
+            assert geom.h_w == 1 << (3 * r)
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_h_independent_dim_r(self, r):

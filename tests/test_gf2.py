@@ -3,9 +3,11 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gadgetlab import dto1, gf2
-from gadgetlab.gf2 import Gf2Vector, Gf2Subspace
+from gadgetlab.gf2 import Gf2Subspace
 
 
 def naive_spectrum(table: gf2.RealTable) -> np.ndarray:
@@ -36,32 +38,32 @@ def copying_fwht(vec: np.ndarray) -> np.ndarray:
 
 
 def random_subspace(m: int, max_dim: int, rng: random.Random) -> Gf2Subspace:
-    gens = [Gf2Vector(m, rng.randrange(1, 1 << m)) for _ in range(max_dim)]
-    return Gf2Subspace.span(gens, width=m)
+    return Gf2Subspace.span([rng.randrange(1, 1 << m) for _ in range(max_dim)], m)
+
+
+def lex_min_rep(sub: Gf2Subspace, x: int) -> int:
+    """Reference: the member of x's coset whose coordinate tuple, coordinate
+    0 first, is least."""
+    return min((x ^ h for h in sub.elements()),
+               key=lambda y: [(y >> i) & 1 for i in range(sub.ambient_width)])
 
 
 def random_folded_table(sub: Gf2Subspace, rng: random.Random) -> gf2.RealTable:
-    folded = {r.bits: rng.uniform(-1, 1) for r in sub.coset_reps()}
+    folded = {r: rng.uniform(-1, 1) for r in sub.coset_reps()}
     return gf2.unfold(gf2.FoldedTable(sub, folded))
 
 
 class TestDot:
     def test_zero_vector(self):
-        x = Gf2Vector.from_coords([1, 0, 1, 1])
-        assert Gf2Vector.zero(4).dot(x) == 0
+        assert gf2.dot_bits(0, 0b1101) == 0
 
     def test_standard_basis_reads_coordinate(self):
-        x = Gf2Vector.from_coords([1, 0, 1])
+        x = 0b101
         for i in range(3):
-            assert Gf2Vector.unit(3, i).dot(x) == x.coords[i]
+            assert gf2.dot_bits(1 << i, x) == (x >> i) & 1
 
     def test_all_ones(self):
-        v = Gf2Vector.from_coords([1, 1, 1])
-        assert v.dot(v) == 1
-
-    def test_width_mismatch(self):
-        with pytest.raises(ValueError, match="width mismatch"):
-            Gf2Vector.zero(3).dot(Gf2Vector.zero(4))
+        assert gf2.dot_bits(0b111, 0b111) == 1
 
 
 class TestFourier:
@@ -141,22 +143,22 @@ class TestCharacters:
 
 class TestSpan:
     def test_single_vector(self):
-        sub = Gf2Subspace.span([Gf2Vector.from_coords([1, 0])])
+        sub = Gf2Subspace.span([0b01], 2)
         assert sub.dim == 1
-        assert len(sub.coset_reps()) == 2
+        assert sub.coset_reps() == [0b00, 0b10]
 
     def test_empty_input(self):
-        sub = Gf2Subspace.span([], width=3)
+        sub = Gf2Subspace.span([], 3)
         assert sub.dim == 0
-        assert len(sub.coset_reps()) == 8
+        assert sub.coset_reps() == list(range(8))
 
     def test_duplicates_collapse(self):
-        v = Gf2Vector.from_coords([1, 1])
-        assert Gf2Subspace.span([v, v]).dim == 1
+        assert Gf2Subspace.span([0b11, 0b11], 2).dim == 1
 
-    def test_empty_without_width_rejected(self):
-        with pytest.raises(ValueError):
-            Gf2Subspace.span([])
+    @pytest.mark.parametrize("generator", [-1, 8, 2**40, 1.0, "1"])
+    def test_generator_outside_width_rejected(self, generator):
+        with pytest.raises(ValueError, match=f"^generator {generator!r} is not a vector of F2\\^3$"):
+            Gf2Subspace.span([1, generator], 3)
 
     @pytest.mark.parametrize("m,dim", [(4, 2), (8, 3), (12, 5)])
     def test_coset_reps_partition_exhaustively(self, m, dim):
@@ -169,44 +171,58 @@ class TestSpan:
             rep = sub.reduce_bits(x)
             assert rep == sub.reduce_bits(rep)
             seen.add(rep)
-        assert seen == {r.bits for r in reps}
+        assert seen == set(reps) and reps == sorted(reps)
 
     def test_canonical_rep_is_lex_minimum(self):
         rng = random.Random(5)
         sub = random_subspace(6, 3, rng)
+        assert len(set(sub.elements())) == 1 << sub.dim
         for x in range(64):
-            rep = sub.reduce(Gf2Vector(6, x))
-            coset = [Gf2Vector(6, x ^ h.bits) for h in sub.elements()]
-            assert rep.coords == min(c.coords for c in coset)
+            assert sub.reduce_bits(x) == lex_min_rep(sub, x)
+
+
+@settings(max_examples=200)
+@given(data=st.data(), m=st.integers(1, 12))
+def test_array_reduce_equals_scalar_reduce_and_lex_minimum(data, m):
+    gens = data.draw(st.lists(st.integers(0, (1 << m) - 1), max_size=m))
+    sub = Gf2Subspace.span(gens, m)
+    points = np.arange(1 << m)
+    reduced = sub.reduce_bits(points)
+    assert np.array_equal(points, np.arange(1 << m))  # the input is not reduced in place
+    assert reduced.dtype == points.dtype
+    assert reduced.tolist() == [sub.reduce_bits(x) for x in range(1 << m)]
+    for x in data.draw(st.lists(st.integers(0, (1 << m) - 1), max_size=8)):
+        assert reduced[x] == lex_min_rep(sub, x)
+    assert np.unique(reduced).tolist() == sub.coset_reps()
 
 
 class TestFolding:
     def test_trivial_subspace_unfold_is_identity(self):
-        sub = Gf2Subspace.span([], width=3)
-        vals = {r.bits: float(r.bits) for r in sub.coset_reps()}
+        sub = Gf2Subspace.span([], 3)
+        vals = {r: float(r) for r in sub.coset_reps()}
         table = gf2.unfold(gf2.FoldedTable(sub, vals))
         assert np.array_equal(table.values, np.arange(8, dtype=float))
 
     def test_full_space_unfold_is_constant(self):
-        sub = Gf2Subspace.span([Gf2Vector(2, 1), Gf2Vector(2, 2)])
+        sub = Gf2Subspace.span([1, 2], 2)
         table = gf2.unfold(gf2.FoldedTable(sub, {0: 4.25}))
         assert np.all(table.values == 4.25)
 
     def test_fold_unfold_identity(self):
         rng = random.Random(9)
         sub = random_subspace(6, 2, rng)
-        vals = {r.bits: rng.uniform(-1, 1) for r in sub.coset_reps()}
+        vals = {r: rng.uniform(-1, 1) for r in sub.coset_reps()}
         refolded = gf2.fold(gf2.unfold(gf2.FoldedTable(sub, vals)), sub)
         assert refolded.values == vals
 
     def test_inconsistent_table_raises_with_pair(self):
-        sub = Gf2Subspace.span([Gf2Vector.from_coords([1, 1])])
+        sub = Gf2Subspace.span([0b11], 2)
         bad = gf2.RealTable(2, np.array([0.0, 1.0, 2.0, 3.0]))
         with pytest.raises(gf2.FoldConsistencyError, match="within a coset"):
             gf2.fold(bad, sub)
 
     def test_rep_key_mismatch(self):
-        sub = Gf2Subspace.span([Gf2Vector.from_coords([1, 0])])
+        sub = Gf2Subspace.span([0b01], 2)
         with pytest.raises(ValueError, match="rep-key mismatch"):
             gf2.FoldedTable(sub, {1: 0.0, 3: 1.0})
 
@@ -219,7 +235,7 @@ class TestFolding:
             spec = gf2.fourier_transform(table)
             for alpha in spec.support():
                 for b in sub.basis:
-                    assert gf2.dot_bits(alpha, b.bits) == 0
+                    assert gf2.dot_bits(alpha, b) == 0
 
 
 class TestCsv:

@@ -27,6 +27,11 @@ def one_triple(planted):
     return hadamard.build(inst, r=1, triples=1, seed=3, distinct_blocks=True)
 
 
+def vertex_id(gb, x):
+    """Reference: the vertex of point x, found one point at a time."""
+    return gb.vertex_base + gb.reps.index(gb.geometry.subspace.reduce_bits(x))
+
+
 def raw_edges_generator(blocks, r, triple):
     """Reference: the per-choice generator the broadcast rows replaced, kept
     as it was. Yield each raw choice's sorted folded 4-tuple, or None if
@@ -36,18 +41,30 @@ def raw_edges_generator(blocks, r, triple):
     m = 3 * r + 1
     lift_w = [triple.geom_w.lift_bits(z) for z in range(1 << r)]
     lift_wp = [triple.geom_wp.lift_bits(z) for z in range(1 << r)]
-    hw = triple.geom_w.h_w.bits
+    hw = triple.geom_w.h_w
     for z in range(1, 1 << r):
         shift_w = lift_w[z] ^ hw
         shift_wp = lift_wp[z]
         for x in range(1 << m):
-            v1 = bw.vertex_id(x)
-            v2 = bw.vertex_id(x ^ shift_w)
+            v1 = vertex_id(bw, x)
+            v2 = vertex_id(bw, x ^ shift_w)
             for y in range(1 << m):
-                v3 = bwp.vertex_id(y)
-                v4 = bwp.vertex_id(y ^ shift_wp)
+                v3 = vertex_id(bwp, y)
+                v4 = vertex_id(bwp, y ^ shift_wp)
                 ids = (v1, v2, v3, v4)
                 yield tuple(sorted(ids)) if len(set(ids)) == 4 else None
+
+
+@settings(max_examples=40)
+@given(r=st.sampled_from([1, 2]), seed=st.integers(0, 10**6))
+def test_vertex_ids_match_the_per_point_lookup(r, seed):
+    inst, _ = games.gen_3lin(12, 14, seed % 97)
+    g = hadamard.build(inst, r, triples=3, seed=seed)
+    assert g.vertex_count == sum(len(gb.reps) for gb in g.blocks)
+    for gb in g.blocks:
+        assert gb.reps == tuple(sorted(gb.reps))
+        assert gb.vertex_ids.dtype == np.int64
+        assert gb.vertex_ids.tolist() == [vertex_id(gb, x) for x in range(1 << (3 * r + 1))]
 
 
 @pytest.mark.parametrize("r, triples, seeds", [(1, 6, range(6)), (2, 2, range(2))])
@@ -77,7 +94,7 @@ def raw_edges_per_triple(blocks, r, triple):
     before the triples were batched."""
     w, wp = blocks[triple.w_index].vertex_ids, blocks[triple.wp_index].vertex_ids
     points = np.arange(len(w))
-    hw = triple.geom_w.h_w.bits
+    hw = triple.geom_w.h_w
     rows = []
     for z in range(1, 1 << r):
         xs = np.stack([w, w[points ^ triple.geom_w.lift_bits(z) ^ hw]], axis=1)
@@ -243,12 +260,12 @@ class TestBuild:
             geom_wp = games.block_geometry(bwp.block, triple.u, inst)
             expected = set()
             for z in range(1, 2):
-                shift_w = geom_w.lift_bits(z) ^ geom_w.h_w.bits
+                shift_w = geom_w.lift_bits(z) ^ geom_w.h_w
                 shift_wp = geom_wp.lift_bits(z)
                 for x in range(16):
                     for y in range(16):
-                        ids = (bw.vertex_id(x), bw.vertex_id(x ^ shift_w),
-                               bwp.vertex_id(y), bwp.vertex_id(y ^ shift_wp))
+                        ids = (vertex_id(bw, x), vertex_id(bw, x ^ shift_w),
+                               vertex_id(bwp, y), vertex_id(bwp, y ^ shift_wp))
                         if len(set(ids)) == 4:
                             expected.add(tuple(sorted(ids)))
             assert set(map(tuple, gadget.edges_per_triple[ti].tolist())) == expected
@@ -365,7 +382,7 @@ class TestExtractStrategies:
         rep = hadamard.extract_strategies(one_triple, indicator, 0)
         bw = one_triple.blocks[one_triple.triples[0].w_index]
         for alpha in rep.prover2.support:
-            assert gf2.dot_bits(alpha, bw.geometry.h_w.bits) == 1
+            assert gf2.dot_bits(alpha, bw.geometry.h_w) == 1
             bits = [(alpha >> i) & 1 for i in range(3 * one_triple.r)]
             for t in range(one_triple.r):
                 assert bits[3 * t] ^ bits[3 * t + 1] ^ bits[3 * t + 2] == bw.block.rhs[t]
@@ -388,7 +405,7 @@ class TestExtractStrategies:
                           (rep.spectrum_wp, bwp.geometry.subspace)):
             for alpha in spec.support():
                 for b in sub.basis:
-                    assert gf2.dot_bits(alpha, b.bits) == 0
+                    assert gf2.dot_bits(alpha, b) == 0
 
 
 class TestZAveraging:
@@ -399,10 +416,10 @@ class TestZAveraging:
         for _ in range(10):
             ta = gf2.unfold(gf2.FoldedTable(
                 bw.geometry.subspace,
-                {r.bits: rng.uniform(-1, 1) for r in bw.geometry.subspace.coset_reps()}))
+                {r: rng.uniform(-1, 1) for r in bw.geometry.subspace.coset_reps()}))
             tb = gf2.unfold(gf2.FoldedTable(
                 bwp.geometry.subspace,
-                {r.bits: rng.uniform(-1, 1) for r in bwp.geometry.subspace.coset_reps()}))
+                {r: rng.uniform(-1, 1) for r in bwp.geometry.subspace.coset_reps()}))
             sa = gf2.fourier_transform(ta)
             sb = gf2.fourier_transform(tb)
             x = rng.randrange(16)
