@@ -1,9 +1,11 @@
 """Command-line pipelines over the generators, gadget builders, and oracles.
 
-All artifacts are JSON written atomically (temp file + rename). Exit codes:
-0 success, 2 certificate failure (a no, or a search whose node budget
-ran out first), 1 usage or config error. Every stochastic stage derives
-its stream from --seed and a stage name via seeding.derive_seed.
+Each cmd_* returns its exit code, its artifact body and a summary line;
+main alone writes {"config": flags, **body} to --out, when given, as JSON
+written atomically (temp file + rename), and prints the summary. Exit codes:
+0 success, 2 certificate failure (a no, or a colouring search whose node
+budget ran out first), 1 usage or config error. Every stochastic stage
+derives its stream from --seed and a stage name via seeding.derive_seed.
 """
 from __future__ import annotations
 
@@ -203,72 +205,65 @@ def read_artifact(path: str | Path) -> _Fields:
     return payload
 
 
+# a command's exit code, its artifact body and its one stdout summary
+Result = tuple[int, dict, str]
+
+
 def _config_dict(args: argparse.Namespace) -> dict:
     return {k: v for k, v in vars(args).items() if k != "func" and v is not None}
 
 
-def cmd_gen_3lin(args) -> int:
+def cmd_gen_3lin(args) -> Result:
     inst, witness = games.gen_3lin(args.n, args.eqs, derive_rng(args.seed, "gen-3lin"),
                                    planted=not args.random)
-    payload = {"config": _config_dict(args), "instance": inst.to_json_dict()}
+    body = {"instance": inst.to_json_dict()}
     if witness is not None:
-        payload["planted_assignment"] = list(witness)
-    write_artifact(args.out, payload)
-    print(f"wrote {args.out}: {inst.n} variables, {len(inst.equations)} equations")
-    return EXIT_OK
+        body["planted_assignment"] = list(witness)
+    return EXIT_OK, body, f"wrote {args.out}: {inst.n} variables, {len(inst.equations)} equations"
 
 
-def cmd_gen_game(args) -> int:
+def cmd_gen_game(args) -> Result:
     game = games.gen_toy_dto1_game(args.u, args.v, args.k, args.d,
                                    derive_rng(args.seed, "gen-game"),
                                    planted=not args.random, degree=args.degree)
-    write_artifact(args.out, {"config": _config_dict(args), "game": game.to_json_dict()})
-    print(f"wrote {args.out}: {args.v}x{args.u} game, labels {game.m}->{game.k}, d={game.d}")
-    return EXIT_OK
+    return (EXIT_OK, {"game": game.to_json_dict()},
+            f"wrote {args.out}: {args.v}x{args.u} game, labels {game.m}->{game.k}, d={game.d}")
 
 
-def cmd_build_mlpcp(args) -> int:
+def cmd_build_mlpcp(args) -> Result:
     if args.game:
         game = _load(read_artifact(args.game), "game", games.Dto1Game)
         pcp = games.build_smooth_mlpcp(game, args.layers, args.smooth_t)
         smooth = games.check_smoothness(pcp)
-        payload = {"config": _config_dict(args), "pcp": pcp.to_json_dict(),
-                   "smoothness": {"max_collision": smooth["max_collision"],
-                                  "bound": smooth["bound"], "ok": smooth["ok"]}}
-        write_artifact(args.out, payload)
-        print(f"wrote {args.out}: smooth {pcp.layers}-layer PCP, "
-              f"label sizes {list(pcp.label_sizes)}, "
-              f"smoothness {smooth['max_collision']:.4f} <= {smooth['bound']:.4f}: {smooth['ok']}")
-        return EXIT_OK if smooth["ok"] else EXIT_CERT
+        body = {"pcp": pcp.to_json_dict(),
+                "smoothness": {"max_collision": smooth["max_collision"],
+                               "bound": smooth["bound"], "ok": smooth["ok"]}}
+        return (EXIT_OK if smooth["ok"] else EXIT_CERT, body,
+                f"wrote {args.out}: smooth {pcp.layers}-layer PCP, "
+                f"label sizes {list(pcp.label_sizes)}, "
+                f"smoothness {smooth['max_collision']:.4f} <= {smooth['bound']:.4f}: {smooth['ok']}")
     sizes = [int(x) for x in args.label_sizes.split(",")]
     pcp = games.gen_toy_mlpcp(args.layers, args.vars_per_layer, sizes,
                               derive_rng(args.seed, "build-mlpcp"),
                               density=args.density, planted=not args.random)
-    write_artifact(args.out, {"config": _config_dict(args), "pcp": pcp.to_json_dict()})
-    print(f"wrote {args.out}: plain {pcp.layers}-layer PCP, label sizes {list(pcp.label_sizes)}")
-    return EXIT_OK
+    return (EXIT_OK, {"pcp": pcp.to_json_dict()},
+            f"wrote {args.out}: plain {pcp.layers}-layer PCP, label sizes {list(pcp.label_sizes)}")
 
 
-def cmd_build_hadamard(args) -> int:
+def cmd_build_hadamard(args) -> Result:
     bundle = read_artifact(args.instance)
     inst = _load(bundle, "instance", games.Lin3Instance)
     gadget = hadamard.build(inst, args.r, triples=args.triples,
                             seed=derive_seed(args.seed, "build-hadamard"),
                             distinct_blocks=args.distinct_blocks)
     h = gadget.to_hypergraph()
-    payload = {
-        "config": _config_dict(args),
-        "instance": inst.to_json_dict(),
-        "hypergraph": h.to_json_dict(),
-    }
+    body = {"instance": inst.to_json_dict(), "hypergraph": h.to_json_dict()}
     if "planted_assignment" in bundle:
-        payload["planted_assignment"] = bundle["planted_assignment"]
-    write_artifact(args.out, payload)
+        body["planted_assignment"] = bundle["planted_assignment"]
     if args.edge_list:
         Path(args.edge_list).write_text(h.to_edge_list())
-    print(f"wrote {args.out}: {len(h.vertices)} vertices, {len(h.edges)} edges, "
-          f"{gadget.dropped_degenerate} degenerate raw edges dropped")
-    return EXIT_OK
+    return (EXIT_OK, body, f"wrote {args.out}: {len(h.vertices)} vertices, {len(h.edges)} edges, "
+                           f"{gadget.dropped_degenerate} degenerate raw edges dropped")
 
 
 def _config_epsilon(bundle: _Fields) -> Fraction:
@@ -290,27 +285,24 @@ def _load(payload: _Fields, key: str, cls, bare: bool = True):
         raise UsageError(f"{payload.path}: {exc}") from None
 
 
-def _write_gadget(args, pcp: games.LayeredPcp, gadget: games.PcpGadget, **extra) -> int:
-    payload = {"config": _config_dict(args), "pcp": pcp.to_json_dict(),
-               "mode": gadget.mode, **extra}
+def _gadget_result(args, pcp: games.LayeredPcp, gadget: games.PcpGadget, **extra) -> Result:
+    body = {"pcp": pcp.to_json_dict(), "mode": gadget.mode, **extra}
     if gadget.mode == "enumerate":
-        payload["hypergraph"] = gadget.to_hypergraph().to_json_dict()
-    write_artifact(args.out, payload)
-    print(f"wrote {args.out}: mode={gadget.mode}, {gadget.vertex_count} vertices")
-    return EXIT_OK
+        body["hypergraph"] = gadget.to_hypergraph().to_json_dict()
+    return EXIT_OK, body, f"wrote {args.out}: mode={gadget.mode}, {gadget.vertex_count} vertices"
 
 
-def cmd_build_longcode(args) -> int:
+def cmd_build_longcode(args) -> Result:
     pcp = _load(read_artifact(args.pcp), "pcp", games.LayeredPcp)
-    return _write_gadget(args, pcp, longcode.build(pcp, Fraction(args.epsilon)))
+    return _gadget_result(args, pcp, longcode.build(pcp, Fraction(args.epsilon)))
 
 
-def cmd_build_dto1(args) -> int:
+def cmd_build_dto1(args) -> Result:
     pcp = _load(read_artifact(args.pcp), "pcp", games.LayeredPcp)
-    return _write_gadget(args, pcp, dto1.build(pcp, args.delta), delta=args.delta)
+    return _gadget_result(args, pcp, dto1.build(pcp, args.delta), delta=args.delta)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Result:
     bundle = read_artifact(args.input)
     if "hypergraph" not in bundle:
         raise UsageError(f"{args.input}: the file holds no hypergraph")
@@ -345,22 +337,18 @@ def cmd_verify(args) -> int:
             raise UsageError("verify --mode yes needs a bundle with a planted assignment")
         report = {"removed": len(removed), "violations": violations,
                   "surviving_edges": surviving, "ok": violations == 0}
-        if args.out:
-            write_artifact(args.out, {"config": _config_dict(args), "yes_certificate": report})
-        print(f"yes-case certificate: removed={report['removed']} "
-              f"violations={report['violations']} ok={report['ok']}")
         within = not removed or h.weight_of(removed) <= eps * h.total_weight
-        return EXIT_OK if report["ok"] and within else EXIT_CERT
+        return (EXIT_OK if report["ok"] and within else EXIT_CERT, {"yes_certificate": report},
+                f"yes-case certificate: removed={report['removed']} "
+                f"violations={report['violations']} ok={report['ok']}")
     if args.mode == "max-is":
         res = verify.max_independent_set(h, budget=args.budget)
         report = {"weight": [res.weight.numerator, res.weight.denominator],
                   "size": len(res.vertices), "optimal": res.optimal,
                   "vertices": sorted(res.vertices)}
-        if args.out:
-            write_artifact(args.out, {"config": _config_dict(args), "max_is": report})
-        print(f"max independent set: weight {res.weight} ({len(res.vertices)} vertices), "
-              f"optimal={res.optimal}")
-        return EXIT_OK
+        return (EXIT_OK, {"max_is": report},
+                f"max independent set: weight {res.weight} ({len(res.vertices)} vertices), "
+                f"optimal={res.optimal}")
     if args.mode == "two-color":
         res = verify.two_colorable(h, budget=args.budget)
         label, report = "two-colorable", {"two_colorable": res.colorable}
@@ -369,19 +357,16 @@ def cmd_verify(args) -> int:
         label = f"almost-two-colorable at eps={args.epsilon}"
         report = {"success": res.colorable,
                   "removed": None if res.removal is None else sorted(res.removal)}
-    if args.out:
-        write_artifact(args.out, {"config": _config_dict(args), **report})
     verdict = f"inconclusive after {res.nodes} nodes" if res.colorable is None else res.colorable
-    print(f"{label}: {verdict}")
-    return EXIT_OK if res.colorable else EXIT_CERT
+    return EXIT_OK if res.colorable else EXIT_CERT, report, f"{label}: {verdict}"
 
 
-def cmd_analyze(args) -> int:
-    report: dict = {"config": _config_dict(args)}
+def cmd_analyze(args) -> Result:
+    body: dict = {}
     if args.correlations:
-        report["correlations"] = dto1.correlation_suite(args.delta, args.r)
+        body["correlations"] = dto1.correlation_suite(args.delta, args.r)
         dist = dto1.dist_table(args.delta, args.r)
-        report["min_atom"] = report["correlations"]["min_atom"]
+        body["min_atom"] = body["correlations"]["min_atom"]
         if args.csv:
             Path(args.csv).write_text(dist.to_csv())
     if args.spectra:
@@ -392,31 +377,27 @@ def cmd_analyze(args) -> int:
             raise UsageError(f"{args.spectra}: field 'values' does not hold 2**m numbers")
         from . import gf2
         spec = gf2.fourier_transform(gf2.RealTable(m, values))
-        report["spectrum_csv"] = gf2.spectrum_to_csv(spec)
+        body["spectrum_csv"] = gf2.spectrum_to_csv(spec)
     if args.family:
         fam = ternary.TernaryFamily.deserialize(Path(args.family).read_text().strip())
         inf = ternary.influences(fam)
-        report["influences"] = [float(x) for x in inf]
-        report["average_sensitivity"] = float(inf.sum())
-        report["measure"] = ternary.measure(fam)
+        body["influences"] = [float(x) for x in inf]
+        body["average_sensitivity"] = float(inf.sum())
+        body["measure"] = ternary.measure(fam)
     if args.gamma is not None:
         lo, hi = boolfn.gamma_bounds(args.gamma, args.mu, args.nu)
-        report["gamma_lower"] = lo
-        report["gamma_upper"] = hi
-    if args.out:
-        write_artifact(args.out, report)
-        print(f"wrote {args.out}")
-    else:
-        print(json.dumps({k: v for k, v in report.items() if k != "config"},
-                         indent=2, sort_keys=True, default=str))
-    return EXIT_OK
+        body["gamma_lower"] = lo
+        body["gamma_upper"] = hi
+    summary = (f"wrote {args.out}" if args.out
+               else json.dumps(body, indent=2, sort_keys=True, default=str))
+    return EXIT_OK, body, summary
 
 
 # decode flags that only the d-to-1 decoder reads
-DTO1_DECODE_FLAGS = ("eps", "nu", "gamma", "tau", "s")
+DTO1_DECODE_FLAGS = ("eps", "gamma", "tau", "s")
 
 
-def cmd_decode(args) -> int:
+def cmd_decode(args) -> Result:
     bundle = read_artifact(args.gadget)
     pcp = _load(bundle, "pcp", games.LayeredPcp, bare=False)
     indicator_data = read_artifact(args.indicator)
@@ -434,7 +415,7 @@ def cmd_decode(args) -> int:
         T = (pcp.params or {}).get("T")
         if T is None:
             raise UsageError("decode --kind dto1 needs a smooth PCP, whose params carry T")
-        params = dto1.DecodeParams(args.delta, args.eps, args.nu, args.gamma, args.tau, args.s, T)
+        params = dto1.DecodeParams(args.delta, args.eps, args.gamma, args.tau, args.s, T)
         variables = {f"{l},{v}": (l, v) for l in range(pcp.layers) for v in range(pcp.var_counts[l])}
         fields = indicator_data.typed("indicators")
         indicators = {}
@@ -444,21 +425,22 @@ def cmd_decode(args) -> int:
             layer, var = variables[key]
             values = fields.numbers(key, count=1 << pcp.label_sizes[layer])
             indicators[layer, var] = np.array(values, dtype=np.float64)
+        for key in variables:
+            if key not in fields:
+                raise UsageError(f"{args.indicator}: no indicator for PCP variable {key!r}")
         outcome = dto1.decode(indicators, pcp, params, seed=derive_seed(args.seed, "decode"))
         report = {"outcome": outcome.outcome}
     report.update(layer_pair=list(outcome.layer_pair),
                   satisfied_fraction=str(outcome.satisfied_fraction),
                   satisfied_fraction_all=str(outcome.satisfied_fraction_all))
-    if args.out:
-        config = _config_dict(args)
-        if args.kind == "longcode":
-            config = {k: v for k, v in config.items() if k not in DTO1_DECODE_FLAGS}
-        write_artifact(args.out, {"config": config, "decode": report})
-    print(json.dumps(report, indent=2, sort_keys=True))
-    return EXIT_OK
+    body = {"decode": report}
+    if args.kind == "longcode":  # a config without the d-to-1 flags, in place of main's
+        body["config"] = {k: v for k, v in vars(args).items()
+                          if k not in ("func", *DTO1_DECODE_FLAGS) and v is not None}
+    return EXIT_OK, body, json.dumps(report, indent=2, sort_keys=True)
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> Result:
     checks = []
     inputs = []
     for path in args.inputs:
@@ -474,15 +456,9 @@ def cmd_report(args) -> int:
                 for ck, cv in value.items():
                     if ck.endswith("_ok"):
                         checks.append({"source": str(path), "check": ck, "ok": bool(cv)})
-    summary = {
-        "config": _config_dict(args),
-        "inputs": inputs,
-        "checks": checks,
-        "all_ok": all(c["ok"] for c in checks) if checks else True,
-    }
-    write_artifact(args.out, summary)
-    print(f"wrote {args.out}: {sum(c['ok'] for c in checks)}/{len(checks)} checks pass")
-    return EXIT_OK if summary["all_ok"] else EXIT_CERT
+    all_ok = all(c["ok"] for c in checks) if checks else True
+    return (EXIT_OK if all_ok else EXIT_CERT, {"inputs": inputs, "checks": checks, "all_ok": all_ok},
+            f"wrote {args.out}: {sum(c['ok'] for c in checks)}/{len(checks)} checks pass")
 
 
 def _epsilon(text: str) -> str:
@@ -597,7 +573,6 @@ def build_parser() -> _Parser:
     p.add_argument("--indicator", required=True)
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--nu", type=float, default=0.1)
     p.add_argument("--gamma", type=float, default=0.01)
     p.add_argument("--tau", type=float, default=1e-4)
     p.add_argument("--s", type=float, default=3.0)
@@ -622,7 +597,11 @@ def main(argv=None) -> int:
             value = getattr(args, attr, None)
             if value is not None and not Path(value).is_absolute():
                 setattr(args, attr, str(Path(args.out_dir) / value))
-        return args.func(args)
+        code, body, summary = args.func(args)
+        if args.out:
+            write_artifact(args.out, {"config": _config_dict(args), **body})
+        print(summary)
+        return code
     except (UsageError, ValueError, KeyError, OSError, games.NoLayerPairError,
             games.RejectionBudgetError, ternary.WitnessRetryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

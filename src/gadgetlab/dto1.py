@@ -381,7 +381,6 @@ class DecodeParams:
 
     delta: float
     eps: float
-    nu: float
     gamma: float
     tau: float
     s: float
@@ -399,7 +398,7 @@ def suggest_params(delta: float, eps: float, nu: float, r: int, T: int) -> Decod
     tau = nu ** (C_TAU * math.log(1.0 / xi) * math.log(1.0 / nu) / (nu * (1.0 - delta)))
     s = max(r / xi * math.log(1.0 / nu),
             r / (2.0 * gamma) * math.log(32.0 * r * r / max(tau, 1e-300)))
-    return DecodeParams(delta, eps, nu, gamma, tau, s, T)
+    return DecodeParams(delta, eps, gamma, tau, s, T)
 
 
 @dataclass

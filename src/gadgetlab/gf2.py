@@ -8,6 +8,7 @@ packed integer of the point/character.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -87,6 +88,15 @@ class Gf2Subspace:
         for p, b in zip(self.pivots, self.basis):
             x = x ^ ((x >> p) & 1) * b
         return x
+
+    @cached_property
+    def coset_index(self) -> np.ndarray:
+        """For every point of F2^m, indexed by its bits, the place of its
+        coset's representative in coset_reps(): one read-only int64 array."""
+        points = np.arange(1 << self.ambient_width)
+        index = np.searchsorted(self.coset_reps(), self.reduce_bits(points))
+        index.flags.writeable = False
+        return index
 
     def coset_reps(self) -> list[int]:
         """All canonical representatives, one per coset, in increasing order:
@@ -218,35 +228,31 @@ class FoldedTable:
 def unfold(folded: FoldedTable) -> RealTable:
     """Extend rep-keyed values to the full space, constant on each coset."""
     sub = folded.subspace
-    m = sub.ambient_width
-    values = np.empty(1 << m, dtype=np.float64)
-    for x in range(1 << m):
-        values[x] = folded.values[sub.reduce_bits(x)]
-    return RealTable(m, values)
+    values = np.array([folded.values[rep] for rep in sub.coset_reps()], dtype=np.float64)
+    return RealTable(sub.ambient_width, values[sub.coset_index])
 
 
 def fold(table: RealTable, subspace: Gf2Subspace) -> FoldedTable:
     """Collapse a coset-constant table onto representatives.
 
     Raises FoldConsistencyError with a violating pair if the table is not
-    constant on some coset of the subspace.
+    constant on some coset of the subspace: the first point whose value
+    differs from that of its coset's first point.
     """
     if table.width != subspace.ambient_width:
         raise ValueError(f"width mismatch: {table.width} != {subspace.ambient_width}")
-    values: dict[int, float] = {}
-    first_seen: dict[int, int] = {}
-    for x in range(table.values.size):
-        rep = subspace.reduce_bits(x)
-        v = float(table.values[x])
-        if rep not in values:
-            values[rep] = v
-            first_seen[rep] = x
-        elif values[rep] != v:
-            raise FoldConsistencyError(
-                f"table differs within a coset: A({first_seen[rep]:#x})={values[rep]!r} "
-                f"but A({x:#x})={v!r}; {x:#x} = {first_seen[rep]:#x} + subspace element"
-            )
-    return FoldedTable(subspace, values)
+    index = subspace.coset_index
+    first = np.unique(index, return_index=True)[1]  # each coset's first point
+    values = table.values[first]
+    differs = np.flatnonzero(table.values != values[index])
+    if differs.size:
+        x = int(differs[0])
+        f = int(first[index[x]])
+        raise FoldConsistencyError(
+            f"table differs within a coset: A({f:#x})={float(table.values[f])!r} "
+            f"but A({x:#x})={float(table.values[x])!r}; {x:#x} = {f:#x} + subspace element"
+        )
+    return FoldedTable(subspace, dict(zip(subspace.coset_reps(), values.tolist())))
 
 
 def spectrum_to_csv(spectrum: FourierSpectrum) -> str:

@@ -35,9 +35,7 @@ class GadgetBlock:
     def vertex_ids(self) -> np.ndarray:
         """The vertex of every point, indexed by the point's bits: vertex_base
         plus the place of the point's coset representative in reps."""
-        sub = self.geometry.subspace
-        points = np.arange(1 << sub.ambient_width)
-        return self.vertex_base + np.searchsorted(self.reps, sub.reduce_bits(points))
+        return self.vertex_base + self.geometry.subspace.coset_index
 
 
 @dataclass(frozen=True)

@@ -323,7 +323,7 @@ def test_criterion_13_end_to_end_decode():
             j = pcp5.planted_labeling[l][v]
             masks = np.arange(1 << pcp5.label_sizes[l])
             indicators[(l, v)] = (((masks >> j) & 1) == 0).astype(float)
-    params = dto1.DecodeParams(delta=0.25, eps=0.5, nu=0.1, gamma=0.05,
+    params = dto1.DecodeParams(delta=0.25, eps=0.5, gamma=0.05,
                                tau=1e-4, s=3.0, T=1)
     out5 = dto1.decode(indicators, pcp5, params, seed=113)
     if out5.outcome != "ok" or out5.satisfied_fraction != 1:

@@ -103,41 +103,117 @@ class TestPipelines:
         assert run("decode", "--kind", "dto1", "--gadget", bundle, "--indicator", ind,
                    "--delta", "0.25", "--out", dec) == 0
         config = json.loads(dec.read_text())["config"]
-        assert {k: config[k] for k in ("eps", "nu", "gamma", "tau", "s")} == {
-            "eps": 0.5, "nu": 0.1, "gamma": 0.01, "tau": 1e-4, "s": 3.0}
+        assert {k: config[k] for k in ("eps", "gamma", "tau", "s")} == {
+            "eps": 0.5, "gamma": 0.01, "tau": 1e-4, "s": 3.0}
+        assert "nu" not in config
 
 
 class TestReadmeArtifacts:
-    """The README pipelines, run with its relative paths, write these bytes."""
+    """The README pipelines, run with its relative paths, write these bytes
+    and print these lines."""
 
     @pytest.fixture(autouse=True)
     def readme_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("GADGETLAB_OUT", raising=False)
 
-    def test_build_longcode_artifact(self, tmp_path):
-        assert run("build-mlpcp", "--layers", 2, "--vars-per-layer", 2, "--label-sizes", "3,3",
-                   "--seed", 3, "--out", "plain.json") == 0
-        assert run("build-longcode", "--pcp", "plain.json", "--epsilon", "1/10",
-                   "--out", "lc.json") == 0
-        assert hashlib.sha256((tmp_path / "lc.json").read_bytes()).hexdigest() == (
-            "a24837b28b8d0053bdf73a9ebfda85726765f3e02f17877599fa907344d22d52")
+    def pinned(self, capsys, *steps):
+        """Run each (argv, exit code, artifact, its sha256, stdout) step in turn."""
+        for argv, code, artifact, sha256, stdout in steps:
+            capsys.readouterr()
+            assert (run(*argv), capsys.readouterr().out) == (code, stdout), argv
+            assert hashlib.sha256(Path(artifact).read_bytes()).hexdigest() == sha256, argv
 
-    def test_build_dto1_artifact(self, tmp_path):
+    def test_build_longcode_artifact(self, capsys):
+        planted_longcode_bundle(Path("."))  # ind.json; lc.json is rebuilt below from plain.json
+        self.pinned(capsys, (
+            ("build-mlpcp", "--layers", 2, "--vars-per-layer", 2, "--label-sizes", "3,3",
+             "--seed", 3, "--out", "plain.json"), 0, "plain.json",
+            "0c542306e34ffcd748a51e4f0dc781c6bb082d3d4b078896bd2652da03c3d17e",
+            "wrote plain.json: plain 2-layer PCP, label sizes [3, 3]\n"
+        ), (
+            ("build-longcode", "--pcp", "plain.json", "--epsilon", "1/10", "--out", "lc.json"),
+            0, "lc.json", "a24837b28b8d0053bdf73a9ebfda85726765f3e02f17877599fa907344d22d52",
+            "wrote lc.json: mode=enumerate, 108 vertices\n"
+        ), (
+            ("verify", "--input", "lc.json", "--mode", "almost", "--epsilon", "1/10",
+             "--budget", 100000, "--out", "almost.json"), 0, "almost.json",
+            "97153f67c162fcbcb1593efcc4aec9891d9a704bf356fb94dc209c08338c96c9",
+            "almost-two-colorable at eps=1/10: True\n"
+        ), (
+            ("decode", "--kind", "longcode", "--gadget", "lc.json", "--indicator", "ind.json",
+             "--delta", "0.4", "--out", "decode.json"), 0, "decode.json",
+            "95f4bb2bb690b060b60f1ee9672661f529ac95e7ff942448eb89a87664e9e390",
+            json.dumps({"labels_u": {"1,0": 1, "1,1": 1}, "labels_v": {"0,0": 0, "0,1": 1},
+                        "layer_pair": [0, 1], "satisfied_fraction": "1",
+                        "satisfied_fraction_all": "1"}, indent=2) + "\n"
+        ))
+
+    def test_build_dto1_artifact(self, capsys):
+        self.pinned(capsys, (
+            ("gen-game", "--u", 2, "--v", 3, "--k", 1, "--d", 2, "--seed", 5, "--out", "game.json"),
+            0, "game.json", "d3b78ea985fb6d269edb87cf9b672cf214eda7f854e8d109493871af19603787",
+            "wrote game.json: 3x2 game, labels 2->1, d=2\n"
+        ), (
+            ("build-mlpcp", "--game", "game.json", "--layers", 2, "--smooth-t", 1, "--out", "pcp.json"),
+            0, "pcp.json", "39eeb08c45ce79ec45b079ea94d8d11d1e0da715848623174becf2f2c3456932",
+            "wrote pcp.json: smooth 2-layer PCP, label sizes [8, 4], "
+            "smoothness 0.3333 <= 1.0000: True\n"
+        ), (
+            ("build-dto1", "--pcp", "pcp.json", "--delta", "0.25", "--out", "dto1.json"),
+            0, "dto1.json", "e45f2e509b961209d1bc5c365b3f0ca496e6078cf1b151046888d5ac69e99690",
+            "wrote dto1.json: mode=enumerate, 352 vertices\n"
+        ), (
+            ("verify", "--input", "dto1.json", "--mode", "yes", "--out", "yes.json"),
+            0, "yes.json", "62bd200c020963e82a2029b5a79a7f93338d5e470e82c8b140435e06729f737a",
+            "yes-case certificate: removed=0 violations=0 ok=True\n"
+        ), (
+            ("verify", "--input", "dto1.json", "--mode", "two-color", "--out", "two-color.json"),
+            0, "two-color.json", "01bfb53595f9703d054164b864adb97ebda82440bc09cf02f54abf8a1b3c8867",
+            "two-colorable: True\n"
+        ))
+
+    def test_build_hadamard_artifact(self, capsys):
+        self.pinned(capsys, (
+            ("gen-3lin", "--n", 9, "--eqs", 9, "--seed", 7, "--out", "lin.json"), 0, "lin.json",
+            "66d4f490f01d97ef9f16e4d678cba1cffc566ab24ae81b4438d43b49b71b69b5",
+            "wrote lin.json: 9 variables, 9 equations\n"
+        ), (
+            ("build-hadamard", "--instance", "lin.json", "--r", 1, "--triples", 2, "--out", "had.json"),
+            0, "had.json", "1a8939bec784ea5e2497417a5f4ee862eac838fe6907490141468188d90e6362",
+            "wrote had.json: 24 vertices, 32 edges, 0 degenerate raw edges dropped\n"
+        ), (
+            ("verify", "--input", "had.json", "--mode", "max-is", "--budget", 1000000,
+             "--out", "max-is.json"), 0, "max-is.json",
+            "64bbb8cc5ecb7578d5f9567ada82f173a10f22fd602907d928aeaac4e74df50a",
+            "max independent set: weight 20 (20 vertices), optimal=True\n"
+        ))
+
+    def test_analyze_and_report_artifacts(self, capsys):
         assert run("gen-game", "--u", 2, "--v", 3, "--k", 1, "--d", 2, "--seed", 5,
                    "--out", "game.json") == 0
         assert run("build-mlpcp", "--game", "game.json", "--layers", 2, "--smooth-t", 1,
                    "--out", "pcp.json") == 0
-        assert run("build-dto1", "--pcp", "pcp.json", "--delta", "0.25", "--out", "dto1.json") == 0
-        assert hashlib.sha256((tmp_path / "dto1.json").read_bytes()).hexdigest() == (
-            "e45f2e509b961209d1bc5c365b3f0ca496e6078cf1b151046888d5ac69e99690")
+        self.pinned(capsys, (
+            ("analyze", "--correlations", "--delta", "0.25", "--r", 1, "--out", "corr.json",
+             "--csv", "dist.csv"), 0, "corr.json",
+            "e30e30512d981e3a0ea4b07478868d0b23281aee409f2c1c7fd4c96d65432fbf", "wrote corr.json\n"
+        ), (  # 5/6: corr.json's rho_x_yz_ok is false, as criterion 8 is red
+            ("report", "corr.json", "pcp.json", "--out", "summary.json"), 2, "summary.json",
+            "4bd748f5fbfeada6dd4828a34f09209257530decd7698880bbf956f88ad137ac",
+            "wrote summary.json: 5/6 checks pass\n"
+        ))
 
-    def test_build_hadamard_artifact(self, tmp_path):
-        assert run("gen-3lin", "--n", 9, "--eqs", 9, "--seed", 7, "--out", "lin.json") == 0
-        assert run("build-hadamard", "--instance", "lin.json", "--r", 1, "--triples", 2,
-                   "--out", "had.json") == 0
-        assert hashlib.sha256((tmp_path / "had.json").read_bytes()).hexdigest() == (
-            "1a8939bec784ea5e2497417a5f4ee862eac838fe6907490141468188d90e6362")
+    def test_dto1_decode_artifact(self, capsys):
+        pcp, indicators = decode_pcp_and_indicators(Path("."))
+        Path("ind.json").write_text(json.dumps({"indicators": indicators}))
+        self.pinned(capsys, (
+            ("decode", "--kind", "dto1", "--gadget", pcp, "--indicator", "ind.json",
+             "--delta", "0.25", "--gamma", "0.05", "--seed", 1, "--out", "decode.json"),
+            0, "decode.json", "b48ee3b172517429bb34c6c7cdb1bb9e5bf4394411bb5e7e3a6260cfcb5a9753",
+            json.dumps({"layer_pair": [0, 1], "outcome": "ok", "satisfied_fraction": "8/9",
+                        "satisfied_fraction_all": "8/9"}, indent=2) + "\n"
+        ))
 
 
 def longcode_bundle(tmp_path):
@@ -872,6 +948,10 @@ class TestFileReaders:
         (lambda ind: {"indicators": {**ind, "1,2": ["0.5"] * 16}},
          "field '1,2' is not a list of 16 numbers"),
         (lambda ind: {"indicators": {**ind, "1,2": 0.5}}, "field '1,2' is not a list: 0.5"),
+        (lambda ind: {"indicators": {k: v for k, v in ind.items() if k != "1,3"}},
+         "no indicator for PCP variable '1,3'"),
+        (lambda ind: {"indicators": {k: v for k, v in reversed(ind.items()) if k not in ("1,3", "0,0")}},
+         "no indicator for PCP variable '0,0'"),
     ])
     def test_dto1_indicators(self, tmp_path, capsys, change, message):
         pcp, indicators = decode_pcp_and_indicators(tmp_path)

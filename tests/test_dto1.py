@@ -520,7 +520,7 @@ class TestDecode:
 
     def test_dictators_recover_planted_labeling(self, toy_smooth):
         pcp = toy_smooth
-        params = DecodeParams(delta=0.25, eps=0.5, nu=0.1, gamma=0.05,
+        params = DecodeParams(delta=0.25, eps=0.5, gamma=0.05,
                               tau=1e-4, s=3.0, T=1)
         res = dto1.decode(self.dictator_indicators(pcp), pcp, params, seed=1)
         assert res.outcome == "ok"
@@ -542,7 +542,7 @@ class TestDecode:
 
     def test_constant_indicators_report_no_influence(self, toy_smooth):
         pcp = toy_smooth
-        params = DecodeParams(delta=0.25, eps=0.5, nu=0.1, gamma=0.05,
+        params = DecodeParams(delta=0.25, eps=0.5, gamma=0.05,
                               tau=1e-4, s=3.0, T=1)
         flat = {
             (l, v): np.full(1 << pcp.label_sizes[l], 0.5)
@@ -553,7 +553,7 @@ class TestDecode:
 
     def test_no_heavy_variables(self, toy_smooth):
         pcp = toy_smooth
-        params = DecodeParams(delta=0.25, eps=0.5, nu=0.1, gamma=0.05,
+        params = DecodeParams(delta=0.25, eps=0.5, gamma=0.05,
                               tau=1e-4, s=3.0, T=1)
         tiny = {
             (l, v): np.full(1 << pcp.label_sizes[l], 0.01)
@@ -564,7 +564,7 @@ class TestDecode:
 
     def test_pair_expectation_diagnostics(self, toy_smooth):
         pcp = toy_smooth
-        params = DecodeParams(delta=0.25, eps=0.5, nu=0.1, gamma=0.05,
+        params = DecodeParams(delta=0.25, eps=0.5, gamma=0.05,
                               tau=1e-4, s=3.0, T=1)
         res = dto1.decode(self.dictator_indicators(pcp), pcp, params, seed=2)
         assert res.diagnostics["pairs"]
@@ -573,7 +573,7 @@ class TestDecode:
             assert pair["influence_gap"] <= pair["influence_gap_bound"] + 1e-9
 
     def test_eta_rule(self):
-        params = DecodeParams(delta=0.3, eps=0.5, nu=0.1, gamma=0.05,
+        params = DecodeParams(delta=0.3, eps=0.5, gamma=0.05,
                               tau=1e-4, s=3.0, T=2)
         assert params.eta(2) == pytest.approx(0.3)
         assert params.eta(3) == pytest.approx(0.2)

@@ -238,6 +238,52 @@ class TestFolding:
                     assert gf2.dot_bits(alpha, b) == 0
 
 
+def unfold_per_point(folded: gf2.FoldedTable) -> np.ndarray:
+    """Reference: every point's value, looked up one point at a time."""
+    sub = folded.subspace
+    return np.array([folded.values[sub.reduce_bits(x)] for x in range(1 << sub.ambient_width)],
+                    dtype=np.float64)
+
+
+def fold_per_point(table: gf2.RealTable, sub: Gf2Subspace) -> dict | str:
+    """Reference: the rep-keyed values, one point at a time, or the message
+    naming the first point whose value differs from its coset's first point."""
+    values: dict[int, float] = {}
+    first_seen: dict[int, int] = {}
+    for x in range(table.values.size):
+        rep = sub.reduce_bits(x)
+        v = float(table.values[x])
+        if rep not in values:
+            values[rep] = v
+            first_seen[rep] = x
+        elif values[rep] != v:
+            return (f"table differs within a coset: A({first_seen[rep]:#x})={values[rep]!r} "
+                    f"but A({x:#x})={v!r}; {x:#x} = {first_seen[rep]:#x} + subspace element")
+    return values
+
+
+@settings(max_examples=150)
+@given(data=st.data(), m=st.integers(1, 12))
+def test_fold_and_unfold_match_per_point_loops(data, m):
+    sub = Gf2Subspace.span(data.draw(st.lists(st.integers(0, (1 << m) - 1), max_size=m)), m)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    reps = sub.coset_reps()
+    folded = gf2.FoldedTable(sub, dict(zip(reps, rng.integers(-2, 3, len(reps)).tolist())))
+    table = gf2.unfold(folded)
+    assert np.array_equal(table.values, unfold_per_point(folded))
+    values = table.values.copy()  # a few points changed: mostly no longer constant on cosets
+    for x in data.draw(st.lists(st.integers(0, (1 << m) - 1), max_size=3)):
+        values[x] = rng.integers(-2, 3)
+    table = gf2.RealTable(m, values)
+    expected = fold_per_point(table, sub)
+    if isinstance(expected, str):
+        with pytest.raises(gf2.FoldConsistencyError) as info:
+            gf2.fold(table, sub)
+        assert str(info.value) == expected
+    else:
+        assert gf2.fold(table, sub).values == expected
+
+
 class TestCsv:
     def test_round_trip(self):
         rng = random.Random(1)
