@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import popcounts, walsh_hadamard
-
 PRODUCT_SIZE_CAP = 10**6
 EFRON_STEIN_CAP = 10**5
 
@@ -64,23 +62,6 @@ class FiniteJointDist:
         nl = int(np.prod([len(self.factors[i]) for i in left_axes]))
         return arr.reshape(nl, -1)
 
-    def tensor(self, other: "FiniteJointDist") -> "FiniteJointDist":
-        """Independent product, factorwise: arity must match."""
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        factors = tuple(
-            tuple(itertools.product(a, b))
-            for a, b in zip(self.factors, other.factors)
-        )
-        na = [len(f) for f in self.factors]
-        nb = [len(f) for f in other.factors]
-        # outer product arranged so axis i enumerates (a_i, b_i) pairs
-        probs = np.multiply.outer(self.probs, other.probs)
-        perm = [i for pair in zip(range(self.arity), range(self.arity, 2 * self.arity))
-                for i in pair]
-        probs = np.transpose(probs, perm).reshape([x * y for x, y in zip(na, nb)])
-        return FiniteJointDist(factors, probs)
-
 
 def maximal_correlation(joint: FiniteJointDist, bipartition) -> float:
     """Second singular value of mu(a,b)/sqrt(mu(a) mu(b)) after dropping
@@ -124,10 +105,6 @@ def uniform_space(atoms) -> CoordSpace:
     return CoordSpace(atoms, tuple(1.0 / len(atoms) for _ in atoms))
 
 
-def pm_cube_spaces(n: int) -> tuple[CoordSpace, ...]:
-    return tuple(uniform_space((-1, 1)) for _ in range(n))
-
-
 @dataclass(frozen=True)
 class ProductFn:
     """A real function on a product of finite measured coordinate spaces."""
@@ -160,11 +137,6 @@ class ProductFn:
             w = np.array(self.spaces[axis].measure)
             total = np.tensordot(total, w, axes=([0], [0]))
         return float(total)
-
-    def variance(self) -> float:
-        mu = self.expectation()
-        sq = ProductFn(self.spaces, (self.values - mu) ** 2)
-        return sq.expectation()
 
     def l2_norm(self) -> float:
         sq = ProductFn(self.spaces, self.values**2)
@@ -205,18 +177,6 @@ def influence(f: ProductFn, i: int) -> float:
 class EfronSteinParts:
     spaces: tuple[CoordSpace, ...]
     parts: dict[frozenset[int], np.ndarray]
-
-    def reconstruct(self) -> np.ndarray:
-        total = np.zeros(tuple(len(s.atoms) for s in self.spaces))
-        for arr in self.parts.values():
-            total = total + arr
-        return total
-
-    def weights(self) -> dict[frozenset[int], float]:
-        out = {}
-        for s, arr in self.parts.items():
-            out[s] = ProductFn(self.spaces, arr**2).expectation()
-        return out
 
 
 def efron_stein(f: ProductFn) -> EfronSteinParts:
@@ -288,94 +248,3 @@ def gamma_bounds(rho: float, mu: float, nu: float) -> tuple[float, float]:
     lower, _ = integrate.quad(lower_integrand, -np.inf, a, epsabs=0, epsrel=1e-10, limit=200)
     upper, _ = integrate.quad(upper_integrand, -np.inf, a, epsabs=0, epsrel=1e-10, limit=200)
     return float(lower), float(upper)
-
-
-# ---------------------------------------------------------------------------
-# Reverse hypercontractivity on the cube
-
-def reverse_hyper_check(a_set, b_set, n: int, rho: float) -> tuple[float, float, bool]:
-    """Exact Pr[y in A, y' in B] for rho-correlated uniform cube points,
-    against the Gaussian-density bound exp[-(a^2 + b^2 + 2 rho a b) / (2(1-rho^2))].
-    """
-    if n > 14:
-        raise ValueError("cube dimension capped at 14")
-    if not 0.0 <= rho < 1.0:
-        raise ValueError(f"rho must be in [0, 1), got {rho}")
-    a_ind = np.zeros(1 << n)
-    b_ind = np.zeros(1 << n)
-    a_ind[list(a_set)] = 1.0
-    b_ind[list(b_set)] = 1.0
-    if a_ind.sum() == 0 or b_ind.sum() == 0:
-        raise ValueError("empty set")
-    lhs = float(np.sum(walsh_hadamard(a_ind) * walsh_hadamard(b_ind) * rho**popcounts(n)))
-    dens_a = a_ind.mean()
-    dens_b = b_ind.mean()
-    aa = math.sqrt(-2.0 * math.log(dens_a)) if dens_a < 1.0 else 0.0
-    bb = math.sqrt(-2.0 * math.log(dens_b)) if dens_b < 1.0 else 0.0
-    rhs = math.exp(-(aa * aa + bb * bb + 2.0 * rho * aa * bb) / (2.0 * (1.0 - rho * rho)))
-    return lhs, rhs, lhs >= rhs - 1e-12
-
-
-# ---------------------------------------------------------------------------
-# Multi-function noise gap
-
-def _joint_product_expectation(coord_joints: list[FiniteJointDist],
-                               fns: list[ProductFn]) -> float:
-    """E[prod_j f_j(x^(j))] where per coordinate i the tuple of the j-th
-    components is drawn from coord_joints[i], independently across i."""
-    k = len(fns)
-    n = len(coord_joints)
-    total = 0.0
-    supports = []
-    for joint in coord_joints:
-        idx = np.argwhere(joint.probs > 0)
-        supports.append([(tuple(ix), float(joint.probs[tuple(ix)])) for ix in idx])
-    for combo in itertools.product(*supports):
-        prob = 1.0
-        for _, p in combo:
-            prob *= p
-        val = 1.0
-        for j in range(k):
-            point = tuple(combo[i][0][j] for i in range(n))
-            val *= float(fns[j].values[point])
-        total += prob * val
-    return total
-
-
-def noise_gap_report(coord_joints: list[FiniteJointDist], fns: list[ProductFn],
-                     gamma: float) -> dict:
-    """|E[prod f_j] - E[prod T_{1-gamma} f_j]| and the variance-product
-    factor that multiplies nu in the smoothing bound. No pass/fail: the
-    bound's absolute constant is not specified.
-    """
-    k = len(fns)
-    n = len(coord_joints)
-    for j, f in enumerate(fns):
-        if f.arity != n:
-            raise ValueError(f"function {j} has arity {f.arity}, expected {n}")
-        for i in range(n):
-            expected = tuple(coord_joints[i].factors[j])
-            if tuple(f.spaces[i].atoms) != expected:
-                raise ValueError(f"function {j}, coordinate {i}: atoms do not match the joint")
-            marg = coord_joints[i].marginal((j,))
-            if np.max(np.abs(np.asarray(f.spaces[i].measure) - marg)) > 1e-9:
-                raise ValueError(f"function {j}, coordinate {i}: measure does not match the joint marginal")
-    noisy = [bonami_beckner(f, 1.0 - gamma) for f in fns]
-    plain = _joint_product_expectation(coord_joints, fns)
-    smoothed = _joint_product_expectation(coord_joints, noisy)
-    bound_factor = 0.0
-    for j in range(k):
-        mixed = noisy[:j] + fns[j + 1:]
-        # Var of the product of the other k-1 functions under the joint.
-        others_sq = _joint_product_expectation(
-            coord_joints, [ProductFn(g.spaces, g.values**2) for g in mixed])
-        others_mean = _joint_product_expectation(coord_joints, mixed)
-        var_mixed = max(0.0, others_sq - others_mean**2)
-        bound_factor += math.sqrt(fns[j].variance()) * math.sqrt(var_mixed)
-    return {
-        "gap": abs(plain - smoothed),
-        "plain": plain,
-        "smoothed": smoothed,
-        "bound_factor": bound_factor,
-        "gamma": gamma,
-    }

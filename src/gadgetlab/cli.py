@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import boolfn, dto1, games, hadamard, longcode, ternary, verify
+from . import boolfn, dto1, games, gf2, hadamard, longcode, ternary, verify
 from .seeding import derive_rng, derive_seed
 
 EXIT_OK = 0
@@ -362,6 +362,8 @@ def cmd_verify(args) -> Result:
 
 
 def cmd_analyze(args) -> Result:
+    if not (args.correlations or args.spectra or args.family or args.gamma is not None):
+        raise UsageError("analyze needs one of --correlations, --spectra, --family, --gamma")
     body: dict = {}
     if args.correlations:
         body["correlations"] = dto1.correlation_suite(args.delta, args.r)
@@ -375,7 +377,6 @@ def cmd_analyze(args) -> Result:
         m = max(values.size, 1).bit_length() - 1
         if values.size != 1 << m:
             raise UsageError(f"{args.spectra}: field 'values' does not hold 2**m numbers")
-        from . import gf2
         spec = gf2.fourier_transform(gf2.RealTable(m, values))
         body["spectrum_csv"] = gf2.spectrum_to_csv(spec)
     if args.family:
@@ -393,11 +394,16 @@ def cmd_analyze(args) -> Result:
     return EXIT_OK, body, summary
 
 
-# decode flags that only the d-to-1 decoder reads
-DTO1_DECODE_FLAGS = ("eps", "gamma", "tau", "s")
+# the flags only the d-to-1 decoder reads, and their defaults
+DTO1_DECODE_FLAGS = {"eps": 0.5, "gamma": 0.01, "tau": 1e-4, "s": 3.0}
 
 
 def cmd_decode(args) -> Result:
+    for flag, default in DTO1_DECODE_FLAGS.items():
+        if args.kind == "longcode" and getattr(args, flag) is not None:
+            raise UsageError(f"decode --kind longcode does not take --{flag}")
+        if args.kind == "dto1" and getattr(args, flag) is None:
+            setattr(args, flag, default)  # so that main records it in the config
     bundle = read_artifact(args.gadget)
     pcp = _load(bundle, "pcp", games.LayeredPcp, bare=False)
     indicator_data = read_artifact(args.indicator)
@@ -423,6 +429,9 @@ def cmd_decode(args) -> Result:
             if key not in variables:
                 raise UsageError(f"{args.indicator}: field {key!r} names no PCP variable 'layer,var'")
             layer, var = variables[key]
+            if pcp.label_sizes[layer] > gf2.MAX_TABLE_WIDTH:
+                raise UsageError(f"{args.gadget}: label size {pcp.label_sizes[layer]} of layer {layer} "
+                                 f"is over {gf2.MAX_TABLE_WIDTH}, the widest cube table")
             values = fields.numbers(key, count=1 << pcp.label_sizes[layer])
             indicators[layer, var] = np.array(values, dtype=np.float64)
         for key in variables:
@@ -433,11 +442,7 @@ def cmd_decode(args) -> Result:
     report.update(layer_pair=list(outcome.layer_pair),
                   satisfied_fraction=str(outcome.satisfied_fraction),
                   satisfied_fraction_all=str(outcome.satisfied_fraction_all))
-    body = {"decode": report}
-    if args.kind == "longcode":  # a config without the d-to-1 flags, in place of main's
-        body["config"] = {k: v for k, v in vars(args).items()
-                          if k not in ("func", *DTO1_DECODE_FLAGS) and v is not None}
-    return EXIT_OK, body, json.dumps(report, indent=2, sort_keys=True)
+    return EXIT_OK, {"decode": report}, json.dumps(report, indent=2, sort_keys=True)
 
 
 def cmd_report(args) -> Result:
@@ -453,7 +458,7 @@ def cmd_report(args) -> Result:
             elif key.endswith("_ok") or key == "ok":
                 checks.append({"source": str(path), "check": key, "ok": bool(value)})
             elif key == "correlations":
-                for ck, cv in value.items():
+                for ck, cv in payload.typed(key).items():
                     if ck.endswith("_ok"):
                         checks.append({"source": str(path), "check": ck, "ok": bool(cv)})
     all_ok = all(c["ok"] for c in checks) if checks else True
@@ -572,10 +577,8 @@ def build_parser() -> _Parser:
     p.add_argument("--gadget", required=True)
     p.add_argument("--indicator", required=True)
     p.add_argument("--delta", type=float, required=True)
-    p.add_argument("--eps", type=float, default=0.5)
-    p.add_argument("--gamma", type=float, default=0.01)
-    p.add_argument("--tau", type=float, default=1e-4)
-    p.add_argument("--s", type=float, default=3.0)
+    for flag, default in DTO1_DECODE_FLAGS.items():
+        p.add_argument(f"--{flag}", type=float, help=f"--kind dto1 only (default {default})")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_decode)

@@ -23,7 +23,6 @@ from .verify import GenericHypergraph
 
 MAX_TABLE_R = 10
 EDGE_ENUM_BITS = 20
-C_GAMMA = C_TAU = 1.0  # the decoding formulas' unspecified absolute constants
 
 
 def _pm(mask: int, j: int) -> int:
@@ -209,9 +208,8 @@ class ShatterDecomp:
 def shattered_decomposition(coeffs: np.ndarray, projection: tuple[int, ...],
                             target_size: int, s: float) -> ShatterDecomp:
     n_bits = int(round(math.log2(coeffs.size)))
-    pops = popcounts(n_bits)
-    shat = block_hits(blocks_of(projection, target_size), n_bits) == pops
-    high = pops >= s
+    shat = shattered_mask(blocks_of(projection, target_size), n_bits)
+    high = popcounts(n_bits) >= s
     f1 = np.where(high, coeffs, 0.0)
     f2 = np.where(~high & ~shat, coeffs, 0.0)
     f3 = np.where(~high & shat, coeffs, 0.0)
@@ -388,17 +386,6 @@ class DecodeParams:
 
     def eta(self, r: int) -> float:
         return 2.0 * self.delta / r
-
-
-def suggest_params(delta: float, eps: float, nu: float, r: int, T: int) -> DecodeParams:
-    """The formula values with the unspecified absolute constants in gamma
-    and tau (C_GAMMA, C_TAU) set to 1; suggestions only."""
-    xi = delta / (r * 2.0**r)
-    gamma = C_GAMMA * nu * xi**2 / (2.0 * math.log(1.0 / nu))
-    tau = nu ** (C_TAU * math.log(1.0 / xi) * math.log(1.0 / nu) / (nu * (1.0 - delta)))
-    s = max(r / xi * math.log(1.0 / nu),
-            r / (2.0 * gamma) * math.log(32.0 * r * r / max(tau, 1e-300)))
-    return DecodeParams(delta, eps, gamma, tau, s, T)
 
 
 @dataclass

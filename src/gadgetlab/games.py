@@ -233,23 +233,6 @@ def block_geometry(block: EquationBlock, picks: VariableBlock, inst: Lin3Instanc
     return BlockGeometry(r, hs, sub, 1 << (3 * r), tuple(u_positions))
 
 
-def verifier_accepts(block: EquationBlock, picks: VariableBlock,
-                     w_answer, u_answer) -> bool:
-    """The 2P1R check: Prover-2's bits satisfy every equation of W and
-    agree with Prover-1's bits on the variables of U."""
-    w = list(w_answer)
-    u = list(u_answer)
-    if len(w) != 3 * block.r or len(u) != picks.r:
-        raise ValueError("answer length mismatch")
-    for t in range(block.r):
-        if w[3 * t] ^ w[3 * t + 1] ^ w[3 * t + 2] != block.rhs[t]:
-            return False
-    for t, var in enumerate(picks.var_ids):
-        if w[block.var_order.index(var)] != u[t]:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Layered PCPs
 
@@ -498,9 +481,14 @@ def gen_toy_mlpcp(layers: int, vars_per_layer, label_sizes, rng: random.Random |
 
 def code_layout(pcp: LayeredPcp, base: int) -> tuple[dict[tuple[int, int], int], int]:
     """First vertex id of each variable's code of base ** label_size points,
-    in (layer, var) order, and the total vertex count."""
+    in (layer, var) order, and the total vertex count. SizeCapError when the
+    ids would not fit the int64 edge arrays: at most 2**63 vertices."""
+    sizes = [base ** m if m < 64 else 2**64 for m in pcp.label_sizes]  # base >= 2
+    if sum(n * size for n, size in zip(pcp.var_counts, sizes)) > 2**63:
+        raise SizeCapError(f"label sizes {list(pcp.label_sizes)} on {list(pcp.var_counts)} variables "
+                           "give over 2**63 vertices, more than int64 vertex ids can name")
     keys = [(l, v) for l in range(pcp.layers) for v in range(pcp.var_counts[l])]
-    starts = [0, *itertools.accumulate(base ** pcp.label_sizes[l] for l, _ in keys)]
+    starts = [0, *itertools.accumulate(sizes[l] for l, _ in keys)]
     return dict(zip(keys, starts)), starts[-1]
 
 

@@ -1,4 +1,4 @@
-"""GF(2) vector algebra, Walsh-Hadamard transforms, and coset folding.
+"""GF(2) vector algebra, Walsh-Hadamard transforms, and coset unfolding.
 
 Bit convention: coordinate ``i`` (0-based) of a vector is bit ``i`` of the
 packed integer, so the all-ones vector of width 3 is ``0b111``. Tables and
@@ -17,21 +17,12 @@ MAX_TABLE_WIDTH = 24
 PARSEVAL_TOL = 1e-12
 
 
-class FoldConsistencyError(ValueError):
-    """Raised when a table is not constant on some coset of the subspace."""
-
-
 def _lowest_bit(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
 def dot_bits(a: int, b: int) -> int:
     return (a & b).bit_count() & 1
-
-
-def chi(alpha_bits: int, x_bits: int) -> int:
-    """Character value (-1)^(alpha . x), as +-1."""
-    return -1 if dot_bits(alpha_bits, x_bits) else 1
 
 
 def _rref(vectors: list[int]) -> list[int]:
@@ -106,13 +97,6 @@ class Gf2Subspace:
             if pos not in self.pivots:
                 reps += [x | 1 << pos for x in reps]
         return reps
-
-    def elements(self) -> list[int]:
-        """All 2^dim members of the subspace."""
-        out = [0]
-        for b in self.basis:
-            out += [x ^ b for x in out]
-        return out
 
 
 def _check_values(width: int, values: np.ndarray, what: str) -> np.ndarray:
@@ -202,10 +186,6 @@ def fourier_transform(table: RealTable) -> FourierSpectrum:
     return spectrum
 
 
-def inverse_fourier_transform(spectrum: FourierSpectrum) -> RealTable:
-    return RealTable(spectrum.width, _fwht(spectrum.coeffs))
-
-
 @dataclass(frozen=True)
 class FoldedTable:
     """Values keyed by canonical coset representatives of a subspace."""
@@ -232,29 +212,6 @@ def unfold(folded: FoldedTable) -> RealTable:
     return RealTable(sub.ambient_width, values[sub.coset_index])
 
 
-def fold(table: RealTable, subspace: Gf2Subspace) -> FoldedTable:
-    """Collapse a coset-constant table onto representatives.
-
-    Raises FoldConsistencyError with a violating pair if the table is not
-    constant on some coset of the subspace: the first point whose value
-    differs from that of its coset's first point.
-    """
-    if table.width != subspace.ambient_width:
-        raise ValueError(f"width mismatch: {table.width} != {subspace.ambient_width}")
-    index = subspace.coset_index
-    first = np.unique(index, return_index=True)[1]  # each coset's first point
-    values = table.values[first]
-    differs = np.flatnonzero(table.values != values[index])
-    if differs.size:
-        x = int(differs[0])
-        f = int(first[index[x]])
-        raise FoldConsistencyError(
-            f"table differs within a coset: A({f:#x})={float(table.values[f])!r} "
-            f"but A({x:#x})={float(table.values[x])!r}; {x:#x} = {f:#x} + subspace element"
-        )
-    return FoldedTable(subspace, dict(zip(subspace.coset_reps(), values.tolist())))
-
-
 def spectrum_to_csv(spectrum: FourierSpectrum) -> str:
     """CSV export: header ``alpha,coeff``; alpha as a big-endian bit string."""
     lines = ["alpha,coeff"]
@@ -262,15 +219,3 @@ def spectrum_to_csv(spectrum: FourierSpectrum) -> str:
     for a in range(spectrum.coeffs.size):
         lines.append(f"{format(a, f'0{m}b')},{float(spectrum.coeffs[a])!r}")
     return "\n".join(lines) + "\n"
-
-
-def spectrum_from_csv(text: str) -> FourierSpectrum:
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if lines[0] != "alpha,coeff":
-        raise ValueError(f"bad header: {lines[0]!r}")
-    rows = [ln.split(",") for ln in lines[1:]]
-    m = len(rows[0][0])
-    coeffs = np.zeros(1 << m, dtype=np.float64)
-    for alpha, coeff in rows:
-        coeffs[int(alpha, 2)] = float(coeff)
-    return FourierSpectrum(m, coeffs)

@@ -220,15 +220,6 @@ class ProverStrategy:
     admissible_mass: float
     deficit: float
 
-    @property
-    def defined(self) -> bool:
-        return bool(self.support)
-
-    def probabilities(self) -> dict[int, float]:
-        if not self.support:
-            raise ValueError("strategy has empty support")
-        return {a: m / self.admissible_mass for a, m in self.support.items()}
-
 
 @dataclass
 class StrategyReport:
@@ -281,29 +272,3 @@ def extract_strategies(g: HadamardGadget, indicator, triple_index: int) -> Strat
     independent = not rows_inside(members, g.edges_per_triple[triple_index]).any()
     return StrategyReport(prover2, prover1, lhs, rhs, lhs >= rhs - 1e-10,
                           independent, spec_a, spec_b)
-
-
-def z_average_identity(spec_a: gf2.FourierSpectrum, spec_b: gf2.FourierSpectrum,
-                       geom_w: BlockGeometry, geom_wp: BlockGeometry,
-                       x_bits: int, y_bits: int) -> tuple[float, float]:
-    """Both sides of the z-averaging step: the projection-matched
-    character sum against the plain average over all shifts z.
-    """
-    table_a = gf2.inverse_fourier_transform(spec_a)
-    table_b = gf2.inverse_fourier_transform(spec_b)
-    hw = geom_w.h_w
-    r = geom_w.r
-    spectral = 0.0
-    by_proj: dict[int, float] = {}
-    for b in spec_b.support():
-        pb = geom_wp.project_bits(b)
-        by_proj[pb] = by_proj.get(pb, 0.0) + float(spec_b.coeffs[b]) * gf2.chi(b, y_bits)
-    for a in spec_a.support():
-        term = float(spec_a.coeffs[a]) * gf2.chi(a, x_bits) * gf2.chi(a, hw)
-        spectral += term * by_proj.get(geom_w.project_bits(a), 0.0)
-    averaged = 0.0
-    for z in range(1 << r):
-        averaged += (table_a[x_bits ^ geom_w.lift_bits(z) ^ hw]
-                     * table_b[y_bits ^ geom_wp.lift_bits(z)])
-    averaged /= 1 << r
-    return spectral, averaged

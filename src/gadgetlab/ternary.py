@@ -59,20 +59,9 @@ class TernaryFamily:
         mem.setflags(write=False)
         object.__setattr__(self, "membership", mem)
 
-    @classmethod
-    def from_points(cls, m: int, points, p: float) -> "TernaryFamily":
-        mem = np.zeros(3**m, dtype=bool)
-        for pt in points:
-            mem[point_index(pt) if not isinstance(pt, int) else pt] = True
-        return cls(m, mem, p)
-
     def contains(self, point) -> bool:
         idx = point if isinstance(point, int) else point_index(point)
         return bool(self.membership[idx])
-
-    def serialize(self) -> str:
-        bits = "".join("1" if b else "0" for b in self.membership)
-        return f"{self.m} {self.p!r} {bits}"
 
     @classmethod
     def deserialize(cls, text: str) -> "TernaryFamily":
@@ -220,19 +209,6 @@ def find_core(fam: TernaryFamily, delta: float, p: float | None = None,
                 members, mass = core_family(fam, subset, p, threshold)
                 return CoreResult(subset, err, threshold, members, mass)
     raise AssertionError("unreachable: the full coordinate set has error 0")
-
-
-def dependent_coordinates(fam: TernaryFamily) -> tuple[int, ...]:
-    """Coordinates the family actually depends on."""
-    out = []
-    mem = fam.membership
-    for j in range(fam.m):
-        step = 3**j
-        view = mem.reshape(-1, 3, step)
-        if not (np.array_equal(view[:, 0, :], view[:, 1, :])
-                and np.array_equal(view[:, 0, :], view[:, 2, :])):
-            out.append(j)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

