@@ -186,7 +186,12 @@ def block_hits(blocks: list[int], n_bits: int) -> np.ndarray:
 
 def shattered_mask(blocks: list[int], n_bits: int) -> np.ndarray:
     """Boolean per character mask: True when no block holds two of its bits."""
-    return block_hits(blocks, n_bits) == popcounts(n_bits)
+    masks = np.arange(1 << n_bits)
+    shattered = np.ones(1 << n_bits, dtype=bool)
+    for b in blocks:
+        held = masks & b
+        shattered &= (held & (held - 1)) == 0  # at most one bit of b
+    return shattered
 
 
 @dataclass(frozen=True)
@@ -197,12 +202,6 @@ class ShatterDecomp:
     f2: np.ndarray
     f3: np.ndarray
     s: float
-
-    @property
-    def norms(self) -> tuple[float, float, float]:
-        return (float(np.sqrt((self.f1**2).sum())),
-                float(np.sqrt((self.f2**2).sum())),
-                float(np.sqrt((self.f3**2).sum())))
 
 
 def shattered_decomposition(coeffs: np.ndarray, projection: tuple[int, ...],
@@ -217,13 +216,10 @@ def shattered_decomposition(coeffs: np.ndarray, projection: tuple[int, ...],
 
 
 def _coordinate_mass(damped: np.ndarray) -> np.ndarray:
-    """Per coordinate i, the total of damped over the characters holding i."""
+    """Per coordinate i, the total of damped over the characters holding i:
+    the odd rows of a (-1, 2, 2^i) view, summed with no copy."""
     n_bits = int(round(math.log2(damped.size)))
-    masks = np.arange(damped.size)
-    out = np.zeros(n_bits)
-    for i in range(n_bits):
-        out[i] = float(damped[(masks >> i) & 1 == 1].sum())
-    return out
+    return np.array([damped.reshape(-1, 2, 1 << i)[:, 1].sum() for i in range(n_bits)])
 
 
 def noisy_influences(coeffs: np.ndarray, gamma: float) -> np.ndarray:
@@ -257,7 +253,8 @@ def cross_expectation(f_coeffs: np.ndarray, g_coeffs: np.ndarray,
                       blocks: list[int], M: np.ndarray) -> float:
     """E[f(y) g(z)] when (y, z) restricted to each block is an independent
     draw of the base (Y, Z) pair: f^T (tensor over blocks of M) g, applied
-    to g as one mode product per block, O(2^n 2^r #blocks).
+    to g as one mode product per block, O(2^n 2^r #blocks) time and O(2^n)
+    memory.
 
     The blocks must partition the n label bits into blocks of r bits each,
     where M is 2^r x 2^r; bit t of a block's local index is its t-th
@@ -273,15 +270,16 @@ def cross_expectation(f_coeffs: np.ndarray, g_coeffs: np.ndarray,
         covered |= b
     if covered != (1 << n_bits) - 1:
         raise ValueError(f"blocks cover {covered:#b}, not all {n_bits} label bits")
-    # Axis k of the (2,)*n view holds label bit n-1-k, so a block's axes,
-    # moved to the front in increasing order, flatten to its local index.
-    g = np.asarray(g_coeffs, dtype=np.float64).reshape((2,) * n_bits)
-    for b in blocks:
-        axes = [k for k in range(n_bits) if (b >> (n_bits - 1 - k)) & 1]
-        front = np.moveaxis(g, axes, range(r))
-        moved = M @ front.reshape(1 << r, -1)
-        g = np.moveaxis(moved.reshape(front.shape), range(r), axes)
-    return float(np.dot(f_coeffs, g.reshape(-1)))
+    # Axis k of the (2,)*n view holds label bit n-1-k, so a block's axes in
+    # increasing order flatten to its local index. One transpose puts the
+    # blocks in order; each mode product then works on the leading block and
+    # rotates it to the end, so after the last block the order is back.
+    axes = [k for b in blocks for k in range(n_bits) if (b >> (n_bits - 1 - k)) & 1]
+    g = np.asarray(g_coeffs, dtype=np.float64).reshape((2,) * n_bits).transpose(axes)
+    for _ in blocks:
+        g = (M @ g.reshape(1 << r, -1)).T.reshape(-1)
+    f = np.asarray(f_coeffs, dtype=np.float64).reshape((2,) * n_bits).transpose(axes)
+    return float(np.dot(f.reshape(-1), g.reshape(-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -433,15 +431,15 @@ def decode(indicators: dict[tuple[int, int], np.ndarray], pcp: LayeredPcp,
     cons = [c for c in pcp.constraints_between(l, l2)
             if c.v in qualified[l] and c.u in qualified[l2]]
     for c in cons:
+        spec = spectra[(l, c.v)]
         blocks = blocks_of(c.projection, pcp.label_sizes[l2])
         block_pos = block_positions(blocks, pcp.label_sizes[l])
-        dec = shattered_decomposition(spectra[(l, c.v)], c.projection,
-                                      pcp.label_sizes[l2], params.s)
-        f2_norm = dec.norms[1]
+        f2 = shattered_decomposition(spec, c.projection, pcp.label_sizes[l2], params.s).f2
+        f2_norm = float(np.sqrt((f2**2).sum()))
         is_good = f2_norm <= good_bound
         good[(c.v, c.u)] = is_good
-        eyz = cross_expectation(spectra[(l, c.v)], spectra[(l, c.v)], blocks, M)
-        inf_bar = block_noisy_influences(spectra[(l, c.v)], params.gamma, blocks)
+        eyz = cross_expectation(spec, spec, blocks, M)
+        inf_bar = block_noisy_influences(spec, params.gamma, blocks)
         gap = float(np.max(np.abs(inf_bar - influences[(l, c.v)]))) if inf_bar.size else 0.0
         inf_u = influences[(l2, c.u)]
         matched = any(min(inf_u[i], 4.0 * r * float(inf_bar[positions].sum())) >= params.tau

@@ -15,6 +15,8 @@ import numpy as np
 MAX_VECTOR_WIDTH = 30
 MAX_TABLE_WIDTH = 24
 PARSEVAL_TOL = 1e-12
+_BYTE_POPCOUNTS = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(axis=1, dtype=np.int64)
+_BYTE_POPCOUNTS.flags.writeable = False
 
 
 def _lowest_bit(x: int) -> int:
@@ -162,12 +164,11 @@ def _fwht(vec: np.ndarray) -> np.ndarray:
 
 
 def popcounts(n_bits: int) -> np.ndarray:
-    """Set-bit count of every mask below 2^n_bits, as int64: the table for
-    n bits is the one for n-1 bits followed by itself plus one."""
-    out = np.zeros(1, dtype=np.int64)
-    for _ in range(n_bits):
-        out = np.concatenate((out, out + 1))
-    return out
+    """Set-bit count of every mask below 2^n_bits, as int64: the byte table
+    for the low byte, added to the counts of the bits above it."""
+    if n_bits <= 8:
+        return _BYTE_POPCOUNTS[:1 << n_bits].copy()
+    return (popcounts(n_bits - 8)[:, None] + _BYTE_POPCOUNTS).reshape(-1)
 
 
 def walsh_hadamard(values: np.ndarray) -> np.ndarray:

@@ -251,11 +251,9 @@ def max_independent_set(h: GenericHypergraph, budget: int = DEFAULT_NODE_BUDGET)
     # vertex not taken is excluded. The include branch is pushed last so it is searched first.
     stack = [(0, 0, 0, range(len(masks)))]
     nodes = 0
-    while stack:
+    while stack and nodes < budget:
         idx, current, included, live = stack.pop()
         nodes += 1
-        if nodes > budget:
-            break
         if idx == len(order):
             if current > best_weight:
                 best_mask, best_weight = included, current
@@ -266,8 +264,9 @@ def max_independent_set(h: GenericHypergraph, budget: int = DEFAULT_NODE_BUDGET)
         stack.append((idx + 1, current, included, live))
         if not completes_edge(idx, included):
             stack.append((idx + 1, current + weight[idx], included | 1 << idx, live))
+    ran_out = bool(stack)  # nodes were left unexpanded
     return IndependentSetResult(frozenset(v for i, v in enumerate(order) if best_mask >> i & 1),
-                                Fraction(best_weight, h.scale), nodes <= budget, nodes)
+                                Fraction(best_weight, h.scale), not ran_out, nodes)
 
 
 @dataclass
@@ -373,9 +372,9 @@ def almost_two_colorable(h: GenericHypergraph, epsilon, candidate_removal=None,
             coloring = {ids[p]: c for p, c in state.items() if c != _REMOVED}
             return ColoringResult(True, coloring, nodes, max_depth,
                                   frozenset(ids[p] for p, c in state.items() if c == _REMOVED))
-        nodes += 1
-        if nodes > budget:
+        if nodes >= budget:
             return ColoringResult(None, None, nodes, max_depth)
+        nodes += 1
         trail: list[int] = []
         assign(order[idx], s, trail)
         if s == _REMOVED:

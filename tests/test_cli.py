@@ -649,7 +649,12 @@ class TestExitCodes:
         assert run("verify", "--input", bundle, "--mode", "two-color", "--budget", 1,
                    "--out", out) == 2
         assert json.loads(out.read_text())["two_colorable"] is None
-        assert capsys.readouterr().out == "two-colorable: inconclusive after 2 nodes\n"
+        assert capsys.readouterr().out == "two-colorable: inconclusive after 1 nodes\n"
+        # the whole search takes two nodes, so a budget of two answers it
+        assert run("verify", "--input", bundle, "--mode", "two-color", "--budget", 2,
+                   "--out", out) == 2
+        assert json.loads(out.read_text())["two_colorable"] is False
+        assert capsys.readouterr().out == "two-colorable: False\n"
 
     def test_almost_removed_is_a_list_on_yes_and_null_on_no(self, tmp_path):
         # at epsilon 0 the even cycle is a yes with nothing removed, the odd one a no
@@ -964,6 +969,35 @@ class TestLabelSizeBounds:
             f"error: {pcp}: label size {10**20} of layer 0 is over 24, the widest cube table\n"))
 
 
+@pytest.mark.parametrize("size", [12, 16])
+def test_dto1_decode_of_dictators_at_wide_labels(tmp_path, size):
+    """Two variables per layer, label sizes size and size / 2, every pair
+    constrained by a 2-to-1 projection that keeps the planted labeling: the
+    dictators of that labeling decode to it, within the time limit."""
+    rng = np.random.default_rng(size)
+    sizes, planted = [size, size // 2], [[1, size - 1], [0, size // 2 - 1]]
+    constraints = []
+    for v, u in itertools.product(range(2), range(2)):
+        projection = rng.permutation(np.arange(size) // 2)
+        j = int(np.flatnonzero(projection == planted[1][u])[0])  # swap to keep the planted labels
+        projection[[planted[0][v], j]] = projection[[j, planted[0][v]]]
+        constraints.append({"from_layer": 0, "to_layer": 1, "v": v, "u": u,
+                            "projection": projection.tolist()})
+    pcp, ind, out = tmp_path / "pcp.json", tmp_path / "ind.json", tmp_path / "decode.json"
+    pcp.write_text(json.dumps({"pcp": {"layers": 2, "var_counts": [2, 2], "label_sizes": sizes,
+                                       "constraints": constraints, "params": {"d": 2, "T": 1},
+                                       "planted_labeling": planted}}))
+    ind.write_text(json.dumps({"indicators": {
+        f"{l},{v}": (1 - (np.arange(1 << sizes[l]) >> label & 1)).tolist()
+        for l in range(2) for v, label in enumerate(planted[l])}}))
+    done = run_subprocess("decode", "--kind", "dto1", "--gadget", pcp, "--indicator", ind,
+                          "--delta", "0.25", "--gamma", "0.05", "--out", out)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(out.read_text())["decode"]
+    assert report["outcome"] == "ok"
+    assert report["satisfied_fraction"] == report["satisfied_fraction_all"] == "1"
+
+
 def decode_pcp_and_indicators(tmp_path):
     """The seed-1 smooth PCP of a 3 x 3 game (label sizes 8 and 4 on 1 + 9
     variables) and noisy dictator indicators of its planted labeling."""
@@ -1234,12 +1268,18 @@ class TestReport:
 
 
 def test_import_cli_loads_no_scipy():
-    # scipy costs import time and memory (scipy.optimize alone adds over 40 MB of RSS);
-    # the modules that need it import it where it is used.
-    out = subprocess.run([sys.executable, "-c", "import sys, gadgetlab.cli; "
-                          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+    # Every CLI process pays its imports: scipy alone (scipy.optimize adds over 40 MB
+    # of RSS) would cost more than the rest. So importing the CLI adds no top-level
+    # package outside the standard library but numpy and gadgetlab; the modules that
+    # need scipy import it where it is used.
+    script = ("import sys\n"
+              "before = {m.split('.')[0] for m in sys.modules}\n"
+              "import gadgetlab.cli\n"
+              "added = {m.split('.')[0] for m in sys.modules} - before\n"
+              "print(sorted(added - sys.stdlib_module_names))\n")
+    out = subprocess.run([sys.executable, "-c", script],
                          env=src_env(), capture_output=True, text=True, check=True).stdout
-    assert out == "[]\n"
+    assert out == "['gadgetlab', 'numpy']\n"
 
 
 def written_bytes(payload) -> bytes:

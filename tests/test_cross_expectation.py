@@ -1,13 +1,17 @@
-"""dto1.cross_expectation against the double-loop oracle and at n = 16."""
+"""The dto1 spectral kernels against the loops and tables they replaced:
+cross_expectation against the double loop and the per-block moveaxis
+kernel, the influence and shattering kernels against the mask loops, and
+their memory at n = 20."""
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from gadgetlab import dto1
+from gadgetlab import dto1, gf2
 from gadgetlab.dto1 import (blocks_of, cross_expectation, cube_spectrum,
                             dist_table, shattered_decomposition,
                             yz_character_matrix)
@@ -39,6 +43,46 @@ def cross_expectation_loop(f_coeffs: np.ndarray, g_coeffs: np.ndarray,
                     break
             total += prod
     return total
+
+
+def cross_expectation_moveaxis(f_coeffs: np.ndarray, g_coeffs: np.ndarray,
+                               blocks: list[int], M: np.ndarray) -> float:
+    """Reference: the kernel before the block-major transpose, which moved
+    each block's axes to the front and back again around its mode product."""
+    n_bits = int(round(math.log2(g_coeffs.size)))
+    r = int(round(math.log2(M.shape[0])))
+    g = np.asarray(g_coeffs, dtype=np.float64).reshape((2,) * n_bits)
+    for b in blocks:
+        axes = [k for k in range(n_bits) if (b >> (n_bits - 1 - k)) & 1]
+        front = np.moveaxis(g, axes, range(r))
+        moved = M @ front.reshape(1 << r, -1)
+        g = np.moveaxis(moved.reshape(front.shape), range(r), axes)
+    return float(np.dot(f_coeffs, g.reshape(-1)))
+
+
+def popcounts_doubling(n_bits: int) -> np.ndarray:
+    """Reference: the table for n bits is the one for n-1 bits followed by
+    itself plus one."""
+    out = np.zeros(1, dtype=np.int64)
+    for _ in range(n_bits):
+        out = np.concatenate((out, out + 1))
+    return out
+
+
+def block_hits_loop(blocks: list[int], n_bits: int) -> np.ndarray:
+    """Reference: per mask, the number of blocks it touches."""
+    return np.array([sum(1 for b in blocks if m & b) for m in range(1 << n_bits)], dtype=np.int64)
+
+
+def coordinate_mass_loop(damped: np.ndarray) -> np.ndarray:
+    """Reference: per coordinate i, a boolean-mask gather of the characters
+    holding i, summed."""
+    n_bits = int(round(math.log2(damped.size)))
+    masks = np.arange(damped.size)
+    out = np.zeros(n_bits)
+    for i in range(n_bits):
+        out[i] = float(damped[(masks >> i) & 1 == 1].sum())
+    return out
 
 
 def exact_r_projection(r: int, n_blocks: int, rng: random.Random) -> tuple[int, ...]:
@@ -80,3 +124,77 @@ def test_shattered_closed_form_at_sixteen_bits():
     spectral = cross_expectation(dec.f3, dec.f3, blocks_of(proj, 8), M)
     closed = float((dec.f3**2 * (-1.0 + eta) ** dto1.popcounts(16)).sum())
     assert spectral == pytest.approx(closed, abs=1e-12)
+
+
+@settings(max_examples=150)
+@given(r=st.integers(1, 4), n_blocks=st.integers(0, 12), delta=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1), density=st.sampled_from([0.05, 0.5, 1.0]))
+@example(r=1, n_blocks=0, delta=0.25, seed=0, density=1.0)
+@example(r=1, n_blocks=1, delta=0.25, seed=1, density=1.0)
+@example(r=3, n_blocks=3, delta=0.5, seed=2, density=1.0)
+@example(r=1, n_blocks=9, delta=0.1, seed=3, density=0.5)
+@example(r=4, n_blocks=3, delta=0.7, seed=4, density=1.0)
+def test_block_major_kernel_matches_moveaxis_kernel(r, n_blocks, delta, seed, density):
+    # up to n = 12; the tolerance is relative to |f|^T (tensor of |M|) |g|,
+    # the sum of the magnitudes of every product the two kernels add up
+    assume(r * n_blocks <= 12)
+    rng = np.random.default_rng(seed)
+    blocks = blocks_of(exact_r_projection(r, n_blocks, random.Random(seed)), n_blocks)
+    size = 1 << (r * n_blocks)
+    f, g = (rng.normal(size=size) * (rng.uniform(size=size) < density) for _ in range(2))
+    M = yz_character_matrix(dist_table(delta, r))
+    got = cross_expectation(f, g, blocks, M)
+    want = cross_expectation_moveaxis(f, g, blocks, M)
+    assert abs(got - want) <= 1e-12 * cross_expectation_moveaxis(np.abs(f), np.abs(g), blocks, np.abs(M))
+
+
+@settings(max_examples=200)
+@given(n_bits=st.integers(0, 12), target=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       gamma=st.floats(0.0, 1.0), s=st.floats(0.0, 13.0))
+@example(n_bits=0, target=1, seed=0, gamma=0.05, s=3.0)
+@example(n_bits=1, target=1, seed=1, gamma=0.05, s=1.0)
+@example(n_bits=9, target=4, seed=2, gamma=0.05, s=3.0)
+@example(n_bits=9, target=9, seed=3, gamma=1.0, s=0.0)
+@example(n_bits=12, target=3, seed=4, gamma=0.3, s=13.0)
+def test_influence_and_shattering_kernels_match_the_mask_loops(n_bits, target, seed, gamma, s):
+    # integer tables and masks exactly; influences, sums of non-negative
+    # terms, to 1e-12 relative
+    rng = np.random.default_rng(seed)
+    pick = random.Random(seed)
+    projection = tuple(pick.randrange(target) for _ in range(n_bits))
+    blocks = blocks_of(projection, target)
+    coeffs = rng.normal(size=1 << n_bits)
+    pops, hits = popcounts_doubling(n_bits), block_hits_loop(blocks, n_bits)
+    assert np.array_equal(gf2.popcounts(n_bits), pops) and gf2.popcounts(n_bits).dtype == np.int64
+    assert np.array_equal(dto1.block_hits(blocks, n_bits), hits)
+    shattered = hits == pops
+    assert np.array_equal(dto1.shattered_mask(blocks, n_bits), shattered)
+    dec = shattered_decomposition(coeffs, projection, target, s)
+    high = pops >= s
+    for got, keep in ((dec.f1, high), (dec.f2, ~high & ~shattered), (dec.f3, ~high & shattered)):
+        assert np.array_equal(got, np.where(keep, coeffs, 0.0))
+    for got, touched in ((dto1.noisy_influences(coeffs, gamma), pops),
+                         (dto1.block_noisy_influences(coeffs, gamma, blocks), hits)):
+        want = coordinate_mass_loop(coeffs**2 * (1.0 - gamma) ** (2 * touched))
+        assert got.shape == (n_bits,)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_kernels_hold_a_few_tables_at_twenty_bits():
+    # six 2^n float64 tables; a (2^n x n) table of bits would be twenty
+    n, r = 20, 2
+    budget = 6 * 8 << n
+    rng = np.random.default_rng(47)
+    f, g = rng.normal(size=1 << n), rng.normal(size=1 << n)
+    blocks = blocks_of(exact_r_projection(r, n // r, random.Random(47)), n // r)
+    M = yz_character_matrix(dist_table(0.25, r))
+    for kernel in (lambda: dto1.noisy_influences(f, 0.05),
+                   lambda: dto1.block_noisy_influences(f, 0.05, blocks),
+                   lambda: cross_expectation(f, g, blocks, M)):
+        tracemalloc.start()
+        try:
+            kernel()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 8 << n <= peak < budget  # numpy's tables are traced, and few

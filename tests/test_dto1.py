@@ -320,8 +320,8 @@ class TestShatteredDecomposition:
         cons = pcp.constraints_between(0, 1)
         coeffs = rng.normal(size=1 << pcp.label_sizes[0])
         coeffs /= math.sqrt(float((coeffs**2).sum()))
-        norms = [shattered_decomposition(coeffs, c.projection,
-                                         pcp.label_sizes[1], s).norms[1]
+        norms = [np.linalg.norm(shattered_decomposition(coeffs, c.projection,
+                                                        pcp.label_sizes[1], s).f2)
                  for c in cons]
         assert float(np.mean(norms)) <= s / math.sqrt(T) + 1e-12
 

@@ -48,7 +48,8 @@ def brute_force_max_is(h: GenericHypergraph) -> Fraction:
 def max_independent_set_recursive(h: GenericHypergraph, budget: int = verify.DEFAULT_NODE_BUDGET
                                   ) -> verify.IndependentSetResult:
     """Reference oracle: the recursive branch and bound this module's
-    explicit-stack search replaced, kept as it was.
+    explicit-stack search replaced, kept as it was but for the budget, now
+    tested before a node is counted, so that at most budget nodes expand.
 
     Branches on the highest-degree undecided vertex, seeds the incumbent
     with a greedy solution, and prunes with a fractional bound obtained
@@ -94,10 +95,10 @@ def max_independent_set_recursive(h: GenericHypergraph, budget: int = verify.DEF
         nonlocal best_set, best_weight, nodes, exhausted
         if exhausted:
             return
-        nodes += 1
-        if nodes > budget:
+        if nodes >= budget:
             exhausted = True
             return
+        nodes += 1
         while idx < len(order) and order[idx] in excluded:
             idx += 1
         if idx == len(order):
@@ -251,7 +252,8 @@ def _incidence(h: GenericHypergraph) -> tuple[list[list[int]], list[int], dict[i
 def almost_two_colorable_lists(h: GenericHypergraph, epsilon, candidate_removal=None,
                                budget: int = DEFAULT_NODE_BUDGET) -> ColoringResult:
     """Reference oracle: the three-state search with per-edge list
-    propagation that the count-array search replaced, kept as it was.
+    propagation that the count-array search replaced, kept as it was but
+    for the budget, now tested before a node is counted.
 
     Search for a removal set of weight <= epsilon * total whose induced
     sub-hypergraph (edges fully inside the survivors) is 2-colorable.
@@ -310,9 +312,9 @@ def almost_two_colorable_lists(h: GenericHypergraph, epsilon, candidate_removal=
             coloring = {v: c for v, c in state.items() if c != _REMOVED}
             return ColoringResult(True, coloring, nodes, max_depth,
                                   frozenset(state.keys() - coloring.keys()))
-        nodes += 1
-        if nodes > budget:
+        if nodes >= budget:
             return ColoringResult(None, None, nodes, max_depth)
+        nodes += 1
         v = order[idx]
         state[v] = s
         trail = [v]
@@ -803,7 +805,7 @@ class TestMaxIndependentSet:
                 max_independent_set_recursive(h, budget=400)
         finally:
             sys.setrecursionlimit(old)
-        assert not res.optimal and res.nodes_expanded == 401
+        assert not res.optimal and res.nodes_expanded == 400
         assert not any(set(e) <= res.vertices for e in h.edges)
 
     def test_hadamard_mis_gadget_is_pinned(self, tmp_path):
@@ -816,7 +818,7 @@ class TestMaxIndependentSet:
         assert (len(h.vertices), len(h.edges)) == (64, 136)
         res = verify.max_independent_set(h, budget=200)
         assert res == max_independent_set_recursive(h, budget=200)
-        assert res.nodes_expanded == 201 and not res.optimal and res.weight == 42
+        assert res.nodes_expanded == 200 and not res.optimal and res.weight == 42
 
 
 class TestTwoColorable:
@@ -912,7 +914,7 @@ class TestAlmostTwoColorable:
         # one vertex short of the seven the copies need: a no, but only
         # after a search far larger than the budget
         res = verify.almost_two_colorable(seven_copies_of_k5(), Fraction(6, 35), budget=1000)
-        assert res.colorable is None and res.nodes == 1001
+        assert res.colorable is None and res.nodes == 1000
         assert res.coloring is None and res.removal is None
 
     @pytest.mark.parametrize("candidate", [{99}, [0, 99, -5], (4, -1)])
