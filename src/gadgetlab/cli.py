@@ -45,10 +45,11 @@ _TOKEN = f"int-rows-{os.urandom(8).hex()}"  # a JSON string that stands in for o
 
 
 def write_artifact(path: str | Path, payload: dict) -> None:
-    """The one artifact writer: atomically, json.dump(payload, indent=2,
-    sort_keys=True) and a newline. Its one non-JSON type is np.ndarray, written
-    as its tolist(); a non-empty 2-D integer array (edges) is rendered in its
-    place, ROWS_PER_WRITE rows at a time, from per-column tables of its cells."""
+    """The one artifact writer: atomically, strict JSON (a NaN or infinity is a
+    ValueError and leaves no file) as json.dump(payload, indent=2, sort_keys=True)
+    and a newline. Its one non-JSON type is np.ndarray, written as its tolist();
+    a non-empty 2-D integer array (edges) is rendered in its place,
+    ROWS_PER_WRITE rows at a time, from per-column tables of its cells."""
     path = Path(path)
     if path.parent and not path.parent.exists():
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -66,7 +67,7 @@ def write_artifact(path: str | Path, payload: dict) -> None:
                     return _TOKEN
                 return value.tolist()
 
-            text = json.dumps(payload, indent=2, sort_keys=True, default=array)
+            text = json.dumps(payload, indent=2, sort_keys=True, default=array, allow_nan=False)
             pieces = text.split(f'"{_TOKEN}"')
             fh.write(pieces[0])
             for rows, before, after in zip(arrays, pieces, pieces[1:]):

@@ -7,7 +7,6 @@ the base distribution on (x_i, y restricted to the preimage of i, z there).
 """
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -76,30 +75,18 @@ def dist_table(delta: float, r: int) -> DDeltaR:
         raise ValueError(f"delta must be in [0, 1], got {delta}")
     if not 1 <= r <= MAX_TABLE_R:
         raise ValueError(f"r must be in [1, {MAX_TABLE_R}] for a full table, got {r}")
-    size = 1 << r
+    size, full = 1 << r, (1 << r) - 1
     probs = np.zeros((2, size, size))
-    full = size - 1
-    plain = (1.0 - delta) / (2.0 * size)
-    for x_bit in range(2):
-        for y in range(size):
-            probs[x_bit, y, y ^ full] += plain
-    resampled = delta / (r * size) if delta else 0.0
+    points = np.arange(size)
+    probs[:, points, points ^ full] = (1.0 - delta) / (2.0 * size)
+    # the resampled atoms: no two share a cell, nor with the plain ones (z ^ y names j)
     for j in range(r):
+        rest = points[(points >> j) & 1 == 0]
         for x_bit in range(2):
             target = (1 - x_bit) << j
-            for rest in range(size):
-                if (rest >> j) & 1:
-                    continue
-                y = (rest & ~(1 << j)) | target
-                z_rest = (rest ^ full) & ~(1 << j)
-                z = z_rest | target
-                probs[x_bit, y, z] += resampled
-    factors = (
-        (1, -1),
-        tuple(_mask_tuple(m, r) for m in range(size)),
-        tuple(_mask_tuple(m, r) for m in range(size)),
-    )
-    return DDeltaR(delta, r, FiniteJointDist(factors, probs))
+            probs[x_bit, rest | target, ((rest ^ full) & ~(1 << j)) | target] = delta / (r * size)
+    signs = tuple(_mask_tuple(m, r) for m in range(size))
+    return DDeltaR(delta, r, FiniteJointDist(((1, -1), signs, signs), probs))
 
 
 def sample(delta: float, r: int, rng: random.Random | int) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
@@ -110,19 +97,14 @@ def sample(delta: float, r: int, rng: random.Random | int) -> tuple[int, tuple[i
     z = [-v for v in y]
     if rng.random() < delta:
         j = rng.randrange(r)
-        y[j] = -x
-        z[j] = -x
+        y[j] = z[j] = -x
     return x, tuple(y), tuple(z)
 
 
 def support_safety(dist: DDeltaR) -> bool:
     """No positive atom has (X, Y_j, Z_j) monochromatic at any j."""
-    for x_bit, y, z in dist.support():
-        xv = 1 if x_bit == 0 else -1
-        for j in range(dist.r):
-            if xv == _pm(y, j) == _pm(z, j):
-                return False
-    return True
+    return not any(_pm(x_bit, 0) == _pm(y, j) == _pm(z, j)
+                   for x_bit, y, z in dist.support() for j in range(dist.r))
 
 
 def correlation_suite(delta: float, r: int) -> dict:
@@ -135,11 +117,8 @@ def correlation_suite(delta: float, r: int) -> dict:
     rho_x_yz = maximal_correlation(dist.joint, ((0,), (1, 2)))
     rho_xy_z = maximal_correlation(dist.joint, ((0, 1), (2,)))
     rho_y_z = maximal_correlation(dist.yz_marginal(), ((0,), (1,)))
-    rho_joint = max(
-        maximal_correlation(dist.joint, ((1, 2), (0,))),
-        maximal_correlation(dist.joint, ((0, 2), (1,))),
-        maximal_correlation(dist.joint, ((0, 1), (2,))),
-    )
+    rho_joint = max(maximal_correlation(dist.joint, ((1, 2), (0,))),
+                    maximal_correlation(dist.joint, ((0, 2), (1,))), rho_xy_z)
     cap = 1.0 - xi**2 / 2.0
     return {
         "delta": delta, "r": r, "xi": xi,
@@ -185,55 +164,63 @@ def block_hits(blocks: list[int], n_bits: int) -> np.ndarray:
 
 
 def shattered_mask(blocks: list[int], n_bits: int) -> np.ndarray:
-    """Boolean per character mask: True when no block holds two of its bits."""
-    masks = np.arange(1 << n_bits)
-    shattered = np.ones(1 << n_bits, dtype=bool)
-    for b in blocks:
-        held = masks & b
-        shattered &= (held & (held - 1)) == 0  # at most one bit of b
-    return shattered
+    """Boolean per character mask: True when no block holds two of its bits,
+    that is, for blocks that partition the bits, when it touches as many
+    blocks as it has bits."""
+    return block_hits(blocks, n_bits) == popcounts(n_bits)
+
+
+def _width(coeffs: np.ndarray) -> int:
+    """n, for tables of 2^n entries along the last axis."""
+    return coeffs.shape[-1].bit_length() - 1
 
 
 @dataclass(frozen=True)
 class ShatterDecomp:
-    """Spectrum split into high-degree, low-unshattered, low-shattered."""
+    """Spectrum split into high-degree (f1), low-unshattered (f2) and low-shattered
+    (f3) parts, kept as the coefficients and two masks; a part is built when read."""
 
-    f1: np.ndarray
-    f2: np.ndarray
-    f3: np.ndarray
+    coeffs: np.ndarray
+    high: np.ndarray
+    shattered: np.ndarray
     s: float
+
+    f1 = property(lambda self: np.where(self.high, self.coeffs, 0.0))
+    f2 = property(lambda self: np.where(~self.high & ~self.shattered, self.coeffs, 0.0))
+    f3 = property(lambda self: np.where(~self.high & self.shattered, self.coeffs, 0.0))
 
 
 def shattered_decomposition(coeffs: np.ndarray, projection: tuple[int, ...],
                             target_size: int, s: float) -> ShatterDecomp:
-    n_bits = int(round(math.log2(coeffs.size)))
-    shat = shattered_mask(blocks_of(projection, target_size), n_bits)
-    high = popcounts(n_bits) >= s
-    f1 = np.where(high, coeffs, 0.0)
-    f2 = np.where(~high & ~shat, coeffs, 0.0)
-    f3 = np.where(~high & shat, coeffs, 0.0)
-    return ShatterDecomp(f1, f2, f3, s)
+    """The decomposition of each spectrum along the last axis."""
+    n_bits = _width(coeffs)
+    return ShatterDecomp(coeffs, popcounts(n_bits) >= s,
+                         shattered_mask(blocks_of(projection, target_size), n_bits), s)
 
 
 def _coordinate_mass(damped: np.ndarray) -> np.ndarray:
-    """Per coordinate i, the total of damped over the characters holding i:
-    the odd rows of a (-1, 2, 2^i) view, summed with no copy."""
-    n_bits = int(round(math.log2(damped.size)))
-    return np.array([damped.reshape(-1, 2, 1 << i)[:, 1].sum() for i in range(n_bits)])
+    """Per coordinate i, the total of damped over the characters holding i,
+    for each table along the last axis: the odd rows of a (2^(n-1-i), 2, 2^i)
+    view, summed with no copy."""
+    n_bits, lead = _width(damped), damped.shape[:-1]
+    out = np.empty((*lead, n_bits))
+    for i in range(n_bits):
+        out[..., i] = damped.reshape(*lead, 1 << (n_bits - 1 - i), 2, 1 << i)[..., 1, :].sum(axis=(-2, -1))
+    return out
 
 
 def noisy_influences(coeffs: np.ndarray, gamma: float) -> np.ndarray:
-    """Inf_i of T_{1-gamma} f per coordinate, by spectrum reweighting."""
-    n_bits = int(round(math.log2(coeffs.size)))
-    return _coordinate_mass(coeffs**2 * (1.0 - gamma) ** (2 * popcounts(n_bits)))
+    """Inf_i of T_{1-gamma} f per coordinate, by spectrum reweighting, for
+    each spectrum along the last axis."""
+    return _coordinate_mass((1.0 - gamma) ** (2 * popcounts(_width(coeffs))) * coeffs**2)
 
 
 def block_noisy_influences(coeffs: np.ndarray, gamma: float,
                            blocks: list[int]) -> np.ndarray:
     """Inf_i over the cube of the blockwise noise operator, which damps a
-    character by (1-gamma) per touched block rather than per coordinate."""
-    n_bits = int(round(math.log2(coeffs.size)))
-    return _coordinate_mass(coeffs**2 * (1.0 - gamma) ** (2 * block_hits(blocks, n_bits)))
+    character by (1-gamma) per touched block rather than per coordinate,
+    for each spectrum along the last axis."""
+    return _coordinate_mass((1.0 - gamma) ** (2 * block_hits(blocks, _width(coeffs))) * coeffs**2)
 
 
 def block_influence(coeffs: np.ndarray, block_mask: int) -> float:
@@ -259,8 +246,7 @@ def cross_expectation(f_coeffs: np.ndarray, g_coeffs: np.ndarray,
     The blocks must partition the n label bits into blocks of r bits each,
     where M is 2^r x 2^r; bit t of a block's local index is its t-th
     lowest label bit."""
-    n_bits = int(round(math.log2(g_coeffs.size)))
-    r = int(round(math.log2(M.shape[0])))
+    n_bits, r = _width(g_coeffs), _width(M)
     covered = 0
     for b in blocks:
         if bin(b).count("1") != r:
@@ -297,17 +283,6 @@ class Dto1Gadget(PcpGadget):
         return Fraction(1, (1 << self.pcp.label_sizes[layer])
                         * self.pcp.layers * self.pcp.var_counts[layer])
 
-    def edge_exists(self, ci: int, x: int, y: int, z: int) -> bool:
-        c = self.pcp.constraints[ci]
-        dist = dist_table(self.delta, self.constraint_r[ci])
-        blocks = blocks_of(c.projection, self.pcp.label_sizes[c.to_layer])
-        for i, positions in enumerate(block_positions(blocks, self.pcp.label_sizes[c.from_layer])):
-            ym = sum(((y >> j) & 1) << t for t, j in enumerate(positions))
-            zm = sum(((z >> j) & 1) << t for t, j in enumerate(positions))
-            if dist.prob((x >> i) & 1, ym, zm) <= 0:
-                return False
-        return True
-
     def sample_hits(self, ci: int, rng: random.Random, samples: int):
         """Generative draws, one per block, scattered to the label bits."""
         c = self.pcp.constraints[ci]
@@ -318,10 +293,9 @@ class Dto1Gadget(PcpGadget):
             x = y = z = 0
             for i, positions in enumerate(block_pos):
                 xv, yv, zv = sample(self.delta, r, rng)
-                x |= (1 if xv == -1 else 0) << i
-                for t, j in enumerate(positions):
-                    y |= (1 if yv[t] == -1 else 0) << j
-                    z |= (1 if zv[t] == -1 else 0) << j
+                x |= (xv == -1) << i
+                y |= sum((v == -1) << j for v, j in zip(yv, positions))
+                z |= sum((v == -1) << j for v, j in zip(zv, positions))
             yield x, y, z
 
     def to_hypergraph(self) -> GenericHypergraph:
@@ -352,12 +326,8 @@ def build(pcp: LayeredPcp, delta: float) -> Dto1Gadget:
                                                 bits @ 2 ** np.array(pos, dtype=np.int64)]))
             tables[key] = product_rows(factors)
         constraint_edges.append(tables.get(key))  # None: over the bit cap, rule only
-    if all(e is not None for e in constraint_edges):
-        mode = "enumerate"
-    elif all(e is None for e in constraint_edges):
-        mode = "rule"
-    else:
-        mode = "mixed"
+    kept = sum(e is not None for e in constraint_edges)
+    mode = "enumerate" if kept == len(constraint_edges) else "mixed" if kept else "rule"
     return Dto1Gadget(pcp, mode, offsets, total, constraint_edges, delta, constraint_r)
 
 
@@ -382,6 +352,15 @@ class DecodeParams:
     s: float
     T: int
 
+    def __post_init__(self) -> None:
+        for name, ok, rule in (("delta", self.delta == self.delta, "a number"),
+                               ("eps", self.eps == self.eps, "a number"),
+                               ("gamma", 0.0 <= self.gamma <= 1.0, "in [0, 1]"),
+                               ("tau", 0.0 <= self.tau < np.inf, "finite and >= 0"),
+                               ("s", self.s >= 0.0, ">= 0"), ("T", self.T >= 1, ">= 1")):
+            if not ok:  # a NaN fails every rule
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)}")
+
     def eta(self, r: int) -> float:
         return 2.0 * self.delta / r
 
@@ -401,80 +380,85 @@ class Dto1DecodeResult:
 
 def decode(indicators: dict[tuple[int, int], np.ndarray], pcp: LayeredPcp,
            params: DecodeParams, seed: int = 0) -> Dto1DecodeResult:
-    """Influence decoding: pick a heavy layer pair, mark good neighbors by
-    the unshattered-mass bound, and label each side with probability
-    proportional to its noisy influences."""
+    """Influence decoding: pick a heavy layer pair, mark good neighbors by the
+    unshattered-mass bound, and label each side with probability proportional
+    to its noisy influences. Each layer is one stack of indicators, and each
+    distinct projection of the pair one pass over its variables' spectra."""
     if pcp.params is None or "d" not in pcp.params:
         raise ValueError("decode needs a smooth layered PCP")
     d = pcp.params["d"]
+    layer_keys: dict[int, list[tuple[int, int]]] = {}
     for key, f in indicators.items():
-        f = np.asarray(f)
-        if not np.all((f >= -1e-12) & (f <= 1.0 + 1e-12)):  # a NaN fails both
-            raise ValueError(f"indicator {key} is not [0, 1]-valued")
+        if np.shape(f) != (1 << pcp.label_sizes[key[0]],):
+            raise ValueError(f"indicator {key} has shape {np.shape(f)}, "
+                             f"not 2**{pcp.label_sizes[key[0]]} entries")
+        layer_keys.setdefault(key[0], []).append(key)
 
-    _, qualified, density = heavy_layer_pair(
-        pcp, {key: float(np.mean(f)) for key, f in indicators.items()}, params.eps)
+    means, bad = {}, set()
+    for layer, keys in layer_keys.items():
+        values = np.array([indicators[k] for k in keys], dtype=np.float64)
+        in_range = np.all((values >= -1e-12) & (values <= 1.0 + 1e-12), axis=-1)  # a NaN fails both
+        bad.update(k for k, ok in zip(keys, in_range.tolist()) if not ok)
+        means.update(zip(keys, values.mean(axis=-1).tolist()))
+    values = None  # free the last stack: past this point only the spectra are held
+    if bad:
+        raise ValueError(f"indicator {next(k for k in indicators if k in bad)} is not [0, 1]-valued")
+
+    _, qualified, density = heavy_layer_pair(pcp, means, params.eps)
     l, l2 = density["best_pair"]
     r = d ** (l2 - l)
     eta = params.eta(r)
-    dist = dist_table(params.delta, r)
-    M = yz_character_matrix(dist)
+    M = yz_character_matrix(dist_table(params.delta, r))
+    small = pcp.label_sizes[l2]
+    row: dict[tuple[int, int], int] = {}  # a qualified variable's row in its layer's stacks
+    spectra, influences = {}, {}
+    for layer in (l, l2):
+        keys = [(layer, v) for v in sorted(qualified[layer])]
+        row.update(zip(keys, range(len(keys))))
+        spectra[layer] = cube_spectrum(np.array([indicators[k] for k in keys], dtype=np.float64))
+        influences[layer] = noisy_influences(spectra[layer], params.gamma)
 
-    spectra = {(layer, var): cube_spectrum(np.asarray(indicators[(layer, var)], dtype=np.float64))
-               for layer in (l, l2) for var in qualified[layer]}
-    influences = {key: noisy_influences(spec, params.gamma) for key, spec in spectra.items()}
-
-    good: dict[tuple[int, int], bool] = {}
-    pair_floor = (params.eps / 2.0) ** (4.0 / eta)
-    good_bound = (params.s**2 / params.T) ** 0.25
-    diag_pairs = []
     cons = [c for c in pcp.constraints_between(l, l2)
             if c.v in qualified[l] and c.u in qualified[l2]]
-    for c in cons:
-        spec = spectra[(l, c.v)]
-        blocks = blocks_of(c.projection, pcp.label_sizes[l2])
-        block_pos = block_positions(blocks, pcp.label_sizes[l])
-        f2 = shattered_decomposition(spec, c.projection, pcp.label_sizes[l2], params.s).f2
-        f2_norm = float(np.sqrt((f2**2).sum()))
-        is_good = f2_norm <= good_bound
-        good[(c.v, c.u)] = is_good
-        eyz = cross_expectation(spec, spec, blocks, M)
+    # each distinct (v, projection), in first-use order, and its index
+    pairs = {pair: i for i, pair in enumerate(dict.fromkeys((c.v, c.projection) for c in cons))}
+    f2_norm, eyz, gap = np.empty(len(pairs)), np.empty(len(pairs)), np.empty(len(pairs))
+    block_mass = np.empty((len(pairs), small))  # per pair and target label, the block's influence
+    for projection in dict.fromkeys(p for _, p in pairs):
+        group = [i for (_, p), i in pairs.items() if p == projection]
+        v_rows = [row[(l, v)] for v, p in pairs if p == projection]
+        spec, blocks = spectra[l][v_rows], blocks_of(projection, small)
+        f2_norm[group] = np.sqrt(
+            (shattered_decomposition(spec, projection, small, params.s).f2**2).sum(axis=-1))
+        eyz[group] = [cross_expectation(f, f, blocks, M) for f in spec]
         inf_bar = block_noisy_influences(spec, params.gamma, blocks)
-        gap = float(np.max(np.abs(inf_bar - influences[(l, c.v)]))) if inf_bar.size else 0.0
-        inf_u = influences[(l2, c.u)]
-        matched = any(min(inf_u[i], 4.0 * r * float(inf_bar[positions].sum())) >= params.tau
-                      for i, positions in enumerate(block_pos))
-        diag_pairs.append({
-            "v": c.v, "u": c.u, "good": is_good, "f2_norm": f2_norm,
-            "pair_expectation": eyz, "pair_floor": pair_floor,
-            "influence_gap": gap,
-            "influence_gap_bound": 2.0 * good_bound + params.tau / (16.0 * r * r),
-            "matched_influence": matched,
-        })
+        gap[group] = np.max(np.abs(inf_bar - influences[l][v_rows]), axis=-1, initial=0.0)
+        block_mass[group] = inf_bar @ (np.array(projection)[:, None] == np.arange(small))
 
-    labels_v: dict[tuple[int, int], int] = {}
-    labels_u: dict[tuple[int, int], int] = {}
-    no_influence = True
-    for (layer, var) in sorted(spectra):
-        weights = influences[(layer, var)]
+    good_bound = (params.s**2 / params.T) ** 0.25
+    pair_floor = (params.eps / 2.0) ** (4.0 / eta)
+    gap_bound = 2.0 * good_bound + params.tau / (16.0 * r * r)
+    index = [pairs[(c.v, c.projection)] for c in cons]
+    matched = np.any(np.minimum(influences[l2][[row[(l2, c.u)] for c in cons]],
+                                4.0 * r * block_mass[index]) >= params.tau, axis=-1)
+    norm, eyz, gap = f2_norm.tolist(), eyz.tolist(), gap.tolist()
+    good = {(c.v, c.u): norm[i] <= good_bound for c, i in zip(cons, index)}
+    diag_pairs = [{"v": c.v, "u": c.u, "good": norm[i] <= good_bound, "f2_norm": norm[i],
+                   "pair_expectation": eyz[i], "pair_floor": pair_floor, "influence_gap": gap[i],
+                   "influence_gap_bound": gap_bound, "matched_influence": is_matched}
+                  for c, i, is_matched in zip(cons, index, matched.tolist())]
+
+    labels: dict[int, dict[tuple[int, int], int]] = {l: {}, l2: {}}
+    for key in sorted(row):
+        weights = influences[key[0]][row[key]]
         total = float(weights.sum())
-        if total <= 0.0:
-            continue
-        no_influence = False
-        rng = derive_rng(seed, "label", layer, var)
-        pick = rng.random() * total  # the first label whose running sum reaches pick
-        chosen = min(int(np.searchsorted(np.cumsum(weights), pick)), weights.size - 1)
-        (labels_v if layer == l else labels_u)[(layer, var)] = chosen
-
-    if no_influence:
-        return Dto1DecodeResult("no_influential_coordinates", (l, l2), r, {}, {},
-                                Fraction(0), Fraction(0), good,
-                                {"pairs": diag_pairs, "eta": eta})
-
-    return Dto1DecodeResult(
-        "ok", (l, l2), r, labels_v, labels_u,
-        *satisfied_fractions(pcp, (l, l2), labels_v, labels_u),
-        good,
-        {"pairs": diag_pairs, "eta": eta,
-         "density": {str(k): str(f) for k, f in density["per_pair"].items()}},
-    )
+        if total > 0.0:  # the first label whose running sum reaches a uniform pick
+            pick = derive_rng(seed, "label", *key).random() * total
+            labels[key[0]][key] = min(int(np.searchsorted(np.cumsum(weights), pick)), weights.size - 1)
+    if not (labels[l] or labels[l2]):
+        return Dto1DecodeResult("no_influential_coordinates", (l, l2), r, {}, {}, Fraction(0),
+                                Fraction(0), good, {"pairs": diag_pairs, "eta": eta})
+    density = {str(k): str(f) for k, f in density["per_pair"].items()}
+    return Dto1DecodeResult("ok", (l, l2), r, labels[l], labels[l2],
+                            *satisfied_fractions(pcp, (l, l2), labels[l], labels[l2]),
+                            good, {"pairs": diag_pairs, "eta": eta, "density": density})

@@ -150,12 +150,14 @@ class FourierSpectrum:
 
 
 def _fwht(vec: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard butterfly, O(m 2^m), on one working copy."""
+    """Unnormalized Walsh-Hadamard butterfly along the last axis, O(m 2^m)
+    per table, on one working copy."""
     out = np.array(vec, dtype=np.float64)
+    *lead, size = out.shape
     h = 1
-    while h < out.size:
-        halves = out.reshape(-1, 2, h)
-        left, right = halves[:, 0], halves[:, 1]
+    while h < size:
+        halves = out.reshape(*lead, size // (2 * h), 2, h)
+        left, right = halves[..., 0, :], halves[..., 1, :]
         diff = left - right
         left += right
         right[...] = diff
@@ -173,9 +175,10 @@ def popcounts(n_bits: int) -> np.ndarray:
 
 def walsh_hadamard(values: np.ndarray) -> np.ndarray:
     """The average of values[x] * (-1)^(alpha . x) over x, for every alpha
-    (also the +-1-cube transform when bit j set means coordinate j is -1)."""
+    and each table along the last axis (also the +-1-cube transform when
+    bit j set means coordinate j is -1)."""
     out = _fwht(values)
-    return out / out.size
+    return np.divide(out, out.shape[-1], out=out)
 
 
 def fourier_transform(table: RealTable) -> FourierSpectrum:

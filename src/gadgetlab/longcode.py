@@ -62,6 +62,17 @@ class LongCodeGadget(PcpGadget):
         stars = ternary.point_digits(point, m).count(ternary.STAR)
         return self.epsilon**stars * (self.p / 2) ** (m - stars) / (self.pcp.layers * self.pcp.var_counts[layer])
 
+    def point_weights(self) -> list[Fraction]:
+        """vertex_weight of every vertex, in vertex id order: a weight depends only
+        on the layer and the point's star count, so each layer has m + 1 of them."""
+        per_layer = {}
+        for l in dict.fromkeys(l for l, _ in self.offsets):
+            m, share = self.pcp.label_sizes[l], self.pcp.layers * self.pcp.var_counts[l]
+            by_stars = [self.epsilon**s * (self.p / 2) ** (m - s) / share for s in range(m + 1)]
+            stars = (ternary.digits_matrix(m) == ternary.STAR).sum(axis=1)
+            per_layer[l] = [by_stars[s] for s in stars.tolist()]
+        return [w for l, _ in self.offsets for w in per_layer[l]]
+
     def edge_exists(self, ci: int, x: int, y: int, z: int) -> bool:
         """Whether (x, y, z) is a rule hit of constraint ci: no matched
         coordinate triple is (1, 1, 1) or (2, 2, 2). A y == z hit is a pair

@@ -108,6 +108,10 @@ class TestPipelines:
         assert "nu" not in config
 
 
+def refuse_constant(name: str):
+    raise ValueError(f"{name} is not strict JSON")
+
+
 class TestReadmeArtifacts:
     """The README pipelines, run with its relative paths, write these bytes
     and print these lines."""
@@ -116,6 +120,12 @@ class TestReadmeArtifacts:
     def readme_dir(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("GADGETLAB_OUT", raising=False)
+        yield
+        # every artifact the pipeline wrote is strict JSON: no NaN or Infinity
+        artifacts = sorted(tmp_path.glob("*.json"))
+        assert artifacts
+        for path in artifacts:
+            json.loads(path.read_text(), parse_constant=refuse_constant)
 
     def pinned(self, capsys, *steps):
         """Run each (argv, exit code, artifact, its sha256, stdout) step in turn."""
@@ -1070,6 +1080,27 @@ class TestFileReaders:
         assert self.run_error(capsys, "decode", "--kind", "dto1", "--gadget", pcp, "--indicator", ind,
                               "--delta", "0.25") == "error: indicator (1, 3) is not [0, 1]-valued\n"
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("gamma", "nan", "gamma must be in [0, 1], got nan"),
+        ("gamma", "1.5", "gamma must be in [0, 1], got 1.5"),
+        ("gamma", "-1", "gamma must be in [0, 1], got -1.0"),
+        ("tau", "nan", "tau must be finite and >= 0, got nan"),
+        ("tau", "inf", "tau must be finite and >= 0, got inf"),
+        ("s", "nan", "s must be >= 0, got nan"),
+        ("s", "-1", "s must be >= 0, got -1.0"),
+        ("eps", "nan", "eps must be a number, got nan"),
+        ("delta", "nan", "delta must be a number, got nan"),
+    ])
+    def test_dto1_meaningless_parameters(self, tmp_path, capsys, flag, value, message):
+        pcp, indicators = decode_pcp_and_indicators(tmp_path)
+        ind, out = tmp_path / "ind.json", tmp_path / "decode.json"
+        ind.write_text(json.dumps({"indicators": indicators}))
+        argv = {"delta": "0.25", "gamma": "0.05", **{flag: value}}
+        assert self.run_error(capsys, "decode", "--kind", "dto1", "--gadget", pcp, "--indicator", ind,
+                              *(f for k, v in argv.items() for f in (f"--{k}", v)),
+                              "--out", out) == f"error: {message}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("vertices, message", [
         (5, "field 'vertices' is not a list: 5"),
         (["a"], "field 'vertices' is not a list of integers"),
@@ -1290,8 +1321,8 @@ def written_bytes(payload) -> bytes:
 
 
 def stdlib_bytes(payload) -> bytes:
-    return (json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist)
-            + "\n").encode()
+    return (json.dumps(payload, indent=2, sort_keys=True, default=np.ndarray.tolist,
+                       allow_nan=False) + "\n").encode()
 
 
 # JSON values with int-row lists, near misses, and nesting, and numpy arrays:
@@ -1337,7 +1368,7 @@ def spanned_int_arrays(draw) -> tuple[np.ndarray, int]:
 
 class TestArtifactWriter:
     """write_artifact renders 2-D int arrays itself; its bytes must be the
-    stdlib's with every array written as its tolist()."""
+    strict stdlib's (allow_nan=False) with every array written as its tolist()."""
 
     @pytest.mark.parametrize("payload", [
         {"empty": [], "empty_rows": [[]], "two_empty_rows": [[], []], "dict": {}},
@@ -1384,7 +1415,31 @@ class TestArtifactWriter:
     @settings(max_examples=300, deadline=None)
     @given(payload=st.dictionaries(st.text(max_size=6), VALUES, max_size=5))
     def test_matches_stdlib_on_generated_payloads(self, payload):
-        assert written_bytes(payload) == stdlib_bytes(payload)
+        try:
+            want = stdlib_bytes(payload)
+        except ValueError:  # a NaN or an infinity, which strict JSON lacks
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                written_bytes(payload)
+        else:
+            assert written_bytes(payload) == want
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                       np.array([0.5, np.nan])])
+    def test_non_finite_floats_raise_and_leave_no_file(self, tmp_path, value):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            cli.write_artifact(tmp_path / "a.json", {"edges": np.ones((2, 2), dtype=np.int64),
+                                                     "deep": [{"x": value}]})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_non_finite_payload_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "lin.json"
+        config = cli._config_dict
+        monkeypatch.setattr(cli, "_config_dict", lambda args: {**config(args), "ratio": float("nan")})
+        assert run("gen-3lin", "--n", 6, "--eqs", 4, "--seed", 1, "--out", out) == 1
+        out_text, err = capsys.readouterr()
+        assert out_text == "" and err.count("\n") == 1
+        assert err.startswith("error: Out of range float values are not JSON compliant")
+        assert not out.exists()
 
 
 def json_route_read(path) -> dict:

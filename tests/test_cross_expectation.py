@@ -180,21 +180,59 @@ def test_influence_and_shattering_kernels_match_the_mask_loops(n_bits, target, s
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 
+@settings(max_examples=150, deadline=None)
+@given(n_bits=st.integers(0, 10), rows=st.integers(0, 4), target=st.integers(1, 10),
+       seed=st.integers(0, 2**32 - 1), gamma=st.floats(0.0, 1.0), s=st.floats(0.0, 11.0))
+@example(n_bits=0, rows=3, target=1, seed=0, gamma=0.05, s=3.0)
+@example(n_bits=0, rows=0, target=1, seed=0, gamma=0.05, s=0.0)
+@example(n_bits=10, rows=4, target=5, seed=1, gamma=0.3, s=4.0)
+def test_stacked_helpers_equal_their_row_calls(n_bits, rows, target, seed, gamma, s):
+    # bit for bit: a 1-D call runs the same code as a stack of one
+    rng = np.random.default_rng(seed)
+    projection = tuple(random.Random(seed).randrange(target) for _ in range(n_bits))
+    blocks = blocks_of(projection, target)
+    stack = rng.random((rows, 1 << n_bits))
+    spectra = cube_spectrum(stack)
+
+    def part(name):
+        return lambda f: getattr(shattered_decomposition(f, projection, target, s), name)
+
+    table, per_coordinate = (1 << n_bits,), (n_bits,)
+    for source, helper, width in (
+            (stack, gf2._fwht, table),
+            (stack, gf2.walsh_hadamard, table),
+            (stack, cube_spectrum, table),
+            (spectra**2, dto1._coordinate_mass, per_coordinate),
+            (spectra, lambda f: dto1.noisy_influences(f, gamma), per_coordinate),
+            (spectra, lambda f: dto1.block_noisy_influences(f, gamma, blocks), per_coordinate),
+            (spectra, part("f1"), table), (spectra, part("f2"), table), (spectra, part("f3"), table)):
+        got = helper(source)
+        assert got.shape == (rows, *width) and got.dtype == np.float64
+        for row, values in zip(got, source):
+            want = helper(values)
+            assert want.shape == width and row.tobytes() == want.tobytes()
+
+
 def test_kernels_hold_a_few_tables_at_twenty_bits():
-    # six 2^n float64 tables; a (2^n x n) table of bits would be twenty
+    # six 2^n float64 tables per spectrum; a (2^n x n) table of bits would be twenty
     n, r = 20, 2
-    budget = 6 * 8 << n
     rng = np.random.default_rng(47)
     f, g = rng.normal(size=1 << n), rng.normal(size=1 << n)
+    stack = np.stack([f, g])
     blocks = blocks_of(exact_r_projection(r, n // r, random.Random(47)), n // r)
+    projection = exact_r_projection(r, n // r, random.Random(48))
     M = yz_character_matrix(dist_table(0.25, r))
-    for kernel in (lambda: dto1.noisy_influences(f, 0.05),
-                   lambda: dto1.block_noisy_influences(f, 0.05, blocks),
-                   lambda: cross_expectation(f, g, blocks, M)):
+    for rows, kernel in ((1, lambda: dto1.noisy_influences(f, 0.05)),
+                         (1, lambda: dto1.block_noisy_influences(f, 0.05, blocks)),
+                         (1, lambda: cross_expectation(f, g, blocks, M)),
+                         (2, lambda: cube_spectrum(stack)),
+                         (2, lambda: dto1.noisy_influences(stack, 0.05)),
+                         (2, lambda: dto1.block_noisy_influences(stack, 0.05, blocks)),
+                         (2, lambda: shattered_decomposition(stack, projection, n // r, 3.0).f2)):
         tracemalloc.start()
         try:
             kernel()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 8 << n <= peak < budget  # numpy's tables are traced, and few
+        assert 8 << n <= peak < rows * 6 * 8 << n  # numpy's tables are traced, and few

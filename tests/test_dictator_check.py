@@ -215,17 +215,16 @@ def test_weights_are_measured_not_restated(monkeypatch):
     eps = g.epsilon
     assert longcode.yes_partition(g, pcp.planted_labeling).weights == (
         (1 - eps) / 2, (1 - eps) / 2, eps)
-    unskewed = longcode.LongCodeGadget.vertex_weight
+    unskewed = longcode.LongCodeGadget.point_weights
 
-    def skewed(self, layer, var, point):
-        w = unskewed(self, layer, var, point)
-        return 3 * w if point % 3 == ternary.ONE else w
+    def skewed(self):  # thrice the weight of every point whose digit 0 is 1
+        points = [pt for l, _ in self.offsets for pt in range(3 ** self.pcp.label_sizes[l])]
+        return [3 * w if pt % 3 == ternary.ONE else w for pt, w in zip(points, unskewed(self))]
 
-    monkeypatch.setattr(longcode.LongCodeGadget, "vertex_weight", skewed)
+    monkeypatch.setattr(longcode.LongCodeGadget, "point_weights", skewed)
     res = longcode.yes_partition(g, pcp.planted_labeling)
     assert res.weights != ((1 - eps) / 2, (1 - eps) / 2, eps)
     want = [Fraction(0)] * 3
-    for (l, v), off in g.offsets.items():
-        for pt in range(3 ** pcp.label_sizes[l]):
-            want[res.class_of[off + pt]] += skewed(g, l, v, pt)
+    for vertex, w in enumerate(skewed(g)):
+        want[res.class_of[vertex]] += w
     assert res.weights == (want[ternary.ONE], want[ternary.TWO], want[ternary.STAR])

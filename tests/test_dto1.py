@@ -2,15 +2,21 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
+
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gadgetlab import boolfn, dto1, games
 from gadgetlab.dto1 import (DecodeParams, blocks_of, cross_expectation,
                             cube_spectrum, dist_table, shattered_decomposition,
                             shattered_mask, yz_character_matrix)
+from gadgetlab.seeding import derive_rng
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +48,20 @@ def enumerate_cross_expectation(f_vals: np.ndarray, g_vals: np.ndarray,
     return total
 
 
+def edge_exists(g: dto1.Dto1Gadget, ci: int, x: int, y: int, z: int) -> bool:
+    """Rule-mode membership: (x, y, z) is a hit of constraint ci when every
+    block's (x bit, y bits, z bits) is an atom of the base distribution."""
+    c = g.pcp.constraints[ci]
+    dist = dist_table(g.delta, g.constraint_r[ci])
+    blocks = blocks_of(c.projection, g.pcp.label_sizes[c.to_layer])
+    for i, positions in enumerate(dto1.block_positions(blocks, g.pcp.label_sizes[c.from_layer])):
+        ym = sum(((y >> j) & 1) << t for t, j in enumerate(positions))
+        zm = sum(((z >> j) & 1) << t for t, j in enumerate(positions))
+        if dist.prob((x >> i) & 1, ym, zm) <= 0:
+            return False
+    return True
+
+
 def yz_character_matrix_loop(dist: dto1.DDeltaR) -> np.ndarray:
     """Oracle: one weighted sum over the (Y, Z) table per entry (a, b)."""
     size = 1 << dist.r
@@ -53,6 +73,131 @@ def yz_character_matrix_loop(dist: dto1.DDeltaR) -> np.ndarray:
         for b in range(size):
             M[a, b] = float((np.outer(signs[a], signs[b]) * yz).sum())
     return M
+
+
+def decode_per_constraint(indicators, pcp, params, seed=0) -> dto1.Dto1DecodeResult:
+    """Reference: decode as it was before the whole-array passes, one
+    spectrum per variable and every table rebuilt per constraint."""
+    if pcp.params is None or "d" not in pcp.params:
+        raise ValueError("decode needs a smooth layered PCP")
+    d = pcp.params["d"]
+    for key, f in indicators.items():
+        f = np.asarray(f)
+        if not np.all((f >= -1e-12) & (f <= 1.0 + 1e-12)):  # a NaN fails both
+            raise ValueError(f"indicator {key} is not [0, 1]-valued")
+
+    _, qualified, density = games.heavy_layer_pair(
+        pcp, {key: float(np.mean(f)) for key, f in indicators.items()}, params.eps)
+    l, l2 = density["best_pair"]
+    r = d ** (l2 - l)
+    eta = params.eta(r)
+    dist = dist_table(params.delta, r)
+    M = yz_character_matrix(dist)
+
+    spectra = {(layer, var): cube_spectrum(np.asarray(indicators[(layer, var)], dtype=np.float64))
+               for layer in (l, l2) for var in qualified[layer]}
+    influences = {key: dto1.noisy_influences(spec, params.gamma) for key, spec in spectra.items()}
+
+    good = {}
+    pair_floor = (params.eps / 2.0) ** (4.0 / eta)
+    good_bound = (params.s**2 / params.T) ** 0.25
+    diag_pairs = []
+    cons = [c for c in pcp.constraints_between(l, l2)
+            if c.v in qualified[l] and c.u in qualified[l2]]
+    for c in cons:
+        spec = spectra[(l, c.v)]
+        blocks = blocks_of(c.projection, pcp.label_sizes[l2])
+        block_pos = dto1.block_positions(blocks, pcp.label_sizes[l])
+        f2 = shattered_decomposition(spec, c.projection, pcp.label_sizes[l2], params.s).f2
+        f2_norm = float(np.sqrt((f2**2).sum()))
+        is_good = f2_norm <= good_bound
+        good[(c.v, c.u)] = is_good
+        eyz = cross_expectation(spec, spec, blocks, M)
+        inf_bar = dto1.block_noisy_influences(spec, params.gamma, blocks)
+        gap = float(np.max(np.abs(inf_bar - influences[(l, c.v)]))) if inf_bar.size else 0.0
+        inf_u = influences[(l2, c.u)]
+        matched = any(min(inf_u[i], 4.0 * r * float(inf_bar[positions].sum())) >= params.tau
+                      for i, positions in enumerate(block_pos))
+        diag_pairs.append({
+            "v": c.v, "u": c.u, "good": is_good, "f2_norm": f2_norm,
+            "pair_expectation": eyz, "pair_floor": pair_floor,
+            "influence_gap": gap,
+            "influence_gap_bound": 2.0 * good_bound + params.tau / (16.0 * r * r),
+            "matched_influence": matched,
+        })
+
+    labels_v, labels_u = {}, {}
+    no_influence = True
+    for (layer, var) in sorted(spectra):
+        weights = influences[(layer, var)]
+        total = float(weights.sum())
+        if total <= 0.0:
+            continue
+        no_influence = False
+        rng = derive_rng(seed, "label", layer, var)
+        pick = rng.random() * total  # the first label whose running sum reaches pick
+        chosen = min(int(np.searchsorted(np.cumsum(weights), pick)), weights.size - 1)
+        (labels_v if layer == l else labels_u)[(layer, var)] = chosen
+
+    if no_influence:
+        return dto1.Dto1DecodeResult("no_influential_coordinates", (l, l2), r, {}, {},
+                                     Fraction(0), Fraction(0), good,
+                                     {"pairs": diag_pairs, "eta": eta})
+    return dto1.Dto1DecodeResult(
+        "ok", (l, l2), r, labels_v, labels_u,
+        *games.satisfied_fractions(pcp, (l, l2), labels_v, labels_u),
+        good,
+        {"pairs": diag_pairs, "eta": eta,
+         "density": {str(k): str(f) for k, f in density["per_pair"].items()}},
+    )
+
+
+def exact_projection(r: int, targets: int, rnd: random.Random) -> tuple[int, ...]:
+    """A random projection with exactly r preimages per target label."""
+    p = [i for i in range(targets) for _ in range(r)]
+    rnd.shuffle(p)
+    return tuple(p)
+
+
+def random_smooth_pcp(rnd: random.Random, distinct: bool) -> games.LayeredPcp:
+    """A 2-layer d-to-1 PCP whose constraints draw exact d-to-1 projections
+    from a pool of one or two (repeated) or each its own (distinct, as far
+    as the label sizes allow)."""
+    d, targets = rnd.choice([2, 3]), rnd.randint(1, 4)
+    counts = (rnd.randint(1, 3), rnd.randint(1, 4))
+    seen: set = set()
+
+    def projection():
+        for _ in range(20):
+            p = exact_projection(d, targets, rnd)
+            if p not in seen:
+                break
+        seen.add(p)
+        return p
+
+    pool = [projection() for _ in range(rnd.randint(1, 2))]
+    cons = tuple(games.PcpConstraint(0, 1, v, u, projection() if distinct else rnd.choice(pool))
+                 for v in range(counts[0]) for u in range(counts[1]) if rnd.random() < 0.8)
+    cons = cons or (games.PcpConstraint(0, 1, 0, 0, pool[0]),)
+    labeling = (tuple(rnd.randrange(d * targets) for _ in range(counts[0])),
+                tuple(rnd.randrange(targets) for _ in range(counts[1])))
+    return games.LayeredPcp(2, counts, (d * targets, targets), cons,
+                            params={"d": d, "T": rnd.choice([1, 3, 10_000])},
+                            planted_labeling=labeling)
+
+
+def random_indicators(pcp: games.LayeredPcp, kind: str, rng: np.random.Generator) -> dict:
+    """Per variable: a noisy dictator of its planted label, a uniform table
+    in [0, 1], or a uniform 0/1 table."""
+    out = {}
+    for l in range(pcp.layers):
+        points = np.arange(1 << pcp.label_sizes[l])
+        for v in range(pcp.var_counts[l]):
+            dictator = (points >> pcp.planted_labeling[l][v]) & 1
+            out[(l, v)] = {"dictator": lambda: 0.7 * dictator + 0.3 * rng.random(points.size),
+                           "uniform": lambda: rng.random(points.size),
+                           "bits": lambda: (rng.random(points.size) < 0.5).astype(float)}[kind]()
+    return out
 
 
 class TestDistTable:
@@ -241,7 +386,7 @@ class TestBuild:
         c = pcp.constraints[0]
         full = (1 << pcp.label_sizes[0]) - 1
         # z = -y coordinatewise with arbitrary x is always in the support
-        assert g.edge_exists(0, 0, 0, full)
+        assert edge_exists(g, 0, 0, 0, full)
         res = dto1.yes_check(g, pcp.planted_labeling, samples=200)
         assert res.ok and res.coverage.startswith("sampled")
 
@@ -256,7 +401,7 @@ class TestBuild:
         for ci in range(len(pcp.constraints)):
             members = set(map(tuple, g.constraint_edges[ci].tolist()))
             for x, y, z in itertools.product(range(4), range(16), range(16)):
-                assert g.edge_exists(ci, x, y, z) == ((x, y, z) in members)
+                assert edge_exists(g, ci, x, y, z) == ((x, y, z) in members)
 
     def test_export_three_uniform(self, toy_smooth):
         h = dto1.build(toy_smooth, 0.25).to_hypergraph()
@@ -577,3 +722,106 @@ class TestDecode:
                               tau=1e-4, s=3.0, T=2)
         assert params.eta(2) == pytest.approx(0.3)
         assert params.eta(3) == pytest.approx(0.2)
+
+    @pytest.mark.parametrize("field, value, rule", [
+        ("gamma", float("nan"), "in [0, 1]"), ("gamma", 1.5, "in [0, 1]"),
+        ("gamma", -1.0, "in [0, 1]"), ("tau", float("nan"), "finite and >= 0"),
+        ("tau", float("inf"), "finite and >= 0"), ("tau", -1e-9, "finite and >= 0"),
+        ("s", float("nan"), ">= 0"), ("s", -1.0, ">= 0"),
+        ("delta", float("nan"), "a number"), ("eps", float("nan"), "a number"),
+        ("T", 0, ">= 1"),
+    ])
+    def test_params_refuse_meaningless_values(self, field, value, rule):
+        fields = dict(delta=0.25, eps=0.5, gamma=0.05, tau=1e-4, s=3.0, T=1)
+        with pytest.raises(ValueError, match=rf"^{field} must be {re.escape(rule)}, got"):
+            DecodeParams(**{**fields, field: value})
+
+    def test_params_take_their_boundary_values(self):
+        DecodeParams(delta=0.0, eps=1.0, gamma=0.0, tau=0.0, s=0.0, T=1)
+        DecodeParams(delta=1.0, eps=0.5, gamma=1.0, tau=1e300, s=float("inf"), T=1)
+
+
+class TestDecodePasses:
+    """decode in whole-array passes (one spectrum stack per layer, one pass
+    per distinct projection) against the per-constraint reference."""
+
+    PARAMS = dict(delta=0.25, eps=0.5, gamma=0.05, tau=1e-4, s=3.0)
+
+    @staticmethod
+    def outcome(decoder, *args, **kwargs):
+        try:
+            res = decoder(*args, **kwargs)
+        except (ValueError, games.NoLayerPairError) as exc:
+            return type(exc), str(exc)
+        return (res.outcome, res.layer_pair, res.r, res.labels_v, res.labels_u,
+                res.satisfied_fraction, res.satisfied_fraction_all, res.good_neighbors,
+                res.diagnostics)
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), distinct=st.booleans(),
+           kind=st.sampled_from(["dictator", "uniform", "bits"]),
+           delta=st.sampled_from([0.1, 0.25, 0.4]), eps=st.sampled_from([0.3, 0.5, 0.9]),
+           gamma=st.sampled_from([0.0, 0.05, 0.3, 1.0]), tau=st.sampled_from([0.0, 1e-4, 0.01, 0.2]),
+           s=st.sampled_from([0.0, 2.0, 3.0, 5.0]))
+    @example(seed=0, distinct=False, kind="dictator", delta=0.25, eps=0.5, gamma=0.05, tau=1e-4, s=3.0)
+    @example(seed=1, distinct=True, kind="dictator", delta=0.25, eps=0.5, gamma=0.05, tau=1e-4, s=2.0)
+    def test_matches_the_per_constraint_reference(self, seed, distinct, kind, delta, eps, gamma, tau, s):
+        # every field, the diagnostics' floats bit for bit
+        rnd = random.Random(seed)
+        pcp = random_smooth_pcp(rnd, distinct)
+        indicators = random_indicators(pcp, kind, np.random.default_rng(seed))
+        params = DecodeParams(delta, eps, gamma, tau, s, pcp.params["T"])
+        want = self.outcome(decode_per_constraint, indicators, pcp, params, seed=seed)
+        assert self.outcome(dto1.decode, indicators, pcp, params, seed=seed) == want
+
+    @pytest.mark.parametrize("kind", ["dictator", "uniform", "bits"])
+    def test_matches_the_reference_on_the_toy_smooth_pcp(self, toy_smooth, kind):
+        # a built smooth PCP: several variables share each projection
+        assert len({(c.v, c.projection) for c in toy_smooth.constraints}) < len(toy_smooth.constraints)
+        indicators = random_indicators(toy_smooth, kind, np.random.default_rng(3))
+        params = DecodeParams(**self.PARAMS, T=toy_smooth.params["T"])
+        for seed in range(3):
+            want = self.outcome(decode_per_constraint, indicators, toy_smooth, params, seed=seed)
+            assert want[0] in ("ok", "no_influential_coordinates")
+            assert self.outcome(dto1.decode, indicators, toy_smooth, params, seed=seed) == want
+
+    def test_wrong_length_indicator_is_named(self, toy_smooth):
+        indicators = random_indicators(toy_smooth, "dictator", np.random.default_rng(4))
+        indicators[(1, 2)] = indicators[(1, 2)][:-1]
+        indicators[(1, 4)] = np.zeros((2, 8))
+        params = DecodeParams(**self.PARAMS, T=1)
+        with pytest.raises(ValueError, match=r"^indicator \(1, 2\) has shape \(15,\), not 2\*\*4 entries$"):
+            dto1.decode(indicators, toy_smooth, params)
+
+    def test_first_out_of_range_indicator_is_named(self, toy_smooth):
+        # in the caller's order, across layers
+        indicators = dict(reversed(random_indicators(toy_smooth, "uniform",
+                                                     np.random.default_rng(5)).items()))
+        indicators[(1, 3)][0] = 1.5
+        indicators[(0, 0)][3] = float("nan")
+        params = DecodeParams(**self.PARAMS, T=1)
+        for decoder in (dto1.decode, decode_per_constraint):
+            with pytest.raises(ValueError, match=r"^indicator \(1, 3\) is not \[0, 1\]-valued$"):
+                decoder(indicators, toy_smooth, params)
+
+    def test_a_twenty_bit_variable_holds_a_few_tables(self):
+        # one layer-0 variable at n = 20 under four constraints of three
+        # projections: no per-constraint or per-block stack of 2^n tables
+        n, targets = 20, 10
+        rnd = random.Random(3)
+        projections = [exact_projection(2, targets, rnd) for _ in range(3)]
+        pcp = games.LayeredPcp(2, (1, 4), (n, targets),
+                               tuple(games.PcpConstraint(0, 1, 0, u, projections[min(u, 2)])
+                                     for u in range(4)), params={"d": 2, "T": 1})
+        rng = np.random.default_rng(0)
+        indicators = {(0, 0): 0.7 * ((np.arange(1 << n) >> 3) & 1) + 0.3 * rng.random(1 << n)}
+        indicators.update({(1, u): 0.7 * ((np.arange(1 << targets) >> 1) & 1)
+                           + 0.3 * rng.random(1 << targets) for u in range(4)})
+        tracemalloc.start()
+        try:
+            res = dto1.decode(indicators, pcp, DecodeParams(**self.PARAMS, T=1), seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.outcome == "ok" and len(res.diagnostics["pairs"]) == 4
+        assert 8 << n <= peak < 6 * 8 << n  # six 2^n float64 tables

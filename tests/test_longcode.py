@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gadgetlab import games, longcode, ternary
 from gadgetlab.games import LayeredPcp, PcpConstraint
@@ -101,6 +103,18 @@ class TestBuild:
                 for pt in range(3 ** pcp.label_sizes[l])
             )
             assert total == Fraction(1, pcp.layers)
+
+    @settings(max_examples=40, deadline=None)
+    @given(layers=st.integers(2, 3), counts=st.lists(st.integers(1, 3), min_size=3, max_size=3),
+           sizes=st.lists(st.integers(1, 3), min_size=3, max_size=3), seed=st.integers(0, 2**16),
+           eps=st.fractions(Fraction(1, 100), Fraction(99, 100)))
+    def test_point_weights_are_the_vertex_weights(self, layers, counts, sizes, seed, eps):
+        # one Fraction per layer and star count, against one power chain per vertex
+        sizes = sorted(sizes[:layers], reverse=True)
+        pcp = games.gen_toy_mlpcp(layers, counts[:layers], sizes, seed)
+        g = longcode.build(pcp, eps)
+        assert g.point_weights() == [g.vertex_weight(l, v, pt) for l, v in g.offsets
+                                     for pt in range(3 ** pcp.label_sizes[l])]
 
     def test_single_constraint_support_matches_triple_scan(self):
         # |R_l| = |R_l2| = 1: compare against scanning all 27 digit triples
