@@ -4,7 +4,8 @@ Each cmd_* returns its exit code, its artifact body and a summary line;
 main alone writes {"config": flags, **body} to --out, when given, as JSON
 written atomically (temp file + rename), and prints the summary. Exit codes:
 0 success, 2 certificate failure (a no, or a colouring search whose node
-budget ran out first), 1 usage or config error. Every stochastic stage
+budget ran out first), 1 a refusal: one error: line for a UsageError, or
+for the ValueError or OSError the library raises. Every stochastic stage
 derives its stream from --seed and a stage name via seeding.derive_seed.
 """
 from __future__ import annotations
@@ -244,6 +245,8 @@ def cmd_build_mlpcp(args) -> Result:
                 f"label sizes {list(pcp.label_sizes)}, "
                 f"smoothness {smooth['max_collision']:.4f} <= {smooth['bound']:.4f}: {smooth['ok']}")
     sizes = [int(x) for x in args.label_sizes.split(",")]
+    if len(sizes) != args.layers:
+        raise UsageError(f"--label-sizes gives {len(sizes)} sizes for --layers {args.layers}")
     pcp = games.gen_toy_mlpcp(args.layers, args.vars_per_layer, sizes,
                               derive_rng(args.seed, "build-mlpcp"),
                               density=args.density, planted=not args.random)
@@ -307,7 +310,7 @@ def cmd_verify(args) -> Result:
     bundle = read_artifact(args.input)
     if "hypergraph" not in bundle:
         raise UsageError(f"{args.input}: the file holds no hypergraph")
-    h = verify.GenericHypergraph.from_json_dict(bundle.typed("hypergraph"))
+    h = _load(bundle, "hypergraph", verify.GenericHypergraph, bare=False)
     if args.mode == "yes":  # the planted colouring, checked on the stored edges
         kind = bundle["hypergraph"].typed("meta").typed("kind", str)
         gadget_cls = {"longcode": longcode.LongCodeGadget, "dto1": dto1.Dto1Gadget}.get(kind)
@@ -453,15 +456,17 @@ def cmd_report(args) -> Result:
         payload = read_artifact(path)
         inputs.append({"path": str(path),
                        "sha256": hashlib.sha256(Path(path).read_bytes()).hexdigest()})
-        for key, value in payload.items():
+        for key, value in payload.items():  # each ok a JSON bool: bool("false") would pass
             if isinstance(value, dict) and "ok" in value:
-                checks.append({"source": str(path), "check": key, "ok": bool(value["ok"])})
+                checks.append({"source": str(path), "check": key, "ok": value.typed("ok", bool)})
             elif key.endswith("_ok") or key == "ok":
-                checks.append({"source": str(path), "check": key, "ok": bool(value)})
+                checks.append({"source": str(path), "check": key, "ok": payload.typed(key, bool)})
             elif key == "correlations":
-                for ck, cv in payload.typed(key).items():
+                correlations = payload.typed(key)
+                for ck in correlations:
                     if ck.endswith("_ok"):
-                        checks.append({"source": str(path), "check": ck, "ok": bool(cv)})
+                        checks.append({"source": str(path), "check": ck,
+                                       "ok": correlations.typed(ck, bool)})
     all_ok = all(c["ok"] for c in checks) if checks else True
     return (EXIT_OK if all_ok else EXIT_CERT, {"inputs": inputs, "checks": checks, "all_ok": all_ok},
             f"wrote {args.out}: {sum(c['ok'] for c in checks)}/{len(checks)} checks pass")
@@ -481,6 +486,16 @@ def _density(text: str) -> float:
     if not 0 <= float(text) <= 1:  # NaN fails the comparison
         raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {text}")
     return float(text)
+
+
+def _label_sizes(text: str) -> str:
+    """A comma list of integers of at least 1, kept as written, so that configs record it verbatim."""
+    try:
+        if min(int(x) for x in text.split(",")) >= 1:
+            return text
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
+    raise argparse.ArgumentTypeError(f"each size must be at least 1, got {text}")
 
 
 def _int_at_least(low: int):
@@ -523,7 +538,8 @@ def build_parser() -> _Parser:
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--smooth-t", type=int, default=1)
     p.add_argument("--vars-per-layer", type=_int_at_least(1), default=2)
-    p.add_argument("--label-sizes", default="3,3", help="comma list, plain build only")
+    p.add_argument("--label-sizes", type=_label_sizes, default="3,3",
+                   help="comma list, plain build only")
     p.add_argument("--density", type=_density, default=1.0)
     p.add_argument("--random", action="store_true")
     p.add_argument("--seed", type=int, default=0)
@@ -606,8 +622,7 @@ def main(argv=None) -> int:
             write_artifact(args.out, {"config": _config_dict(args), **body})
         print(summary)
         return code
-    except (UsageError, ValueError, KeyError, OSError, games.NoLayerPairError,
-            games.RejectionBudgetError, ternary.WitnessRetryError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -25,18 +25,6 @@ from .verify import GenericHypergraph, check_coloring, unique_rows
 LABEL_TUPLE_CAP = 10**6
 
 
-class RejectionBudgetError(RuntimeError):
-    """Block sampling could not find a repeat-free block within budget."""
-
-
-class SizeCapError(ValueError):
-    """A construction would exceed its desk-scale size cap."""
-
-
-class NoLayerPairError(RuntimeError):
-    """No layer pair qualifies for decoding at the given thresholds."""
-
-
 # ---------------------------------------------------------------------------
 # Max-3Lin
 
@@ -162,11 +150,12 @@ def repeat_free(inst: Lin3Instance, eq_ids) -> bool:
 
 
 def sample_round(inst: Lin3Instance, r: int, rng: random.Random | int,
-                 budget: int = 10**6) -> tuple[EquationBlock, VariableBlock]:
+                 budget: int = 10**6) -> tuple[EquationBlock, VariableBlock] | None:
     """One verifier round: an equation block W and a variable block U.
 
     W is r equations sampled uniformly with replacement, resampled while
-    the 3r variables repeat; U picks one variable per equation of W.
+    the 3r variables repeat; U picks one variable per equation of W. None
+    when budget draws of W all repeat a variable.
     """
     rng = as_rng(rng)
     if r < 1:
@@ -179,9 +168,7 @@ def sample_round(inst: Lin3Instance, r: int, rng: random.Random | int,
             block = EquationBlock.from_instance(inst, eq_ids)
             picks = tuple(block.var_order[3 * t + rng.randrange(3)] for t in range(r))
             return block, VariableBlock(r, picks)
-    raise RejectionBudgetError(
-        f"no repeat-free block of {r} equations found in {budget} attempts; instance too small"
-    )
+    return None
 
 
 @dataclass(frozen=True)
@@ -346,13 +333,14 @@ class LayeredPcp:
 
 
 LIST = (list, tuple)  # a JSON array, or the tuple a caller builds in its place
-FIELD_KINDS = {dict: "an object", LIST: "a list", str: "a string", int: "an integer"}
+FIELD_KINDS = {dict: "an object", LIST: "a list", str: "a string", int: "an integer",
+               bool: "true or false"}
 
 
 def typed_field(d: dict, key: str, kind: type | tuple = dict):
     """d[key]; ValueError naming the field unless it is of kind (a bool is no int)."""
     value = d[key]
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ValueError(f"field {key!r} is not {FIELD_KINDS[kind]}: {value!r}")
     return value
 
@@ -481,12 +469,12 @@ def gen_toy_mlpcp(layers: int, vars_per_layer, label_sizes, rng: random.Random |
 
 def code_layout(pcp: LayeredPcp, base: int) -> tuple[dict[tuple[int, int], int], int]:
     """First vertex id of each variable's code of base ** label_size points,
-    in (layer, var) order, and the total vertex count. SizeCapError when the
+    in (layer, var) order, and the total vertex count. ValueError when the
     ids would not fit the int64 edge arrays: at most 2**63 vertices."""
     sizes = [base ** m if m < 64 else 2**64 for m in pcp.label_sizes]  # base >= 2
     if sum(n * size for n, size in zip(pcp.var_counts, sizes)) > 2**63:
-        raise SizeCapError(f"label sizes {list(pcp.label_sizes)} on {list(pcp.var_counts)} variables "
-                           "give over 2**63 vertices, more than int64 vertex ids can name")
+        raise ValueError(f"label sizes {list(pcp.label_sizes)} on {list(pcp.var_counts)} variables "
+                         "give over 2**63 vertices, more than int64 vertex ids can name")
     keys = [(l, v) for l in range(pcp.layers) for v in range(pcp.var_counts[l])]
     starts = [0, *itertools.accumulate(sizes[l] for l, _ in keys)]
     return dict(zip(keys, starts)), starts[-1]
@@ -536,16 +524,15 @@ def heavy_layer_pair(pcp: LayeredPcp, measures: dict[tuple[int, int], float],
         if m >= half:
             heavy[l].append(v)
     if not any(heavy.values()):
-        raise NoLayerPairError(f"no heavy variables at threshold {half}")
+        raise ValueError(f"no heavy variables at threshold {half}")
     quarter = threshold / 4.0
     qualified = {l: set(vs) for l, vs in heavy.items()
                  if len(vs) >= quarter * pcp.var_counts[l]}
     if len(qualified) < 2:
-        raise NoLayerPairError(
-            f"only {len(qualified)} layers reach a {quarter} fraction of heavy variables")
+        raise ValueError(f"only {len(qualified)} layers reach a {quarter} fraction of heavy variables")
     density = check_weak_density(pcp, qualified, quarter)
     if density["best_pair"] is None:
-        raise NoLayerPairError("no constraints between any pair of qualifying layers")
+        raise ValueError("no constraints between any pair of qualifying layers")
     return heavy, qualified, density
 
 
@@ -715,18 +702,19 @@ class Dto1Game:
     def __post_init__(self) -> None:
         if self.m != self.d * self.k:
             raise ValueError(f"exact-d games need m = d*k, got m={self.m}, d={self.d}, k={self.k}")
-        u_deg = [0] * self.n_u
-        v_deg = [0] * self.n_v
-        d_to_1 = [t for t in range(self.k) for _ in range(self.d)]  # a d-to-1 projection, sorted
+        # the sizes may come from a file: no list is as long as k, n_u or n_v
+        u_deg, v_deg = Counter(), Counter()
         for v, u, proj in self.constraints:
             if not (type(v) is type(u) is int and 0 <= v < self.n_v and 0 <= u < self.n_u):
                 raise ValueError(f"constraint ({v!r}, {u!r}) is not a pair of variables (v, u)")
-            if any(type(t) is not int for t in proj) or sorted(proj) != d_to_1:
+            if (len(proj) != self.m or any(type(t) is not int or not 0 <= t < self.k for t in proj)
+                    or set(Counter(proj).values()) - {self.d}):
                 raise ValueError(f"projection of constraint ({v},{u}) "
                                  f"is not exactly d-to-1 onto [0, {self.k})")
             u_deg[u] += 1
             v_deg[v] += 1
-        if len(set(u_deg)) > 1 or len(set(v_deg)) > 1:
+        if any(len(deg) != n or len(set(deg.values())) > 1
+               for deg, n in ((u_deg, self.n_u), (v_deg, self.n_v))):
             raise ValueError("game is not bi-regular")
         if self.planted is not None:
             u_labels, v_labels = self.planted
@@ -823,7 +811,7 @@ def build_smooth_mlpcp(game: Dto1Game, layers: int, T: int) -> LayeredPcp:
     for l in range(layers):
         size = game.m ** n_vside[l] * game.k ** n_uside[l]
         if size > LABEL_TUPLE_CAP:
-            raise SizeCapError(f"layer {l} needs {size} label tuples, cap is {LABEL_TUPLE_CAP}")
+            raise ValueError(f"layer {l} needs {size} label tuples, cap is {LABEL_TUPLE_CAP}")
         label_sizes.append(size)
 
     adjacency: dict[tuple[int, int], tuple[int, ...]] = {

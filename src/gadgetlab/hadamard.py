@@ -16,8 +16,8 @@ from itertools import combinations
 import numpy as np
 
 from . import gf2
-from .games import (BlockGeometry, EquationBlock, Lin3Instance, RejectionBudgetError,
-                    VariableBlock, block_geometry, repeat_free, sample_round)
+from .games import (BlockGeometry, EquationBlock, Lin3Instance, VariableBlock,
+                    block_geometry, repeat_free, sample_round)
 from .verify import GenericHypergraph, check_coloring, rows_inside, sort_rows, unique_rows
 
 MAX_R = 2
@@ -108,6 +108,8 @@ def build(inst: Lin3Instance, r: int, triples: int = 2, seed: int = 0,
     """
     if r > MAX_R or triples < 1:
         raise ValueError(f"the gadget caps r at {MAX_R} and needs a triple, got r={r}, triples={triples}")
+    if triples > budget:  # each triple takes at least one draw
+        raise ValueError(f"{triples} triples need more draws than the budget of {budget}")
     if not any(repeat_free(inst, ids) for ids in combinations(range(len(inst.equations)), r)):
         raise ValueError(f"no repeat-free block of {r} equations exists among the "
                          f"{len(inst.equations)} equations; instance too small")
@@ -143,10 +145,10 @@ def build(inst: Lin3Instance, r: int, triples: int = 2, seed: int = 0,
     draws = iter(range(budget))
     for _ in range(triples):
         for _draw in draws:
-            try:
-                w_block, picks = sample_round(inst, r, rng, budget=1)
-            except RejectionBudgetError:
+            drawn = sample_round(inst, r, rng, budget=1)
+            if drawn is None:
                 continue
+            w_block, picks = drawn
             wp_ids = tuple(rng.choice(eq_with_var[v]) for v in picks.var_ids)
             if not repeat_free(inst, wp_ids) or (distinct_blocks and wp_ids == w_block.eq_ids):
                 continue
@@ -155,7 +157,7 @@ def build(inst: Lin3Instance, r: int, triples: int = 2, seed: int = 0,
                                       geometry(w_block, picks), geometry(wp_block, picks)))
             break
         else:
-            raise RejectionBudgetError(f"could not sample a consistent W' in {budget} attempts")
+            raise ValueError(f"could not sample a consistent W' in {budget} attempts")
 
     # triple t's ids shifted by t * V: t leads unique_rows' key, so one call dedupes each apart
     raw = _raw_edges(blocks, r, triple_list) + (np.arange(len(triple_list)) * vertices)[:, None, None]

@@ -26,10 +26,6 @@ SIZE_CAP = 10**7
 ENUMERATE_LABEL_CAP = 4
 
 
-class IndependenceError(ValueError):
-    """The (closed) indicator contains a hyperedge."""
-
-
 def _allowed_pairs(x_digit: int) -> list[tuple[int, int]]:
     pairs = [(a, b) for a in range(3) for b in range(3)]
     if x_digit in (ternary.ONE, ternary.TWO):
@@ -218,7 +214,7 @@ def decode(g: LongCodeGadget, indicator, delta: float, seed: int = 0) -> DecodeO
                 for key, f in _indicator_families(g, indicator).items()}
     witness_edge = check_independent(g, families, seed=seed)
     if witness_edge is not None:
-        raise IndependenceError(f"indicator contains edge {witness_edge} after closure")
+        raise ValueError(f"indicator contains edge {witness_edge} after closure")
 
     heavy, qualified, density = heavy_layer_pair(
         pcp, {key: ternary.measure(fam) for key, fam in families.items()}, delta)
@@ -255,14 +251,6 @@ def decode(g: LongCodeGadget, indicator, delta: float, seed: int = 0) -> DecodeO
     )
 
 
-class DisjointnessError(ValueError):
-    """The collection has more pairwise disjoint members than promised."""
-
-    def __init__(self, witness):
-        super().__init__(f"found {len(witness)} pairwise disjoint sets: {witness}")
-        self.witness = witness
-
-
 def _max_disjoint(sets: list[frozenset]) -> list[int]:
     """The first largest pairwise disjoint subfamily, by index, that a
     depth-first search taking each set before skipping it meets."""
@@ -293,7 +281,8 @@ def common_element(collection, T: int, D: int):
         raise ValueError(f"set {oversized[0]} exceeds the size bound {T}")
     packing = _max_disjoint(sets)
     if len(packing) > D:
-        raise DisjointnessError([sorted(sets[i]) for i in packing])
+        witness = [sorted(sets[i]) for i in packing]
+        raise ValueError(f"found {len(witness)} pairwise disjoint sets: {witness}")
     counts = Counter(e for s in sets for e in s)
     element = max(sorted(counts), key=lambda e: counts[e])
     count = counts[element]

@@ -228,11 +228,6 @@ def sample_dp(p: float, m: int, rng: random.Random | int) -> tuple[tuple[int, ..
     return tuple(f), tuple(g)
 
 
-class WitnessRetryError(RuntimeError):
-    """Witness sampling exhausted its retry cap; per the success bound
-    this indicates a bug or pathological input."""
-
-
 @dataclass(frozen=True)
 class WitnessPair:
     subset: tuple[int, ...]
@@ -270,7 +265,7 @@ def two_element_witness(fam: TernaryFamily, delta: float,
     p_prime = float(grid[int(np.argmin(sensitivities))])
     core = find_core(fam, delta / 4.0, p_prime)
     if not core.core_family:
-        raise WitnessRetryError("core family is empty; input family too sparse for its measure")
+        raise ValueError("core family is empty; input family too sparse for its measure")
     anchor = core.core_family[0]
     rest = [j for j in range(fam.m) if j not in core.core]
     for attempt in range(WITNESS_RETRY_CAP):
@@ -285,7 +280,7 @@ def two_element_witness(fam: TernaryFamily, delta: float,
             second[j] = draw_g[t]
         if fam.contains(tuple(first)) and fam.contains(tuple(second)):
             return WitnessPair(core.core, tuple(first), tuple(second), p_prime, attempt)
-    raise WitnessRetryError(f"no witness pair found in {WITNESS_RETRY_CAP} draws")
+    raise ValueError(f"no witness pair found in {WITNESS_RETRY_CAP} draws")
 
 
 def random_monotone_family(m: int, p: float, rng: random.Random | int,

@@ -642,7 +642,7 @@ class TestExitCodes:
         lc, ind = planted_longcode_bundle(tmp_path)
 
         def no_witness(*args, **kwargs):
-            raise ternary.WitnessRetryError("no witness pair found in 3 draws")
+            raise ValueError("no witness pair found in 3 draws")
 
         monkeypatch.setattr(longcode, "two_element_witness", no_witness)
         capsys.readouterr()
@@ -730,7 +730,7 @@ class TestExitCodes:
         bundle.write_text(json.dumps({"hypergraph": h}))
         assert run("verify", "--input", bundle, "--mode", mode) == 1
         captured = capsys.readouterr()
-        assert captured.err == f"error: {message}\n" and captured.out == ""
+        assert captured.err == f"error: {bundle}: {message}\n" and captured.out == ""
 
     @pytest.mark.parametrize("field, value", [
         ("weight", [1, 0]), ("weight", ["a", 1]), ("weight", [1.5, 1]), ("weight", 5),
@@ -746,7 +746,7 @@ class TestExitCodes:
         assert run("verify", "--input", bundle, "--mode", mode) == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == (
-            f"error: vertex entry {h['vertices'][1]!r} needs an int id and a weight "
+            f"error: {bundle}: vertex entry {h['vertices'][1]!r} needs an int id and a weight "
             "[numerator, denominator] of ints with a positive denominator\n")
 
     @pytest.mark.parametrize("fields, message", [
@@ -767,7 +767,7 @@ class TestExitCodes:
         bundle.write_text(json.dumps({"hypergraph": h}))
         assert run("verify", "--input", bundle, "--mode", mode) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert captured.out == "" and captured.err == f"error: {bundle}: {message}\n"
 
     @pytest.mark.parametrize("vertices, message", [
         (7, "vertices 7 is not a list of vertex objects"),
@@ -780,7 +780,7 @@ class TestExitCodes:
         bundle.write_text(json.dumps({"hypergraph": h}))
         assert run("verify", "--input", bundle, "--mode", mode) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err == f"error: {message}\n"
+        assert captured.out == "" and captured.err == f"error: {bundle}: {message}\n"
 
     def test_hadamard_yes_needs_witness_before_rebuilding(self, tmp_path, capsys, monkeypatch):
         lin = tmp_path / "lin.json"
@@ -868,6 +868,7 @@ class TestExitCodes:
         ("config.r", "1", "{had}: field 'r' is not an integer: '1'"),
         ("config.triples", 2.0, "{had}: field 'triples' is not an integer: 2.0"),
         ("config.seed", True, "{had}: field 'seed' is not an integer: True"),
+        ("config.triples", 10**20, f"{10**20} triples need more draws than the budget of 1000000"),
         ("planted_assignment", [2] * 9, "assignment entry 2 is not 0 or 1"),
     ])
     def test_yes_rejects_a_wrong_hadamard_field(self, tmp_path, capsys, field, value, message):
@@ -927,13 +928,30 @@ class TestExitCodes:
         assert capsys.readouterr() == ("", f"error: decode --kind longcode does not take {flag}\n")
         assert not (tmp_path / "dec.json").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (("--layers", 3, "--label-sizes", "3,3"), "--label-sizes gives 2 sizes for --layers 3"),
+        (("--layers", 2, "--label-sizes", "3,3,3"), "--label-sizes gives 3 sizes for --layers 2"),
+        (("--layers", 2, "--label-sizes", "3,0"),
+         "argument --label-sizes: each size must be at least 1, got 3,0"),
+        (("--layers", 2, "--label-sizes=-1,3"),
+         "argument --label-sizes: each size must be at least 1, got -1,3"),
+        (("--layers", 2, "--label-sizes", "3,x"),
+         "argument --label-sizes: not a comma list of integers: '3,x'"),
+        (("--layers", 2, "--label-sizes", ""), "argument --label-sizes: not a comma list of integers: ''"),
+    ])
+    def test_plain_mlpcp_label_sizes_are_checked(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "plain.json"
+        assert run("build-mlpcp", *flags, "--out", out) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_vertex_id_outside_int64_is_one(self, tmp_path, capsys):
         h = {"k": 3, "vertices": [{"id": v, "weight": [1, 1]} for v in (0, 1, 10**20)],
              "edges": [[0, 1, 10**20]]}
         bundle = tmp_path / "big.json"
         bundle.write_text(json.dumps({"hypergraph": h}))
         assert run("verify", "--input", bundle, "--mode", "two-color") == 1
-        assert capsys.readouterr() == ("", f"error: vertex entry {h['vertices'][2]!r} "
+        assert capsys.readouterr() == ("", f"error: {bundle}: vertex entry {h['vertices'][2]!r} "
                                            "has an id that is not an int64 integer\n")
 
 
@@ -1287,6 +1305,20 @@ class TestReport:
         names = {c["check"] for c in payload["checks"]}
         assert "min_atom_ok" in names and "rho_x_yz_ok" in names
         assert not payload["all_ok"]
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"x": {"ok": "false"}}, "field 'ok' is not true or false: 'false'"),
+        ({"x": {"ok": 0}}, "field 'ok' is not true or false: 0"),
+        ({"ok": None}, "field 'ok' is not true or false: None"),
+        ({"smooth_ok": 1}, "field 'smooth_ok' is not true or false: 1"),
+        ({"correlations": {"rho_ok": "true"}}, "field 'rho_ok' is not true or false: 'true'"),
+    ])
+    def test_an_ok_that_is_not_a_bool_is_one(self, tmp_path, capsys, payload, message):
+        bad, summary = tmp_path / "bad.json", tmp_path / "summary.json"
+        bad.write_text(json.dumps(payload))
+        assert run("report", bad, "--out", summary) == 1
+        assert capsys.readouterr() == ("", f"error: {bad}: {message}\n")
+        assert not summary.exists()
 
     def test_all_ok_summary_exits_zero(self, tmp_path):
         game = tmp_path / "game.json"

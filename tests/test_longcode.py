@@ -1,6 +1,7 @@
 """Biased long-code gadget: build, YES partition, decoding, set lemma."""
 import itertools
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -216,12 +217,12 @@ class TestDecode:
         # heavy enough, but layer 1 holds no heavy variable
         pcp, g = toy
         v0_all = {g.vertex_id(0, 0, pt) for pt in range(3 ** pcp.label_sizes[0])}
-        with pytest.raises(games.NoLayerPairError, match="only 1 layers"):
+        with pytest.raises(ValueError, match="only 1 layers"):
             longcode.decode(g, v0_all, delta=0.2, seed=0)
 
     def test_dependent_indicator_rejected(self, toy):
         pcp, g = toy
-        with pytest.raises(longcode.IndependenceError):
+        with pytest.raises(ValueError, match=re.escape("indicator contains edge (0, 0, 0, 0) after closure")):
             longcode.decode(g, set(range(g.vertex_count)), delta=0.4, seed=0)
 
     def test_full_cube_variable_forces_dependence(self, toy):
@@ -231,7 +232,7 @@ class TestDecode:
         pcp, g = toy
         h1 = dictator_class(g, pcp.planted_labeling, digit=1)
         v0_all = {g.vertex_id(0, 0, pt) for pt in range(3 ** pcp.label_sizes[0])}
-        with pytest.raises(longcode.IndependenceError):
+        with pytest.raises(ValueError, match=re.escape("indicator contains edge (0, 3, 0, 0) after closure")):
             longcode.decode(g, h1 | v0_all, delta=0.4, seed=0)
 
     def test_closure_preserves_independence(self, toy):
@@ -282,9 +283,8 @@ class TestCommonElement:
             longcode.common_element([{1, 2, 3}], T=2, D=1)
 
     def test_hypothesis_violation_carries_witness(self):
-        with pytest.raises(longcode.DisjointnessError) as exc:
+        with pytest.raises(ValueError, match=re.escape("found 3 pairwise disjoint sets: [[1], [2], [3]]")):
             longcode.common_element([{1}, {2}, {3}], T=1, D=2)
-        assert len(exc.value.witness) == 3
 
     def test_random_collections_obey_lemma(self):
         rng = random.Random(11)
