@@ -868,8 +868,8 @@ class TestExitCodes:
         ("config.r", "1", "{had}: field 'r' is not an integer: '1'"),
         ("config.triples", 2.0, "{had}: field 'triples' is not an integer: 2.0"),
         ("config.seed", True, "{had}: field 'seed' is not an integer: True"),
-        ("config.triples", 10**20, f"{10**20} triples need more draws than the budget of 1000000"),
         ("planted_assignment", [2] * 9, "assignment entry 2 is not 0 or 1"),
+        ("config.triples", 10**20, f"{10**20} triples need more draws than the budget of 1000000"),
     ])
     def test_yes_rejects_a_wrong_hadamard_field(self, tmp_path, capsys, field, value, message):
         lin, had = tmp_path / "lin.json", tmp_path / "had.json"
