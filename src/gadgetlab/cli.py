@@ -244,7 +244,12 @@ def cmd_build_mlpcp(args) -> Result:
                 f"wrote {args.out}: smooth {pcp.layers}-layer PCP, "
                 f"label sizes {list(pcp.label_sizes)}, "
                 f"smoothness {smooth['max_collision']:.4f} <= {smooth['bound']:.4f}: {smooth['ok']}")
-    sizes = [int(x) for x in args.label_sizes.split(",")]
+    try:
+        sizes = [int(x) for x in args.label_sizes.split(",")]
+    except ValueError:
+        raise UsageError(f"--label-sizes is not a comma list of integers: {args.label_sizes!r}") from None
+    if min(sizes) < 1:
+        raise UsageError(f"--label-sizes needs each size at least 1, got {args.label_sizes}")
     if len(sizes) != args.layers:
         raise UsageError(f"--label-sizes gives {len(sizes)} sizes for --layers {args.layers}")
     pcp = games.gen_toy_mlpcp(args.layers, args.vars_per_layer, sizes,
@@ -488,16 +493,6 @@ def _density(text: str) -> float:
     return float(text)
 
 
-def _label_sizes(text: str) -> str:
-    """A comma list of integers of at least 1, kept as written, so that configs record it verbatim."""
-    try:
-        if min(int(x) for x in text.split(",")) >= 1:
-            return text
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
-    raise argparse.ArgumentTypeError(f"each size must be at least 1, got {text}")
-
-
 def _int_at_least(low: int):
     def parse(text: str) -> int:
         if int(text) < low:
@@ -538,7 +533,7 @@ def build_parser() -> _Parser:
     p.add_argument("--layers", type=int, required=True)
     p.add_argument("--smooth-t", type=int, default=1)
     p.add_argument("--vars-per-layer", type=_int_at_least(1), default=2)
-    p.add_argument("--label-sizes", type=_label_sizes, default="3,3",
+    p.add_argument("--label-sizes", default="3,3",
                    help="comma list, plain build only")
     p.add_argument("--density", type=_density, default=1.0)
     p.add_argument("--random", action="store_true")

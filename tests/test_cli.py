@@ -931,13 +931,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("flags, message", [
         (("--layers", 3, "--label-sizes", "3,3"), "--label-sizes gives 2 sizes for --layers 3"),
         (("--layers", 2, "--label-sizes", "3,3,3"), "--label-sizes gives 3 sizes for --layers 2"),
-        (("--layers", 2, "--label-sizes", "3,0"),
-         "argument --label-sizes: each size must be at least 1, got 3,0"),
-        (("--layers", 2, "--label-sizes=-1,3"),
-         "argument --label-sizes: each size must be at least 1, got -1,3"),
-        (("--layers", 2, "--label-sizes", "3,x"),
-         "argument --label-sizes: not a comma list of integers: '3,x'"),
-        (("--layers", 2, "--label-sizes", ""), "argument --label-sizes: not a comma list of integers: ''"),
+        (("--layers", 2, "--label-sizes", "3,0"), "--label-sizes needs each size at least 1, got 3,0"),
+        (("--layers", 2, "--label-sizes=-1,3"), "--label-sizes needs each size at least 1, got -1,3"),
+        (("--layers", 2, "--label-sizes", "3,x"), "--label-sizes is not a comma list of integers: '3,x'"),
+        (("--layers", 2, "--label-sizes", ""), "--label-sizes is not a comma list of integers: ''"),
     ])
     def test_plain_mlpcp_label_sizes_are_checked(self, tmp_path, capsys, flags, message):
         out = tmp_path / "plain.json"

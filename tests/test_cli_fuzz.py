@@ -11,7 +11,6 @@ import copy
 import io
 import json
 import math
-from datetime import timedelta
 
 import numpy as np
 import pytest
@@ -103,7 +102,7 @@ def mutate(data, doc):
     return doc
 
 
-@settings(max_examples=800, deadline=timedelta(seconds=2))
+@settings(max_examples=800, deadline=None)
 @given(data=st.data())
 def test_mutated_inputs_exit_0_1_or_2_with_one_error_line(pipeline, data):
     root = pipeline

@@ -251,7 +251,7 @@ class TestBuild:
             hadamard.build(inst, r=2, triples=triples, distinct_blocks=True, budget=50)
         assert len(allowed) == 50 and sum(allowed) <= 50
 
-    def test_draw_budget_is_shared_across_triples(self, planted):
+    def test_draw_budget_is_shared_across_triples(self, planted, monkeypatch):
         inst, _ = planted
         g = hadamard.build(inst, r=1, triples=3, seed=2)
         # r = 1 draws never repeat a variable and W' is any equation holding
@@ -260,6 +260,20 @@ class TestBuild:
         hadamard.build(inst, r=1, triples=3, seed=2, budget=3)
         with pytest.raises(ValueError, match="^3 triples need more draws than the budget of 2$"):
             hadamard.build(inst, r=1, triples=3, seed=2, budget=2)
+        # every other draw fails: two triples take four draws, which one
+        # budget of 3 does not cover though 3 per triple would
+        calls = []
+
+        def every_other(*args, **kwargs):
+            calls.append(None)
+            return None if len(calls) % 2 else games.sample_round(*args, **kwargs)
+
+        monkeypatch.setattr(hadamard, "sample_round", every_other)
+        with pytest.raises(ValueError, match="^could not sample a consistent W' in 3 attempts$"):
+            hadamard.build(inst, r=1, triples=2, budget=3)
+        assert len(calls) == 3
+        calls.clear()
+        assert len(hadamard.build(inst, r=1, triples=2, budget=4).triples) == 2
 
     def test_deterministic_under_seed(self, planted):
         inst, _ = planted
