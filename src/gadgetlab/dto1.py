@@ -15,7 +15,7 @@ import numpy as np
 
 from .boolfn import FiniteJointDist, maximal_correlation
 from .games import (LayeredPcp, PcpGadget, RuleCheck, code_layout, heavy_layer_pair,
-                    product_rows, satisfied_fractions)
+                    satisfied_fractions)
 from .gf2 import popcounts, walsh_hadamard
 from .seeding import as_rng, derive_rng
 from .verify import GenericHypergraph
@@ -318,13 +318,14 @@ def build(pcp: LayeredPcp, delta: float) -> Dto1Gadget:
         key = (c.projection, small, big, r)
         if key not in tables and small * (1 + 2 * r) <= EDGE_ENUM_BITS:
             atoms = np.array(dist_table(delta, r).support())
-            factors = []
+            # every choice of one atom per block, the first block slowest; per atom x's bit
+            # at i and bit t of y and of z at label bit pos[t], so the blocks' sum is their OR
+            rows = np.zeros((1, 3), dtype=np.int64)
             for i, pos in enumerate(block_positions(blocks_of(c.projection, small), big)):
-                # per atom: x's bit at i, and bit t of y and of z at label bit pos[t]
                 bits = atoms[:, 1:, None] >> np.arange(len(pos)) & 1
-                factors.append(np.column_stack([atoms[:, 0] << i,
-                                                bits @ 2 ** np.array(pos, dtype=np.int64)]))
-            tables[key] = product_rows(factors)
+                block = np.column_stack([atoms[:, 0] << i, bits @ 2 ** np.array(pos, dtype=np.int64)])
+                rows = (rows[:, None] + block).reshape(-1, 3)
+            tables[key] = rows
         constraint_edges.append(tables.get(key))  # None: over the bit cap, rule only
     kept = sum(e is not None for e in constraint_edges)
     mode = "enumerate" if kept == len(constraint_edges) else "mixed" if kept else "rule"

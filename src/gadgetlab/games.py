@@ -23,6 +23,7 @@ from .seeding import as_rng, derive_rng
 from .verify import GenericHypergraph, check_coloring, unique_rows
 
 LABEL_TUPLE_CAP = 10**6
+MAX_VARIABLES = 10**6  # variables of a LayeredPcp
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +258,8 @@ class LayeredPcp:
                 type(r) is int and r >= 1 for r in self.label_sizes):
             raise ValueError(f"var_counts {list(self.var_counts)} and label_sizes "
                              f"{list(self.label_sizes)} need integers >= 0 and >= 1")
+        if sum(self.var_counts) > MAX_VARIABLES:  # gadgets and decoders keep an entry per variable
+            raise ValueError(f"the PCP has {sum(self.var_counts)} variables, cap is {MAX_VARIABLES}")
         for c in self.constraints:
             if not 0 <= c.from_layer < c.to_layer < self.layers:
                 raise ValueError(f"bad layer pair ({c.from_layer}, {c.to_layer})")
@@ -467,27 +470,21 @@ def gen_toy_mlpcp(layers: int, vars_per_layer, label_sizes, rng: random.Random |
 # The label-cover gadget skeleton
 
 
-def code_layout(pcp: LayeredPcp, base: int) -> tuple[dict[tuple[int, int], int], int]:
+def code_layout(pcp: LayeredPcp, base: int, cap: int = 2**63) -> tuple[dict[tuple[int, int], int], int]:
     """First vertex id of each variable's code of base ** label_size points,
-    in (layer, var) order, and the total vertex count. ValueError when the
-    ids would not fit the int64 edge arrays: at most 2**63 vertices."""
+    in (layer, var) order, and the total vertex count. ValueError before any
+    list per variable for over 2**63 vertices (ids the int64 edge arrays
+    cannot hold) or over cap vertices."""
     sizes = [base ** m if m < 64 else 2**64 for m in pcp.label_sizes]  # base >= 2
-    if sum(n * size for n, size in zip(pcp.var_counts, sizes)) > 2**63:
+    total = sum(n * size for n, size in zip(pcp.var_counts, sizes))
+    if total > 2**63:
         raise ValueError(f"label sizes {list(pcp.label_sizes)} on {list(pcp.var_counts)} variables "
                          "give over 2**63 vertices, more than int64 vertex ids can name")
+    if total > cap:
+        raise ValueError(f"gadget would have {total} vertices, cap is {cap}")
     keys = [(l, v) for l in range(pcp.layers) for v in range(pcp.var_counts[l])]
     starts = [0, *itertools.accumulate(sizes[l] for l, _ in keys)]
     return dict(zip(keys, starts)), starts[-1]
-
-
-def product_rows(factors: list) -> np.ndarray:
-    """Every choice of one row per (m_i, 3) factor, summed, the first factor
-    varying slowest: one (prod m_i, 3) int64 array. Factors on disjoint
-    digits or bits make the sum their OR."""
-    rows = np.zeros((1, 3), dtype=np.int64)
-    for factor in factors:
-        rows = (rows[:, None] + np.asarray(factor, dtype=np.int64)).reshape(-1, 3)
-    return rows
 
 
 def check_labeling(pcp: LayeredPcp, sigma) -> list[list[int]]:

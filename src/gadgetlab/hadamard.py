@@ -21,6 +21,7 @@ from .games import (BlockGeometry, EquationBlock, Lin3Instance, VariableBlock,
 from .verify import GenericHypergraph, check_coloring, rows_inside, sort_rows, unique_rows
 
 MAX_R = 2
+MAX_RAW_ROWS = 2**21  # rows of the (triples, choices, 4) raw-edge array
 
 
 @dataclass(frozen=True)
@@ -106,10 +107,13 @@ def build(inst: Lin3Instance, r: int, triples: int = 2, seed: int = 0,
     dropped and counted. r is capped at MAX_R, so checking up front that
     some r equations share no variable is one O(E^2) scan.
     """
-    if r > MAX_R or triples < 1:
-        raise ValueError(f"the gadget caps r at {MAX_R} and needs a triple, got r={r}, triples={triples}")
+    if not 1 <= r <= MAX_R or triples < 1:
+        raise ValueError(f"the gadget caps r at {MAX_R}, needs r >= 1 and a triple, got r={r}, triples={triples}")
     if triples > budget:  # each triple takes at least one draw
         raise ValueError(f"{triples} triples need more draws than the budget of {budget}")
+    raw_rows = triples * ((1 << r) - 1) * 4 ** (3 * r + 1)  # per triple: z, then two points
+    if raw_rows > MAX_RAW_ROWS:
+        raise ValueError(f"{triples} triples at r={r} give {raw_rows} raw edge rows, cap is {MAX_RAW_ROWS}")
     if not any(repeat_free(inst, ids) for ids in combinations(range(len(inst.equations)), r)):
         raise ValueError(f"no repeat-free block of {r} equations exists among the "
                          f"{len(inst.equations)} equations; instance too small")

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import ternary
 from .games import (LayeredPcp, PcpGadget, code_layout, dictator_colors, heavy_layer_pair,
-                    product_rows, satisfied_fractions)
+                    satisfied_fractions)
 from .seeding import derive_rng
 from .ternary import TernaryFamily, WitnessPair, two_element_witness
 from .verify import GenericHypergraph, rows_inside
@@ -26,20 +26,26 @@ SIZE_CAP = 10**7
 ENUMERATE_LABEL_CAP = 4
 
 
-def _allowed_pairs(x_digit: int) -> list[tuple[int, int]]:
-    pairs = [(a, b) for a in range(3) for b in range(3)]
-    if x_digit in (ternary.ONE, ternary.TWO):
-        pairs.remove((x_digit, x_digit))
-    return pairs
+# _FORBIDDEN[d, 3a + b]: x digit d rules out the (y, z) digit pair (a, b), as (d, a, b) is (1,1,1) or (2,2,2)
+_FORBIDDEN = np.array([[d == a == b != ternary.STAR for a in range(3) for b in range(3)] for d in range(3)])
 
 
 def _constraint_rows(proj: tuple[int, ...], r_big: int, r_small: int) -> np.ndarray:
     """All (x, y, z) index triples passing the coordinate rule: by x, then by
-    the allowed (y, z) digit pair of each coordinate, coordinate 0 slowest."""
-    options = [np.array([(0, a, b) for a, b in _allowed_pairs(d)]) for d in range(3)]
-    return np.concatenate([
-        product_rows([[(x, 0, 0)], *(options[xd[i]] * 3**j for j, i in enumerate(proj))])
-        for x, xd in enumerate(ternary.digits_matrix(r_small).tolist())])
+    the allowed (y, z) digit pair of each coordinate, coordinate 0 slowest:
+    the kept cells of one mask over every x and all 9 pairs per coordinate."""
+    xd = ternary.digits_matrix(r_small)
+    keep = np.ones((3**r_small,) + (9,) * r_big, dtype=bool)
+    for j, i in enumerate(proj):
+        keep &= ~_FORBIDDEN[xd[:, i]].reshape((-1,) + (1,) * j + (9,) + (1,) * (r_big - 1 - j))
+    flat = np.flatnonzero(keep)
+    y_of, z_of = 3 ** np.arange(r_big) @ np.divmod(np.indices((9,) * r_big).reshape(r_big, -1), 3)
+    rows = np.empty((len(flat), 3), dtype=np.int64)
+    np.floor_divide(flat, 9**r_big, out=rows[:, 0])
+    np.remainder(flat, 9**r_big, out=flat)
+    np.take(y_of, flat, out=rows[:, 1], mode="clip")  # "clip" writes out without a buffer
+    np.take(z_of, flat, out=rows[:, 2], mode="clip")
+    return rows
 
 
 @dataclass
@@ -75,25 +81,19 @@ class LongCodeGadget(PcpGadget):
         constraint, not a 3-uniform edge."""
         c = self.pcp.constraints[ci]
         xd = ternary.point_digits(x, self.pcp.label_sizes[c.to_layer])
-        yd = ternary.point_digits(y, self.pcp.label_sizes[c.from_layer])
-        zd = ternary.point_digits(z, self.pcp.label_sizes[c.from_layer])
-        return all((xd[i], yd[j], zd[j]) not in ((1, 1, 1), (2, 2, 2))
-                   for j, i in enumerate(c.projection))
+        yd, zd = (ternary.point_digits(p, self.pcp.label_sizes[c.from_layer]) for p in (y, z))
+        return not any(_FORBIDDEN[xd[i], 3 * yd[j] + zd[j]] for j, i in enumerate(c.projection))
 
     def sample_hits(self, ci: int, rng: random.Random, samples: int):
         """A uniform x, then a uniform allowed digit pair per coordinate."""
+        allowed = [np.flatnonzero(~row).tolist() for row in _FORBIDDEN]
         c = self.pcp.constraints[ci]
-        r_big = self.pcp.label_sizes[c.from_layer]
         r_small = self.pcp.label_sizes[c.to_layer]
         for _ in range(samples):
             x = rng.randrange(3**r_small)
             xd = ternary.point_digits(x, r_small)
-            y = z = 0
-            for j in range(r_big):
-                a, b = rng.choice(_allowed_pairs(xd[c.projection[j]]))
-                y += a * 3**j
-                z += b * 3**j
-            yield x, y, z
+            pairs = [divmod(rng.choice(allowed[xd[i]]), 3) for i in c.projection]
+            yield x, ternary.point_index(a for a, _ in pairs), ternary.point_index(b for _, b in pairs)
 
     def to_hypergraph(self) -> GenericHypergraph:
         return self._export({"kind": "longcode",
@@ -106,9 +106,7 @@ def build(pcp: LayeredPcp, epsilon) -> LongCodeGadget:
     eps = Fraction(epsilon)
     if not 0 < eps < 1:
         raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    offsets, total = code_layout(pcp, LongCodeGadget.base)
-    if total > SIZE_CAP:
-        raise ValueError(f"gadget would have {total} vertices, cap is {SIZE_CAP}")
+    offsets, total = code_layout(pcp, LongCodeGadget.base, SIZE_CAP)
     mode = "enumerate" if max(pcp.label_sizes) <= ENUMERATE_LABEL_CAP else "rule"
     tables: dict = {}  # (projection, label sizes) -> its constraints' shared hit table
     constraint_edges = []

@@ -5,6 +5,7 @@ import itertools
 import json
 import operator
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -870,6 +871,7 @@ class TestExitCodes:
         ("config.seed", True, "{had}: field 'seed' is not an integer: True"),
         ("planted_assignment", [2] * 9, "assignment entry 2 is not 0 or 1"),
         ("config.triples", 10**20, f"{10**20} triples need more draws than the budget of 1000000"),
+        ("config.triples", 20000, "20000 triples at r=1 give 5120000 raw edge rows, cap is 2097152"),
     ])
     def test_yes_rejects_a_wrong_hadamard_field(self, tmp_path, capsys, field, value, message):
         lin, had = tmp_path / "lin.json", tmp_path / "had.json"
@@ -958,15 +960,20 @@ def src_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
-def run_subprocess(*argv, timeout: float = 20) -> subprocess.CompletedProcess:
-    """The CLI in its own process, killed (a test failure) if it outlives timeout."""
+def run_subprocess(*argv, timeout: float = 20,
+                   memory: int | None = None) -> subprocess.CompletedProcess:
+    """The CLI in its own process, killed (a test failure) if it outlives
+    timeout; with memory, its address space is limited to that many bytes."""
+    limit = None if memory is None else (
+        lambda: resource.setrlimit(resource.RLIMIT_AS, (memory, memory)))
     return subprocess.run([sys.executable, "-m", "gadgetlab.cli", *map(str, argv)], env=src_env(),
-                          capture_output=True, text=True, timeout=timeout)
+                          capture_output=True, text=True, timeout=timeout, preexec_fn=limit)
 
 
 class TestLabelSizeBounds:
     """A label size too large for a table or for int64 vertex ids is refused
-    before base ** size or 1 << size is formed."""
+    before base ** size or 1 << size is formed, and a variable count over
+    games.MAX_VARIABLES before a list per variable is."""
 
     def pcp(self, tmp_path, size: int) -> Path:
         """A smooth PCP file with no constraints and label sizes [size, 1]."""
@@ -984,6 +991,37 @@ class TestLabelSizeBounds:
         assert (done.returncode, done.stdout, done.stderr) == (1, "", (
             f"error: label sizes [{size}, 1] on [1, 1] variables give over 2**63 vertices, "
             "more than int64 vertex ids can name\n"))
+
+    @pytest.mark.parametrize("command", ["build-longcode", "build-dto1", "decode-dto1"])
+    def test_more_variables_than_the_cap_are_refused(self, tmp_path, command):
+        """A var count of 2**31, which no planted labeling or names bound, is
+        refused where the PCP is read, before a list per variable is built;
+        under a 1 GB address space such a list fails the test, not the machine."""
+        pcp = tmp_path / "pcp.json"
+        if command == "build-longcode":
+            assert run("build-mlpcp", "--layers", 2, "--vars-per-layer", 2, "--label-sizes", "2,2",
+                       "--seed", 3, "--out", pcp) == 0
+        else:
+            game = tmp_path / "game.json"
+            assert run("gen-game", "--u", 2, "--v", 3, "--k", 1, "--d", 2, "--seed", 5,
+                       "--out", game) == 0
+            assert run("build-mlpcp", "--game", game, "--layers", 2, "--smooth-t", 1,
+                       "--out", pcp) == 0
+        bundle = json.loads(pcp.read_text())
+        bundle["pcp"]["var_counts"][0] = 2**31
+        for bound in ("planted_labeling", "var_names"):
+            bundle["pcp"].pop(bound, None)
+        pcp.write_text(json.dumps(bundle))
+        ind = tmp_path / "ind.json"
+        ind.write_text(json.dumps({"indicators": {"0,0": [0.5]}}))
+        argv = {"build-longcode": ("build-longcode", "--pcp", pcp, "--epsilon", "1/10"),
+                "build-dto1": ("build-dto1", "--pcp", pcp, "--delta", "0.25"),
+                "decode-dto1": ("decode", "--kind", "dto1", "--gadget", pcp, "--indicator", ind,
+                                "--delta", "0.25")}[command]
+        done = run_subprocess(*argv, "--out", tmp_path / "out.json", memory=2**30)
+        variables = sum(bundle["pcp"]["var_counts"])
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", (
+            f"error: {pcp}: the PCP has {variables} variables, cap is {games.MAX_VARIABLES}\n"))
 
     def test_dto1_decode_refuses_a_label_size_past_the_table_width(self, tmp_path):
         pcp, ind = self.pcp(tmp_path, 10**20), tmp_path / "ind.json"

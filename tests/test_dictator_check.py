@@ -1,6 +1,5 @@
 """The one dictator-colouring certificate behind longcode.yes_partition and
 dto1.yes_check, diff-tested against the two walks it replaced."""
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,8 +16,9 @@ from gadgetlab.seeding import derive_rng
 
 def yes_partition_reference(g: longcode.LongCodeGadget, sigma, samples: int = 2000,
                             seed: int = 0) -> longcode.PartitionResult:
-    """The long-code walk as it was: class weights from the formula, one
-    stream for every sampled constraint, sampled y == z draws skipped."""
+    """The long-code walk as it was: class weights from the formula; in rule
+    mode, samples draws per constraint from its own seeded stream, each a
+    uniform x and then a uniform allowed digit pair per coordinate."""
     pcp = g.pcp
     sigma = games.check_labeling(pcp, sigma)
     class_of: dict[int, int] = {}
@@ -56,8 +56,8 @@ def yes_partition_reference(g: longcode.LongCodeGadget, sigma, samples: int = 20
                 check_edge(ci, c, x, y, z)
         coverage = "exhaustive"
     else:
-        rng = random.Random(seed)
         for ci, c in enumerate(pcp.constraints):
+            rng = derive_rng(seed, "yes-check", ci)
             r_big = pcp.label_sizes[c.from_layer]
             r_small = pcp.label_sizes[c.to_layer]
             for _ in range(samples):
@@ -65,12 +65,13 @@ def yes_partition_reference(g: longcode.LongCodeGadget, sigma, samples: int = 20
                 xd = ternary.point_digits(x, r_small)
                 y = z = 0
                 for j in range(r_big):
-                    a, b = rng.choice(longcode._allowed_pairs(xd[c.projection[j]]))
+                    d = xd[c.projection[j]]
+                    a, b = rng.choice([(a, b) for a in range(3) for b in range(3)
+                                       if (d, a, b) not in ((1, 1, 1), (2, 2, 2))])
                     y += a * 3**j
                     z += b * 3**j
-                if y != z:
-                    check_edge(ci, c, x, y, z)
-        coverage = f"sampled:{samples} per constraint"
+                check_edge(ci, c, x, y, z)
+        coverage = f"sampled:{samples} per constraint on {len(pcp.constraints)} constraints"
     return longcode.PartitionResult(class_of, (w1, w2, wstar), violations, checked,
                                     surviving, coverage)
 
@@ -192,6 +193,18 @@ def test_dto1_sampled_draws_match_reference():
     assert (got.violations, got.checked, got.coverage) == (
         want.violations, want.checked, want.coverage)
     assert got.coverage == f"sampled:50 per constraint on {len(pcp.constraints)} constraints"
+
+
+@pytest.mark.parametrize("sizes,seed", [(5, 1), ((5, 3), 2), ((3, 6, 2), 3)])
+def test_longcode_sampled_draws_match_reference(sizes, seed):
+    pcp = games.gen_toy_mlpcp(len(sizes) if isinstance(sizes, tuple) else 2, 2, sizes, seed)
+    g = longcode.build(pcp, Fraction(1, 10))
+    assert g.mode == "rule"
+    want = yes_partition_reference(g, pcp.planted_labeling, samples=200, seed=5)
+    got = longcode.yes_partition(g, pcp.planted_labeling, samples=200, seed=5)
+    assert (got.violations, got.checked_edges, got.surviving_edges, got.coverage) == (
+        want.violations, want.checked_edges, want.surviving_edges, want.coverage)
+    assert 0 < got.surviving_edges < got.checked_edges == 200 * len(pcp.constraints)
 
 
 def test_longcode_sampled_checks_every_draw():

@@ -4,6 +4,7 @@ shared read-only between the constraints of one rule, and exported as the
 deduplicated y < z half of the full hit array."""
 import dataclasses
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,8 @@ from gadgetlab import dto1, games, longcode, ternary, verify
 
 
 def constraint_triples_reference(proj: tuple[int, ...], r_big: int, r_small: int):
-    """All (x, y, z) index triples passing the coordinate rule."""
+    """All (x, y, z) index triples passing the coordinate rule: no matched
+    coordinate triple is (1, 1, 1) or (2, 2, 2)."""
     triples = []
     small_digits = ternary.digits_matrix(r_small)
     for x in range(3**r_small):
@@ -27,7 +29,8 @@ def constraint_triples_reference(proj: tuple[int, ...], r_big: int, r_small: int
         partial: list[tuple[int, int, int]] = [(x, 0, 0)]
         for j in range(r_big):
             step = 3**j
-            allowed = longcode._allowed_pairs(int(xd[proj[j]]))
+            allowed = [(a, b) for a in range(3) for b in range(3)
+                       if (int(xd[proj[j]]), a, b) not in ((1, 1, 1), (2, 2, 2))]
             partial = [(x, y + a * step, z + b * step)
                        for (_, y, z) in partial for (a, b) in allowed]
         triples += partial
@@ -74,7 +77,8 @@ def pcp_of(sizes, constraints, params=None) -> games.LayeredPcp:
 
 
 @settings(max_examples=80)
-@given(data=st.data(), big=st.integers(1, 3), small=st.integers(1, 3))
+@given(data=st.data(), big=st.integers(1, longcode.ENUMERATE_LABEL_CAP),
+       small=st.integers(1, longcode.ENUMERATE_LABEL_CAP))
 def test_longcode_tables_match_reference(data, big, small):
     proj = tuple(data.draw(st.lists(st.integers(0, small - 1), min_size=big, max_size=big)))
     g = longcode.build(pcp_of((big, small), [(0, 0, proj)]), Fraction(1, 10))
@@ -85,6 +89,20 @@ def test_longcode_tables_match_reference_at_four_labels():
     proj = (2, 0, 3, 3)
     g = longcode.build(pcp_of((4, 4), [(0, 0, proj)]), Fraction(1, 10))
     assert_tables_match(g, 0, constraint_triples_reference(proj, 4, 4))
+
+
+def test_longcode_table_peaks_below_twice_its_bytes():
+    """At label sizes (4, 4) the masked pass holds the table, one int64 index
+    per kept row and the mask: no more than the 2.0x of the table's bytes
+    that the per-x product reached."""
+    tracemalloc.start()
+    try:
+        table = longcode._constraint_rows((2, 0, 3, 3), 4, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (391875, 3)
+    assert peak <= 2.0 * table.nbytes
 
 
 @settings(max_examples=60)

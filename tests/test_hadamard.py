@@ -218,6 +218,13 @@ class TestBuild:
         with pytest.raises(ValueError, match="caps r"):
             hadamard.build(inst, r=3, triples=1)
 
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_r_below_one_rejected(self, planted, r):
+        inst, _ = planted
+        with pytest.raises(ValueError, match=f"^the gadget caps r at 2, needs r >= 1 and a triple, "
+                                             f"got r={r}, triples=1$"):
+            hadamard.build(inst, r=r, triples=1)
+
     def test_impossible_r_rejected_before_sampling(self, monkeypatch):
         # with one equation there are no two equations with disjoint variables
         def sampled(*args, **kwargs):
@@ -274,6 +281,19 @@ class TestBuild:
         assert len(calls) == 3
         calls.clear()
         assert len(hadamard.build(inst, r=1, triples=2, budget=4).triples) == 2
+
+    @pytest.mark.parametrize("r, triples", [(1, 8193), (2, 43)])
+    def test_raw_rows_are_capped_before_any_draw(self, planted, monkeypatch, r, triples):
+        # each triple gives (2**r - 1) * 4**(3r + 1) raw rows: 256 at r = 1, 49,152 at r = 2
+        inst, _ = planted
+        calls = []
+        monkeypatch.setattr(hadamard, "sample_round", lambda *a, **k: calls.append(None))
+        rows = triples * ((1 << r) - 1) * 4 ** (3 * r + 1)
+        assert rows > hadamard.MAX_RAW_ROWS >= rows - ((1 << r) - 1) * 4 ** (3 * r + 1)
+        with pytest.raises(ValueError, match=f"^{triples} triples at r={r} give {rows} raw edge "
+                                             f"rows, cap is {hadamard.MAX_RAW_ROWS}$"):
+            hadamard.build(inst, r=r, triples=triples)
+        assert calls == []
 
     def test_deterministic_under_seed(self, planted):
         inst, _ = planted
