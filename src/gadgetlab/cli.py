@@ -312,6 +312,8 @@ def cmd_build_dto1(args) -> Result:
 
 
 def cmd_verify(args) -> Result:
+    if args.mode != "almost" and Fraction(args.epsilon):  # it would be recorded, and ignored
+        raise UsageError(f"verify --mode {args.mode} does not take a non-zero --epsilon")
     bundle = read_artifact(args.input)
     if "hypergraph" not in bundle:
         raise UsageError(f"{args.input}: the file holds no hypergraph")

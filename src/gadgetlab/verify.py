@@ -188,6 +188,30 @@ def check_coloring(edges: np.ndarray, colors: np.ndarray, removed: np.ndarray,
     return surviving, surviving & violated
 
 
+def _row_masks(rows: np.ndarray, count: int) -> list[int]:
+    """Per index r below count, the mask of the rows of rows (an (E, c)
+    index array; row j is bit j) that hold r, packed as bytes first."""
+    j = np.arange(len(rows))
+    packed = np.zeros((count, (len(rows) + 7) // 8), np.uint8)
+    np.bitwise_or.at(packed, (rows, (j >> 3)[:, None]), (1 << (j & 7)).astype(np.uint8)[:, None])
+    return [int.from_bytes(row, "little") for row in map(bytes, packed)]
+
+
+class _Cache(dict):
+    """A dict that builds a missing key's value as make(key), and empties
+    itself before it would hold more than size values."""
+
+    def __init__(self, make, size: int) -> None:
+        super().__init__()
+        self.make, self.size = make, size
+
+    def __missing__(self, key):
+        if len(self) >= self.size:
+            self.clear()
+        value = self[key] = self.make(key)
+        return value
+
+
 @dataclass
 class IndependentSetResult:
     vertices: frozenset[int]
@@ -204,52 +228,42 @@ def max_independent_set(h: GenericHypergraph, budget: int = DEFAULT_NODE_BUDGET)
     from a packing of vertex-disjoint live edges. Exceeding the
     node-expansion budget degrades the result to best-found.
 
-    Vertex order[i], by falling degree, then id, is bit i of every mask;
-    the search adds and compares h's integer weights.
+    Vertex order[i], by falling degree, then id, is bit i of every vertex
+    mask, and h's edge j is bit j of every edge mask; the search adds and
+    compares h's integer weights.
     """
     by_degree = np.argsort(-np.bincount(h.positions.ravel(), minlength=len(h.ids)), kind="stable").tolist()
     order = [h.ids[p] for p in by_degree]
     weight = [h.weights[p] for p in by_degree]
     suffix = list(itertools.accumulate(reversed(weight), initial=0))[::-1]
-    edges = np.argsort(by_degree)[h.positions].tolist()  # each position's index in order
-    masks = [sum(1 << i for i in e) for e in edges]
-    # per edge, its members' (weight, bit) by weight: the first live one is the lightest
-    by_weight = [sorted((weight[i], 1 << i) for i in e) for e in edges]
-    others: list[list[int]] = [[] for _ in order]  # per position, its edges' other members
-    for e, m in zip(edges, masks):
-        for i in e:
-            others[i].append(m ^ 1 << i)
+    members = np.argsort(by_degree)[h.positions]  # each edge's vertices as indices in order
+    incident = _row_masks(members, len(order))  # per index, the mask of its edges
+    ending = _row_masks(members.max(axis=1, keepdims=True), len(order))  # ... of the edges it ends
+    # per edge, its members by weight, the later first among equals (a live edge's last member
+    # is at idx or later), and the mask of the edges sharing no member with it, built when first
+    # packed: a table of them all takes E**2 bits, and at most 2**29 bits are kept
+    rank = np.empty(len(order), np.int64)
+    rank[sorted(range(len(order))[::-1], key=weight.__getitem__)] = np.arange(len(order))
+    by_weight = np.take_along_axis(members, np.argsort(rank[members], axis=1), axis=1).tolist()
+    apart = _Cache(lambda j: ~functools.reduce(int.__or__, [incident[i] for i in by_weight[j]]),
+                   2**29 // max(len(members), 1))
 
-    def completes_edge(i: int, chosen: int) -> bool:
-        return any(o & chosen == o for o in others[i])
-
-    greedy = 0
+    # The first descent of the search: each vertex is taken unless that completes an edge.
+    every = (1 << len(members)) - 1
+    live, greedy = every, 0
     for i in range(len(order)):
-        if not completes_edge(i, greedy):
+        if live & ending[i]:
+            live &= ~incident[i]
+        else:
             greedy |= 1 << i
     best_mask, best_weight = greedy, sum(w for i, w in enumerate(weight) if greedy >> i & 1)
 
-    def bound(idx: int, included: int, current: int, live: list[int]) -> tuple[int, list[int]]:
-        excluded = included ^ ((1 << idx) - 1)
-        undecided = -1 << idx
-        kept, used, penalty = [], 0, 0
-        for e in live:
-            m = masks[e]
-            if m & excluded or not m & undecided:
-                continue
-            kept.append(e)
-            if not m & used:
-                used |= m
-                for w, b in by_weight[e]:  # the lightest live member
-                    if b & undecided:
-                        penalty += w
-                        break
-        return current + suffix[idx] - penalty, kept
-
-    # Depth-first over (position, weight so far, mask of the vertices taken, the parent's live
-    # edges: one with an excluded member, or no undecided one, stays dead below); every earlier
-    # vertex not taken is excluded. The include branch is pushed last so it is searched first.
-    stack = [(0, 0, 0, range(len(masks)))]
+    # Depth-first over (position, weight so far, mask of the vertices taken, mask of the live
+    # edges: those with no excluded member); every earlier vertex not taken is excluded. So a
+    # live edge that idx ends has its other members taken, and taking idx would complete it;
+    # any other live edge has a member after idx. The include branch is pushed last so it is
+    # searched first.
+    stack = [(0, 0, 0, every)]
     nodes = 0
     while stack and nodes < budget:
         idx, current, included, live = stack.pop()
@@ -258,11 +272,20 @@ def max_independent_set(h: GenericHypergraph, budget: int = DEFAULT_NODE_BUDGET)
             if current > best_weight:
                 best_mask, best_weight = included, current
             continue
-        limit, live = bound(idx, included, current, live)
-        if limit <= best_weight:
+        # The bound packs live edges greedily in edge order, each taking its lightest member
+        # at idx or later off the weight still undecided; it prunes once it reaches best_weight.
+        slack, packing = current + suffix[idx] - best_weight, live
+        while packing and slack > 0:
+            j = (packing & -packing).bit_length() - 1
+            packing &= apart[j]
+            for i in by_weight[j]:
+                if i >= idx:
+                    slack -= weight[i]
+                    break
+        if slack <= 0:
             continue
-        stack.append((idx + 1, current, included, live))
-        if not completes_edge(idx, included):
+        stack.append((idx + 1, current, included, live & ~incident[idx]))
+        if not live & ending[idx]:
             stack.append((idx + 1, current + weight[idx], included | 1 << idx, live))
     ran_out = bool(stack)  # nodes were left unexpanded
     return IndependentSetResult(frozenset(v for i, v in enumerate(order) if best_mask >> i & 1),

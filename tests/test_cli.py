@@ -410,6 +410,18 @@ class TestExitCodes:
                    "--out", out) == 0
         assert json.loads(out.read_text())["config"]["epsilon"] == "0.40"
 
+    @pytest.mark.parametrize("mode", ["yes", "max-is", "two-color"])
+    def test_epsilon_outside_almost_is_one(self, tmp_path, capsys, mode):
+        # only --mode almost reads --epsilon; any other mode would record one it ignored
+        bundle, out = triangle_bundle(tmp_path), tmp_path / "out.json"
+        assert run("verify", "--input", bundle, "--mode", mode, "--budget", 10,
+                   "--epsilon", "1/2", "--out", out) == 1
+        assert capsys.readouterr().err == f"error: verify --mode {mode} does not take a non-zero --epsilon\n"
+        assert not out.exists()
+        assert run("verify", "--input", bundle, "--mode", "max-is", "--epsilon", "0",
+                   "--out", out) == 0
+        assert json.loads(out.read_text())["config"]["epsilon"] == "0"
+
     def test_negative_budget_is_one(self, tmp_path, capsys):
         bundle = triangle_bundle(tmp_path)
         out = tmp_path / "mis.json"

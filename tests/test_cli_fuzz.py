@@ -35,7 +35,8 @@ CASES = [
     ("build-mlpcp", "--game", "game.json", "--layers", 2, "--smooth-t", 1),
     ("build-dto1", "--pcp", "pcp.json", "--delta", 0.25),
     ("build-longcode", "--pcp", "plain.json", "--epsilon", "1/10"),
-    *[("verify", "--input", gadget, "--mode", mode, "--epsilon", "1/10", "--budget", 50)
+    *[("verify", "--input", gadget, "--mode", mode, "--budget", 50,
+       *(("--epsilon", "1/10") if mode == "almost" else ()))
       for gadget in ("had.json", "dto1.json", "lc.json")
       for mode in ("yes", "max-is", "two-color", "almost")],
     ("decode", "--kind", "longcode", "--gadget", "lc.json", "--indicator", "lc_ind.json",

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gadgetlab import cli, dto1, games, hadamard, verify
-from gadgetlab.seeding import derive_rng
+from gadgetlab.seeding import derive_rng, derive_seed
 from gadgetlab.verify import DEFAULT_NODE_BUDGET, ColoringResult, GenericHypergraph
 
 
@@ -415,7 +415,7 @@ SCATTERED = GenericHypergraph(3, (7, -3, 12, 0, -20, 5), ((-3, 0, 7), (0, 7, 12)
 @pytest.mark.parametrize("triples, seed, budget", [
     (4, 1, 1), (4, 1, 200), (4, 1, verify.DEFAULT_NODE_BUDGET), (4, 2, 200), (6, 2, 200)])
 def test_max_is_on_small_hadamard_gadgets_matches_the_recursive_reference(triples, seed, budget):
-    """Each node scans only the edges its parent left live: bounds, node
+    """Each node walks only its packing over edge masks: bounds, node
     counts and best sets are the reference search's, cut off or not."""
     inst, _ = games.gen_3lin(10, 10, seed)
     h = hadamard.build(inst, 1, triples=triples, seed=seed).to_hypergraph()
@@ -444,6 +444,28 @@ def test_explicit_stacks_match_recursive_oracles(h, budget):
     exhaustive = any(all(len({(mask >> pos[v]) & 1 for v in e}) > 1 for e in h.edges)
                      for mask in range(1 << len(h.vertices)))
     assert col.colorable == exhaustive
+
+
+@st.composite
+def wide_hypergraphs(draw) -> GenericHypergraph:
+    """65-150 vertices and 65-250 edges, so that both the vertex and the
+    edge masks of the max-IS search are wider than a machine word; k = 1
+    gives single-vertex edges, and the weights are all 1, tied over two
+    values, or rational."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(65, 150))
+    edges = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=k, max_size=k).map(sorted).map(tuple),
+                          min_size=65, max_size=min(250, n) if k == 1 else 250, unique=True))
+    kind = draw(st.sampled_from(["unit", "tied", "rational"]))
+    weight = {"unit": st.just(1), "tied": st.sampled_from([1, 2]),
+              "rational": st.builds(Fraction, st.integers(1, 6), st.integers(1, 4))}[kind]
+    return GenericHypergraph(k, tuple(range(n)), tuple(edges), {v: draw(weight) for v in range(n)})
+
+
+@settings(max_examples=40)
+@given(h=wide_hypergraphs(), budget=st.integers(0, 300))
+def test_max_is_with_masks_wider_than_a_word_matches_the_recursive_reference(h, budget):
+    assert verify.max_independent_set(h, budget) == max_independent_set_recursive(h, budget)
 
 
 # at least 12 edges where there are that many, so that about a fifth of
@@ -761,6 +783,13 @@ class TestHypergraphType:
 
 
 class TestMaxIndependentSet:
+    def test_edge_mask_cache_empties_itself_when_full(self):
+        # the search caches one E-bit mask per packed edge; the cap keeps that below E**2 bits
+        made = []
+        cache = verify._Cache(lambda j: made.append(j) or ~j, 2)
+        assert [cache[j] for j in (3, 5, 3, 7, 5)] == [~3, ~5, ~3, ~7, ~5]
+        assert made == [3, 5, 7, 5] and len(cache) <= 2
+
     def test_single_edge(self):
         h = GenericHypergraph(3, (0, 1, 2), ((0, 1, 2),))
         res = verify.max_independent_set(h)
@@ -819,6 +848,15 @@ class TestMaxIndependentSet:
         res = verify.max_independent_set(h, budget=200)
         assert res == max_independent_set_recursive(h, budget=200)
         assert res.nodes_expanded == 200 and not res.optimal and res.weight == 42
+
+    def test_hadamard_mis_gadget_matches_the_reference_at_budget_2000(self):
+        # the same gadget searched ten times deeper, through the library
+        inst, _ = games.gen_3lin(9, 9, derive_rng(1, "gen-3lin"))
+        h = hadamard.build(inst, 1, triples=10, seed=derive_seed(1, "build-hadamard")).to_hypergraph()
+        assert (len(h.vertices), len(h.edges)) == (64, 136)
+        res = verify.max_independent_set(h, budget=2000)
+        assert res == max_independent_set_recursive(h, budget=2000)
+        assert res.nodes_expanded == 2000 and not res.optimal
 
 
 class TestTwoColorable:
